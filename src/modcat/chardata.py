@@ -142,6 +142,21 @@ def weyl_denominator_value(rs: RootSystemData, kappa: int,
     return acc
 
 
+def alternating_sum(rs: RootSystemData, kappa: int, orbit,
+                    point: Weight) -> CycNum:
+    """The Weyl numerator sum_w sign(w) eps^((w xi, point)') (Kac-Peterson).
+
+    orbit lists the pairs (sign(w), w xi) over W; the terms are added in
+    its order.
+    """
+    acc = CycNum.zero()
+    for sign, image in orbit:
+        term = epsilon_power(form(rs, image, point, "primed"), rs.lacing,
+                             kappa)
+        acc = acc + (term if sign > 0 else -term)
+    return acc
+
+
 def char_value(rs: RootSystemData, kappa: int, lam: Weight,
                point: Weight) -> CycNum:
     """Character of lam (defined for any lam in P) at the point eps^point.
@@ -151,12 +166,9 @@ def char_value(rs: RootSystemData, kappa: int, lam: Weight,
     """
     den = weyl_denominator_value(rs, kappa, point)
     if not den.is_zero():
-        num = CycNum.zero()
-        for w in enumerate_weyl(rs):
-            exp = form(rs, w.apply(wadd(lam, rs.rho)), point, "primed")
-            term = epsilon_power(exp, rs.lacing, kappa)
-            num = num + (term if w.sign > 0 else -term)
-        return num / den
+        shifted = wadd(lam, rs.rho)
+        orbit = [(w.sign, w.apply(shifted)) for w in enumerate_weyl(rs)]
+        return alternating_sum(rs, kappa, orbit, point) / den
     if not is_dominant(lam):
         raise ValueError(
             f"character of non-dominant {lam} at a singular point: fold to "

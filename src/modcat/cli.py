@@ -19,7 +19,8 @@ from .lie import build_root_system
 from .macdonald import (build_context, build_su_data, macdonald_polynomial,
                         verify_section5)
 from .modular import ModularData, build_modular_data, verify_modular_relations
-from .numeric import default_tolerance
+from .numeric import (InternalConsistencyError, check_tolerance,
+                      default_tolerance)
 from .weyl import enumerate_alcove, enumerate_ck
 from .chardata import quantum_dim
 
@@ -56,6 +57,13 @@ def _parse_weight(text: str, rank: int):
         raise UsageError(f"weight {text!r} has {len(coords)} coordinates, "
                          f"expected {rank}")
     return coords
+
+
+def _tolerance(text: str) -> float:
+    try:
+        return check_tolerance(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _fmt_complex(z: complex) -> str:
@@ -328,7 +336,7 @@ def _add_common(p, fmt=("json", "csv", "pretty")):
     p.add_argument("--mode", choices=("exact", "float"), default="exact")
     p.add_argument("--format", choices=fmt, default="json")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--tolerance", type=float, default=None,
+    p.add_argument("--tolerance", type=_tolerance, default=None,
                    help="float-mode tolerance (default 1e-9 or "
                         "MODCAT_TOLERANCE)")
 
@@ -414,7 +422,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (FusionConsistencyError, AssertionError) as exc:
+    except (FusionConsistencyError, InternalConsistencyError,
+            AssertionError) as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
 

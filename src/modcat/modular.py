@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chardata import quantum_dim, weyl_denominator_value
+from .chardata import alternating_sum, quantum_dim, weyl_denominator_value
 from .lie import (RootSystemData, Weight, form, lattice_index, wadd, wscale)
 from .numeric import CycNum, approx_eq, default_tolerance, epsilon_power
 from .report import VerificationReport
@@ -58,14 +58,10 @@ def s_entry_extended(rs: RootSystemData, kappa: int, lam: Weight,
                      mu: Weight) -> CycNum:
     """The s-matrix formula extended to arbitrary weight pairs."""
     den = weyl_denominator_value(rs, kappa, wscale(-2, rs.rho))
-    num = CycNum.zero()
-    mu_sh = wadd(mu, rs.rho)
     lam_sh = wadd(lam, rs.rho)
-    for w in enumerate_weyl(rs):
-        exp = -2 * form(rs, w.apply(lam_sh), mu_sh, "primed")
-        term = epsilon_power(exp, rs.lacing, kappa)
-        num = num + (term if w.sign > 0 else -term)
-    return num / den
+    orbit = [(w.sign, w.apply(lam_sh)) for w in enumerate_weyl(rs)]
+    return alternating_sum(rs, kappa, orbit,
+                           wscale(-2, wadd(mu, rs.rho))) / den
 
 
 def build_modular_data(rs: RootSystemData, kappa: int) -> ModularData:
@@ -81,12 +77,8 @@ def build_modular_data(rs: RootSystemData, kappa: int) -> ModularData:
     for a, lam in enumerate(alcove):
         orbit = [(w.sign, w.apply(wadd(lam, rs.rho))) for w in elements]
         for b in range(a, n):
-            mu_sh = wadd(alcove[b], rs.rho)
-            num = CycNum.zero()
-            for sign, img in orbit:
-                term = epsilon_power(-2 * form(rs, img, mu_sh, "primed"),
-                                     rs.lacing, kappa)
-                num = num + (term if sign > 0 else -term)
+            point = wscale(-2, wadd(alcove[b], rs.rho))
+            num = alternating_sum(rs, kappa, orbit, point)
             smat[a][b] = smat[b][a] = num * den_inv
 
     tdiag = [twist(rs, kappa, lam) for lam in alcove]

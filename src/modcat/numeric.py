@@ -1,21 +1,26 @@
 """Exact arithmetic kernels.
 
-Three coefficient domains are provided:
+One polynomial kernel over ascending coefficient lists of ``int`` or
+``Fraction`` entries (``_strip``, ``_pmul``, ``_psub``, ``_pdivmod``,
+``_pdivexact`` and ``_clear_denominators``) carries three domains:
 
 * ``CycNum`` -- an element of the cyclotomic field Q(zeta_L), stored in
   canonical form over the power basis {zeta_L^e : 0 <= e < phi(L)} with an
   integer coefficient vector over a common positive denominator.  Equality
   of value coincides with equality of the canonical form, so the zero test
   is exact.  Arithmetic between different orders lifts both operands to
-  the least common multiple of the orders.
+  the least common multiple of the orders; inverses run Euclid modulo Phi_L.
 
 * ``QRatFn`` -- a ratio of Laurent polynomials over Q in a formal variable
-  v standing for a square root of q, kept reduced with a monic denominator
-  that has a nonzero constant term.  The bar involution sends v to 1/v.
+  v standing for a square root of q, kept reduced by Euclid's gcd with a
+  monic denominator that has a nonzero constant term.  The bar involution
+  sends v to 1/v.
 
 * plain ``complex`` -- the float mode used for cross-checks only, with a
   global default tolerance.  Floats never decide a pass/fail verdict when
   an exact route exists.
+
+Broken invariants raise ``InternalConsistencyError``, also under -O.
 """
 
 from __future__ import annotations
@@ -24,14 +29,28 @@ import cmath
 import os
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isfinite
 
 DEFAULT_TOLERANCE = 1e-9
 
 
+class InternalConsistencyError(RuntimeError):
+    """An internal invariant of an exact computation failed."""
+
+
+def check_tolerance(tol: float, name: str = "tolerance") -> float:
+    """tol itself if it is finite and non-negative; ValueError otherwise."""
+    if not (isfinite(tol) and tol >= 0):
+        raise ValueError(f"{name} must be a finite non-negative number, "
+                         f"got {tol!r}")
+    return tol
+
+
 def default_tolerance() -> float:
     env = os.environ.get("MODCAT_TOLERANCE")
-    return float(env) if env else DEFAULT_TOLERANCE
+    if not env:
+        return DEFAULT_TOLERANCE
+    return check_tolerance(float(env), "MODCAT_TOLERANCE")
 
 
 def approx_eq(a: complex, b: complex, tol: float | None = None) -> bool:
@@ -41,9 +60,17 @@ def approx_eq(a: complex, b: complex, tol: float | None = None) -> bool:
 
 
 # --------------------------------------------------------------------------
-# integer polynomial helpers for cyclotomic polynomials (ascending coeffs)
+# the polynomial kernel (ascending coefficient lists over Z or Q)
 
-def _zpoly_mul(a: list[int], b: list[int]) -> list[int]:
+def _strip(p: list) -> list:
+    """Drop trailing zeros in place; the zero polynomial is []."""
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _pmul(a, b) -> list:
+    """Schoolbook product of two nonzero polynomials."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -53,21 +80,48 @@ def _zpoly_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _zpoly_divexact(num: list[int], den: list[int]) -> list[int]:
-    # exact division by a monic-up-to-sign integer polynomial
-    num = num[:]
-    dn = len(den) - 1
-    lead = den[-1]
-    out = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        q, r = divmod(num[i], lead)
-        assert r == 0
-        out[i - dn] = q
-        if q:
-            for j, y in enumerate(den):
-                num[i - dn + j] -= q * y
-    assert all(x == 0 for x in num)
-    return out
+def _psub(a, b) -> list:
+    """a - b, stripped."""
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] -= y
+    return _strip(out)
+
+
+def _pdivmod(a, b) -> tuple[list, list]:
+    """(q, r) with a = q b + r, deg r < deg b; b stripped and nonzero."""
+    r = _strip(list(a))
+    n = len(b) - 1
+    # a monic b keeps integer input integral; any other b works over Q
+    inv = None if b[-1] == 1 else Fraction(1, b[-1])
+    low = b[:n]
+    q = [0] * max(0, len(r) - n)
+    while len(r) > n:
+        f = r.pop() if inv is None else r.pop() * inv
+        shift = len(r) - n
+        q[shift] = f
+        for i, c in enumerate(low):
+            if c:
+                r[shift + i] -= f * c
+        _strip(r)
+    return q, r
+
+
+def _pdivexact(a, b) -> list:
+    """a / b for b dividing a; a remainder is an InternalConsistencyError."""
+    q, r = _pdivmod(a, b)
+    if r:
+        raise InternalConsistencyError(
+            f"inexact polynomial division: remainder {r}")
+    return q
+
+
+def _clear_denominators(fracs) -> tuple[list[int], int]:
+    """(nums, den) with fracs[i] = nums[i] / den over the least common den."""
+    den = 1
+    for f in fracs:
+        den = den * f.denominator // gcd(den, f.denominator)
+    return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
 @lru_cache(maxsize=None)
@@ -78,7 +132,7 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (order - 1) + [1]          # x^order - 1
     for d in range(1, order):
         if order % d == 0:
-            poly = _zpoly_divexact(poly, list(cyclotomic_polynomial(d)))
+            poly = _pdivexact(poly, cyclotomic_polynomial(d))
     return tuple(poly)
 
 
@@ -91,9 +145,7 @@ def _power_rows(order: int) -> tuple[tuple[int, ...], ...]:
     """Row e = coordinates of zeta^e over the power basis, e < max(order, 2 phi - 1)."""
     phi = _phi(order)
     top = max(order, 2 * phi - 1)
-    rows: list[tuple[int, ...]] = []
-    for e in range(phi):
-        rows.append(tuple(int(i == e) for i in range(phi)))
+    rows = [tuple(int(i == e) for i in range(phi)) for e in range(phi)]
     # x^phi = -(lower part of the cyclotomic polynomial), which is monic
     head = tuple(-c for c in cyclotomic_polynomial(order)[:phi])
     for e in range(phi, top):
@@ -106,12 +158,12 @@ def _power_rows(order: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _reduce_exponents(order: int, raw: dict[int, int]) -> list[int]:
-    """Canonical coordinates of sum raw[e] * zeta^e (integer coefficients)."""
+def _reduce_exponents(order: int, pairs) -> list[int]:
+    """Canonical coordinates of sum c * zeta^e over integer pairs (e, c)."""
     phi = _phi(order)
     rows = _power_rows(order)
     out = [0] * phi
-    for e, c in raw.items():
+    for e, c in pairs:
         if not c:
             continue
         row = rows[e % order] if e >= order or e < 0 else rows[e]
@@ -129,11 +181,7 @@ class CycNum:
     def __init__(self, order: int, num: tuple[int, ...], den: int,
                  _normalized: bool = False):
         if not _normalized:
-            g = den
-            for x in num:
-                g = gcd(g, x)
-                if g == 1:
-                    break
+            g = gcd(den, *num)
             if g > 1:
                 num = tuple(x // g for x in num)
                 den //= g
@@ -166,7 +214,7 @@ class CycNum:
         if g > 1:
             order //= g
             exponent //= g
-        vec = _reduce_exponents(order, {exponent: 1})
+        vec = _reduce_exponents(order, [(exponent, 1)])
         return CycNum(order, tuple(vec), 1)
 
     # -- canonical form helpers --------------------------------------------
@@ -176,8 +224,8 @@ class CycNum:
         if order == self.order:
             return list(self.num)
         step = order // self.order
-        raw = {e * step: c for e, c in enumerate(self.num) if c}
-        return _reduce_exponents(order, raw)
+        return _reduce_exponents(
+            order, ((e * step, c) for e, c in enumerate(self.num) if c))
 
     def _common(self, other: "CycNum") -> tuple[int, list[int], list[int]]:
         L = self.order * other.order // gcd(self.order, other.order)
@@ -242,14 +290,7 @@ class CycNum:
         if self.is_zero() or other.is_zero():
             return CycNum.zero()
         L, a, b = self._common(other)
-        conv: dict[int, int] = {}
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        k = i + j
-                        conv[k] = conv.get(k, 0) + x * y
-        nums = _reduce_exponents(L, conv)
+        nums = _reduce_exponents(L, enumerate(_pmul(a, b)))
         return CycNum(L, tuple(nums), self.den * other.den)
 
     __rmul__ = __mul__
@@ -258,17 +299,10 @@ class CycNum:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         L = self.order
-        phi = _phi(L)
-        mod = [Fraction(c) for c in cyclotomic_polynomial(L)]
         poly = [Fraction(x, self.den) for x in self.num]
-        inv = _poly_modular_inverse(poly, mod)
-        den = 1
-        for c in inv:
-            den = den * c.denominator // gcd(den, c.denominator)
-        nums = [0] * phi
-        for i, c in enumerate(inv):
-            nums[i] = int(c * den)
-        return CycNum(L, tuple(nums), den)
+        nums, den = _clear_denominators(
+            _poly_modular_inverse(poly, cyclotomic_polynomial(L)))
+        return CycNum(L, tuple(nums) + (0,) * (_phi(L) - len(nums)), den)
 
     def __truediv__(self, other):
         other = CycNum._coerce(other)
@@ -297,8 +331,8 @@ class CycNum:
     def conjugate(self) -> "CycNum":
         """Complex conjugation: zeta^e -> zeta^(-e)."""
         L = self.order
-        raw = {(-e) % L: c for e, c in enumerate(self.num) if c}
-        nums = _reduce_exponents(L, raw)
+        nums = _reduce_exponents(
+            L, (((-e) % L, c) for e, c in enumerate(self.num) if c))
         return CycNum(L, tuple(nums), self.den)
 
     bar = conjugate  # the bar involution restricts to conjugation here
@@ -334,14 +368,10 @@ class CycNum:
     @staticmethod
     def from_json_obj(obj) -> "CycNum":
         order = int(obj["order"])
-        phi = _phi(order)
-        fracs = {int(e): Fraction(s) for e, s in obj["coeffs"]}
-        den = 1
-        for f in fracs.values():
-            den = den * f.denominator // gcd(den, f.denominator)
-        nums = [0] * phi
-        for e, f in fracs.items():
-            nums[e] = int(f * den)
+        fracs = [Fraction(0)] * _phi(order)
+        for e, s in obj["coeffs"]:
+            fracs[int(e)] = Fraction(s)
+        nums, den = _clear_denominators(fracs)
         return CycNum(order, tuple(nums), den)
 
     def __repr__(self) -> str:
@@ -355,54 +385,18 @@ class CycNum:
         return "CycNum(" + " + ".join(terms) + ")"
 
 
-def _poly_modular_inverse(poly: list[Fraction],
-                          mod: list[Fraction]) -> list[Fraction]:
+def _poly_modular_inverse(poly: list, mod) -> list[Fraction]:
     """Inverse of poly modulo mod via the extended Euclidean algorithm."""
-
-    def strip(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    def pdivmod(a, b):
-        a = a[:]
-        q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-        inv_lead = 1 / b[-1]
-        while len(a) >= len(b) and strip(a):
-            shift = len(a) - len(b)
-            factor = a[-1] * inv_lead
-            q[shift] = factor
-            for i, c in enumerate(b):
-                a[shift + i] -= factor * c
-            strip(a)
-        return strip(q), a
-
-    r0, r1 = mod[:], strip(poly[:])
-    s0, s1 = [Fraction(0)], [Fraction(1)]
+    r0, r1 = list(mod), _strip(list(poly))
+    s0, s1 = [], [1]
     while True:
-        q, r = pdivmod(r0, r1)
-        r = strip(r)
+        q, r = _pdivmod(r0, r1)
         if not r:
             break
-        qs = _fq_mul(q, s1)
-        s = [x - y for x, y in
-             zip(s0 + [Fraction(0)] * max(0, len(qs) - len(s0)),
-                 qs + [Fraction(0)] * max(0, len(s0) - len(qs)))]
-        r0, r1, s0, s1 = r1, r, s1, strip(s)
+        r0, r1, s0, s1 = r1, r, s1, _psub(s0, _pmul(q, s1))
     if len(r1) != 1:
         raise ZeroDivisionError("element is a zero divisor (not invertible)")
-    lead = r1[0]
-    return [c / lead for c in s1]
-
-
-def _fq_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
+    return [Fraction(c, r1[0]) for c in s1]
 
 
 def epsilon_power(a, lacing: int, kappa: int) -> CycNum:
@@ -420,8 +414,7 @@ def sqrt_of_int(n: int) -> CycNum:
     """
     if n <= 0:
         raise ValueError("square root of a non-positive integer")
-    square = 1
-    rest = n
+    square, rest = 1, n
     for p in _prime_factors(n):
         while rest % (p * p) == 0:
             rest //= p * p
@@ -439,8 +432,8 @@ def sqrt_of_int(n: int) -> CycNum:
             else:
                 root = CycNum.root_of_unity(4, 3) * gauss  # -i * (i sqrt p)
         result = result * root
-    value = result.to_complex()
-    assert abs(value - n ** 0.5) < 1e-6, "wrong branch of the square root"
+    if not abs(result.to_complex() - n ** 0.5) < 1e-6:
+        raise InternalConsistencyError("wrong branch of the square root")
     return result
 
 
@@ -460,7 +453,6 @@ def _prime_factors(n: int) -> list[int]:
 
 # --------------------------------------------------------------------------
 # Laurent polynomials and rational functions in v = q^(1/2)
-
 
 class LaurentPoly:
     """Laurent polynomial over Q in the formal variable v."""
@@ -532,13 +524,8 @@ class LaurentPoly:
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.is_zero() or other.is_zero():
             return LaurentPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(other.coeffs):
-                    if y:
-                        out[i + j] += x * y
-        return LaurentPoly(self.low + other.low, tuple(out))
+        return LaurentPoly(self.low + other.low,
+                           tuple(_pmul(self.coeffs, other.coeffs)))
 
     def scale(self, value) -> "LaurentPoly":
         f = Fraction(value)
@@ -564,45 +551,12 @@ class LaurentPoly:
                           for e, c in self.items())
 
 
-def _ordinary(p: LaurentPoly) -> list[Fraction]:
-    return list(p.coeffs)
-
-
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    def strip(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    a, b = strip(a[:]), strip(b[:])
+def _poly_gcd(a, b) -> list[Fraction]:
+    """Monic gcd over Q by Euclid's algorithm; [] when both are zero."""
+    a, b = _strip(list(a)), _strip(list(b))
     while b:
-        inv = 1 / b[-1]
-        r = a[:]
-        while len(r) >= len(b) and strip(r):
-            shift = len(r) - len(b)
-            f = r[-1] * inv
-            for i, c in enumerate(b):
-                r[shift + i] -= f * c
-            strip(r)
-        a, b = b, strip(r)
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def _poly_divexact(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = a[:]
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    for i in range(len(a) - 1, len(b) - 2, -1):
-        f = a[i] * inv
-        out[i - len(b) + 1] = f
-        if f:
-            for j, c in enumerate(b):
-                a[i - len(b) + 1 + j] -= f * c
-    assert all(x == 0 for x in a)
-    return out
+        a, b = b, _pdivmod(a, b)[1]
+    return [Fraction(c, a[-1]) for c in a]
 
 
 class PoleAtEpsilonError(ArithmeticError):
@@ -630,16 +584,14 @@ class QRatFn:
         # shift all v-powers of the denominator into the numerator
         num = LaurentPoly(num.low - den.low, num.coeffs)
         den = LaurentPoly(0, den.coeffs)
-        g = _poly_gcd(_ordinary(num), _ordinary(den))
+        g = _poly_gcd(num.coeffs, den.coeffs)
         if len(g) > 1:
-            new_num = _poly_divexact(_ordinary(num), g)
-            new_den = _poly_divexact(_ordinary(den), g)
-            num = LaurentPoly(num.low, tuple(new_num))
-            den = LaurentPoly(0, tuple(new_den))
+            num = LaurentPoly(num.low, tuple(_pdivexact(num.coeffs, g)))
+            den = LaurentPoly(0, tuple(_pdivexact(den.coeffs, g)))
         lead = den.coeffs[-1]
         if lead != 1:
-            num = num.scale(1 / lead)
-            den = den.scale(1 / lead)
+            num = num.scale(Fraction(1, lead))
+            den = den.scale(Fraction(1, lead))
         self.num = num
         self.den = den
 
@@ -771,14 +723,8 @@ class QRatFn:
     @staticmethod
     def from_json_obj(obj) -> "QRatFn":
         def build(pairs):
-            if not pairs:
-                return LaurentPoly()
-            low = min(e for e, _ in pairs)
-            high = max(e for e, _ in pairs)
-            coeffs = [Fraction(0)] * (high - low + 1)
-            for e, s in pairs:
-                coeffs[e - low] = Fraction(s)
-            return LaurentPoly(low, tuple(coeffs))
+            return sum((LaurentPoly.monomial(e, s) for e, s in pairs),
+                       LaurentPoly())
 
         return QRatFn(build(obj["num"]), build(obj["den"]))
 

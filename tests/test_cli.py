@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from modcat.cli import main
 from modcat.numeric import CycNum
 
@@ -173,6 +175,12 @@ def test_verify_usage_errors(capsys):
     assert code == 2 and "needs" in err
     code, _, err = run_cli(capsys, "verify", "--suite", "section5")
     assert code == 2
+    for bad in ("nan", "-1", "inf", "-inf"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "modular", "--algebra", "A1",
+                  "--kappa", "3", f"--tolerance={bad}"])
+        assert exc.value.code == 2
+        assert "finite non-negative" in capsys.readouterr().err
 
 
 def test_exact_mode_byte_determinism(capsys):
@@ -220,3 +228,10 @@ def test_tolerance_env_override(capsys, monkeypatch):
     assert default_tolerance() == 1e-3
     monkeypatch.delenv("MODCAT_TOLERANCE")
     assert default_tolerance() == 1e-9
+    for bad in ("nan", "-1", "inf"):
+        monkeypatch.setenv("MODCAT_TOLERANCE", bad)
+        with pytest.raises(ValueError, match="MODCAT_TOLERANCE"):
+            default_tolerance()
+        code, _, err = run_cli(capsys, "verify", "--suite", "modular",
+                               "--algebra", "A1", "--kappa", "3")
+        assert code == 2 and "MODCAT_TOLERANCE" in err

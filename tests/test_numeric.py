@@ -1,14 +1,21 @@
 import cmath
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from modcat.numeric import (CycNum, LaurentPoly, PoleAtEpsilonError, QRatFn,
-                            approx_eq, cyclotomic_polynomial, epsilon_power,
-                            q_number, sqrt_of_int)
+                            _pdivexact, _pdivmod, _pmul, _strip, approx_eq,
+                            cyclotomic_polynomial, epsilon_power, q_number,
+                            sqrt_of_int)
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
 
 
 def random_cyc(rng, orders=(5, 8, 12, 24)):
@@ -28,6 +35,73 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
 
+def test_cyclotomic_polynomials_integral_and_factor_xn_minus_1():
+    for n in range(1, 121):
+        phi = cyclotomic_polynomial(n)
+        assert all(type(c) is int for c in phi), n
+        assert len(phi) - 1 == sum(1 for k in range(1, n + 1)
+                                   if math.gcd(k, n) == 1)
+        prod = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = _pmul(prod, cyclotomic_polynomial(d))
+        assert prod == [-1] + [0] * (n - 1) + [1], n
+    # the first cyclotomic polynomial with a coefficient outside {-1, 0, 1}
+    phi105 = cyclotomic_polynomial(105)
+    assert [e for e, c in enumerate(phi105) if c == -2] == [7, 41]
+    assert all(abs(c) <= 1 for n in range(1, 105)
+               for c in cyclotomic_polynomial(n))
+
+
+def _random_poly(rng, length, rational):
+    out = []
+    for _ in range(length):
+        c = rng.randrange(-5, 6) if rng.random() < 0.8 else 0
+        out.append(Fraction(c, rng.randrange(1, 7)) if rational else c)
+    return out
+
+
+def _padd(a, b):
+    n = max(len(a), len(b))
+    return _strip([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                   for i in range(n)])
+
+
+def test_pdivmod_randomized():
+    rng = random.Random(2024)
+    for trial in range(300):
+        rational = trial % 2 == 1
+        a = _random_poly(rng, rng.randrange(0, 12), rational)
+        b = _strip(_random_poly(rng, rng.randrange(1, 7), rational))
+        if not b:
+            continue
+        if trial % 3 == 0:
+            b[-1] = 1                   # monic: integer input stays integral
+        q, r = _pdivmod(a, b)
+        assert _strip(list(q)) == q and _strip(list(r)) == r
+        assert len(r) < len(b)
+        product = _pmul(q, b) if q else []
+        assert _padd(product, r) == _strip(list(a))
+        if not rational and b[-1] == 1:
+            assert all(type(c) is int for c in q + r)
+        if q:
+            assert _pdivexact(_pmul(q, b), b) == q
+
+
+def test_pdivexact_raises_under_python_O():
+    code = ("from modcat.numeric import _pdivexact, InternalConsistencyError\n"
+            "assert False, 'asserts are live'\n"
+            "try:\n"
+            "    _pdivexact([1, 0, 1], [1, 1])\n"
+            "except InternalConsistencyError:\n"
+            "    print('raised')\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"
+
+
 def test_rational_embedding():
     x = CycNum.from_rational(Fraction(-7, 3))
     assert x.is_rational() and x.as_fraction() == Fraction(-7, 3)
@@ -44,8 +118,9 @@ def test_exact_zero_only_in_canonical_form():
 
 def test_field_axioms_randomized():
     rng = random.Random(101)
+    orders = (5, 7, 8, 9, 12, 24, 36, 60)
     for _ in range(40):
-        a, b, c = (random_cyc(rng) for _ in range(3))
+        a, b, c = (random_cyc(rng, orders) for _ in range(3))
         assert (a + b) * c == a * c + b * c
         assert a * b == b * a
         assert (a + b) + c == a + (b + c)
