@@ -7,9 +7,8 @@ from .lie import (RootSystemData, Weight, build_root_system, form,
 from .numeric import (CycNum, LaurentPoly, PoleAtEpsilonError, QRatFn,
                       approx_eq, default_tolerance, epsilon_power, q_number,
                       sqrt_of_int)
-from .weyl import (AffineFoldResult, WeylElement, enumerate_alcove,
-                   enumerate_ck, enumerate_weyl, fold_to_alcove,
-                   make_dominant, star)
+from .weyl import (AffineFoldResult, enumerate_alcove, enumerate_ck,
+                   fold_to_alcove, make_dominant, reflect, star, weyl_orbit)
 from .chardata import (CharacterTable, char_value, quantum_dim,
                        vanishing_criterion, weight_multiplicities,
                        weyl_denominator_value, weyl_dimension)

@@ -4,6 +4,8 @@ quantum dimensions.
 Evaluation points are always weights mu standing for the point eps^mu, so
 everything stays inside one cyclotomic field: a group-ring element
 f = sum a_lam e^lam takes the value sum a_lam eps^((lam, mu)') there.
+Alternating sums run over the signed Weyl orbit of weyl.weyl_orbit, and
+quantum dimensions come from the q-Weyl product, which needs no orbit.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from functools import lru_cache
 
 from .lie import (RootSystemData, Weight, form, inverse_cartan,
                   root_alpha_coords, wadd, wneg, wscale)
-from .numeric import CycNum, epsilon_power
-from .weyl import enumerate_weyl, make_dominant
+from .numeric import CycNum, InternalConsistencyError, epsilon_power
+from .weyl import make_dominant, weyl_orbit
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,9 @@ def weyl_dimension(rs: RootSystemData, lam: Weight) -> int:
     shifted = wadd(lam, rs.rho)
     for alpha in rs.positive_roots:
         num *= form(rs, shifted, alpha) / form(rs, rs.rho, alpha)
-    assert num.denominator == 1
+    if num.denominator != 1:
+        raise InternalConsistencyError(
+            f"Weyl dimension of {lam} is not an integer: {num}")
     return int(num)
 
 
@@ -69,23 +73,6 @@ def dominant_weights_below(rs: RootSystemData, lam: Weight) -> list[Weight]:
     return out
 
 
-def weyl_orbit(rs: RootSystemData, lam: Weight) -> list[Weight]:
-    seen = {lam}
-    frontier = [lam]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i in range(rs.rank):
-                if w[i] == 0:
-                    continue
-                r = tuple(w[k] - w[i] * rs.cartan[k][i] for k in range(rs.rank))
-                if r not in seen:
-                    seen.add(r)
-                    nxt.append(r)
-        frontier = nxt
-    return sorted(seen)
-
-
 @lru_cache(maxsize=None)
 def weight_multiplicities(rs: RootSystemData, lam: Weight) -> CharacterTable:
     """Exact weight diagram of V_lam by the Freudenthal recursion."""
@@ -113,19 +100,26 @@ def weight_multiplicities(rs: RootSystemData, lam: Weight) -> CharacterTable:
                 if rep not in dom_set:
                     break
                 mult_nu = dom_mult.get(rep)
-                assert mult_nu is not None, "depth ordering broke"
+                if mult_nu is None:
+                    raise InternalConsistencyError(
+                        f"depth ordering broke at {rep} below {lam}")
                 acc += form(rs, nu, alpha, "primed") * mult_nu
                 j += 1
         mu_norm = form(rs, wadd(mu, rs.rho), wadd(mu, rs.rho), "primed")
         value = 2 * acc / (shifted_norm - mu_norm)
-        assert value.denominator == 1 and value > 0
+        if value.denominator != 1 or value <= 0:
+            raise InternalConsistencyError(
+                f"Freudenthal multiplicity of {mu} in {lam} is {value}")
         dom_mult[mu] = int(value)
     full: dict[Weight, int] = {}
     for mu, mult in dom_mult.items():
-        for nu in weyl_orbit(rs, mu):
+        for nu, _ in weyl_orbit(rs, mu):
             full[nu] = mult
     table = CharacterTable(highest=lam, mults=full)
-    assert table.dimension == weyl_dimension(rs, lam)
+    if table.dimension != weyl_dimension(rs, lam):
+        raise InternalConsistencyError(
+            f"weight diagram of {lam} has dimension {table.dimension}, "
+            f"not {weyl_dimension(rs, lam)}")
     return table
 
 
@@ -142,18 +136,22 @@ def weyl_denominator_value(rs: RootSystemData, kappa: int,
     return acc
 
 
-def alternating_sum(rs: RootSystemData, kappa: int, orbit,
+def alternating_sum(rs: RootSystemData, kappa: int, xi: Weight,
                     point: Weight) -> CycNum:
     """The Weyl numerator sum_w sign(w) eps^((w xi, point)') (Kac-Peterson).
 
-    orbit lists the pairs (sign(w), w xi) over W; the terms are added in
-    its order.
+    xi folds to its dominant point with parity p; the sum is zero when that
+    point lies on a wall, and p times the sum over its signed orbit
+    otherwise.
     """
+    dom, parity = make_dominant(rs, xi)
     acc = CycNum.zero()
-    for sign, image in orbit:
+    if not all(dom):
+        return acc
+    for image, sign in weyl_orbit(rs, dom):
         term = epsilon_power(form(rs, image, point, "primed"), rs.lacing,
                              kappa)
-        acc = acc + (term if sign > 0 else -term)
+        acc = acc + (term if sign == parity else -term)
     return acc
 
 
@@ -166,9 +164,7 @@ def char_value(rs: RootSystemData, kappa: int, lam: Weight,
     """
     den = weyl_denominator_value(rs, kappa, point)
     if not den.is_zero():
-        shifted = wadd(lam, rs.rho)
-        orbit = [(w.sign, w.apply(shifted)) for w in enumerate_weyl(rs)]
-        return alternating_sum(rs, kappa, orbit, point) / den
+        return alternating_sum(rs, kappa, wadd(lam, rs.rho), point) / den
     if not is_dominant(lam):
         raise ValueError(
             f"character of non-dominant {lam} at a singular point: fold to "
@@ -182,10 +178,16 @@ def char_value(rs: RootSystemData, kappa: int, lam: Weight,
 
 
 def quantum_dim(rs: RootSystemData, kappa: int, lam: Weight) -> CycNum:
-    """dim_eps of V_lam: the character evaluated at the point 2 rho."""
+    """dim_eps of V_lam, the character at the point 2 rho.
+
+    By the Weyl denominator identity this is the q-Weyl product
+    prod [(lam + rho, alpha)] / [(rho, alpha)]: the denominator at
+    2 (lam + rho) over the denominator at 2 rho, O(|R+|) and no orbit.
+    """
     if not is_dominant(lam):
         raise ValueError(f"quantum dimension needs a dominant weight, got {lam}")
-    return char_value(rs, kappa, lam, wscale(2, rs.rho))
+    return (weyl_denominator_value(rs, kappa, wscale(2, wadd(lam, rs.rho)))
+            / weyl_denominator_value(rs, kappa, wscale(2, rs.rho)))
 
 
 def vanishing_criterion(rs: RootSystemData, kappa: int, lam: Weight) -> bool:

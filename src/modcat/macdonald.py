@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .chardata import (dominant_weights_below, is_dominant, quantum_dim,
-                       weight_multiplicities, weyl_denominator_value,
-                       weyl_orbit)
+                       weight_multiplicities, weyl_denominator_value)
 from .lie import (RootSystemData, Weight, build_root_system, form,
                   lattice_index, root_alpha_coords, theta_pairing, wadd,
                   wneg, wscale)
@@ -26,7 +25,8 @@ from .numeric import (CycNum, PoleAtEpsilonError, QRatFn, approx_eq,
                       default_tolerance, epsilon_power, q_number,
                       sqrt_of_int)
 from .report import VerificationReport
-from .weyl import enumerate_ck, longest_element, star, weyl_order
+from .weyl import (enumerate_ck, make_dominant, reflect, star, weyl_orbit,
+                   weyl_order)
 
 from .modular import (CycMatrix, first_mismatch, mat_eq, mat_identity,
                       mat_mul, mat_scale)
@@ -93,13 +93,7 @@ class WPoly:
 
     def bar(self, rs: RootSystemData) -> "WPoly":
         """Coefficient bar combined with the exponent flip w -> -w0(w)."""
-        w0 = longest_element(rs)
-        out = {}
-        for w, c in self.terms.items():
-            img = wneg(tuple(sum(w0[i][j] * w[j] for j in range(rs.rank))
-                             for i in range(rs.rank)))
-            out[img] = c.bar()
-        return WPoly(out)
+        return WPoly({star(rs, w): c.bar() for w, c in self.terms.items()})
 
     def constant_term(self):
         zero = (0,) * (len(next(iter(self.terms))) if self.terms else 0)
@@ -111,9 +105,7 @@ class WPoly:
     def is_w_invariant(self, rs: RootSystemData) -> bool:
         for i in range(rs.rank):
             for w, c in self.terms.items():
-                img = tuple(w[j] - w[i] * rs.cartan[j][i]
-                            for j in range(rs.rank))
-                ci = self.terms.get(img)
+                ci = self.terms.get(reflect(rs, i, w))
                 if ci is None or not (ci == c):
                     return False
         return True
@@ -149,7 +141,7 @@ class WPoly:
 
 def monomial_sum(rs: RootSystemData, lam: Weight) -> WPoly:
     """Orbit sum of e^lam over the Weyl group, coefficients 1."""
-    return WPoly({w: QRatFn.one() for w in weyl_orbit(rs, lam)})
+    return WPoly({w: QRatFn.one() for w, _ in weyl_orbit(rs, lam)})
 
 
 def delta_k_product(rs: RootSystemData, k: int) -> WPoly:
@@ -566,7 +558,7 @@ def verify_generic_macdonald(n: int, k: int, bound: int) -> VerificationReport:
             tri_witness = f"leading coefficient of {lam}: {lead!r}"
             break
         for w in p.terms:
-            dom, _ = _dominant_rep(rs, w)
+            dom, _ = make_dominant(rs, w)
             if not dominance_leq(rs, dom, lam):
                 tri_ok = False
                 tri_witness = f"support of {lam} leaks to {w}"
@@ -641,8 +633,3 @@ def verify_generic_macdonald(n: int, k: int, bound: int) -> VerificationReport:
 
     rep.duration_seconds = time.monotonic() - t0
     return rep
-
-
-def _dominant_rep(rs: RootSystemData, w: Weight) -> tuple[Weight, int]:
-    from .weyl import make_dominant
-    return make_dominant(rs, w)

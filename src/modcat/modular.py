@@ -1,11 +1,11 @@
 """Modular data of the semisimple quotient category at level kappa.
 
 The unnormalized matrices are stored exactly: s by the alternating-sum
-formula over the Weyl group, t as the diagonal of twists, c as the charge
-conjugation permutation.  The quantities that would need square roots
-(the total dimension D and the sixth root zeta of p+/p-) never appear as
-exact objects; every exact identity is phrased against D^2, p+ and p-,
-and zeta is constructed directly from its closed form.
+formula over the signed Weyl orbit, t as the diagonal of twists, c as the
+charge conjugation permutation.  The quantities that would need square
+roots (the total dimension D and the sixth root zeta of p+/p-) never
+appear as exact objects; every exact identity is phrased against D^2, p+
+and p-, and zeta is constructed directly from its closed form.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .chardata import alternating_sum, quantum_dim, weyl_denominator_value
 from .lie import (RootSystemData, Weight, form, lattice_index, wadd, wscale)
 from .numeric import CycNum, approx_eq, default_tolerance, epsilon_power
 from .report import VerificationReport
-from .weyl import enumerate_alcove, enumerate_weyl, star
+from .weyl import enumerate_alcove, star
 
 CycMatrix = tuple[tuple[CycNum, ...], ...]
 
@@ -58,16 +58,13 @@ def s_entry_extended(rs: RootSystemData, kappa: int, lam: Weight,
                      mu: Weight) -> CycNum:
     """The s-matrix formula extended to arbitrary weight pairs."""
     den = weyl_denominator_value(rs, kappa, wscale(-2, rs.rho))
-    lam_sh = wadd(lam, rs.rho)
-    orbit = [(w.sign, w.apply(lam_sh)) for w in enumerate_weyl(rs)]
-    return alternating_sum(rs, kappa, orbit,
+    return alternating_sum(rs, kappa, wadd(lam, rs.rho),
                            wscale(-2, wadd(mu, rs.rho))) / den
 
 
 def build_modular_data(rs: RootSystemData, kappa: int) -> ModularData:
     """All modular data for (rs, kappa); kappa at least the dual Coxeter number."""
     alcove = enumerate_alcove(rs, kappa)
-    elements = enumerate_weyl(rs)
     den = weyl_denominator_value(rs, kappa, wscale(-2, rs.rho))
     den_inv = den.inverse()
 
@@ -75,10 +72,10 @@ def build_modular_data(rs: RootSystemData, kappa: int) -> ModularData:
     n = len(alcove)
     smat: list[list[CycNum]] = [[None] * n for _ in range(n)]
     for a, lam in enumerate(alcove):
-        orbit = [(w.sign, w.apply(wadd(lam, rs.rho))) for w in elements]
+        xi = wadd(lam, rs.rho)
         for b in range(a, n):
             point = wscale(-2, wadd(alcove[b], rs.rho))
-            num = alternating_sum(rs, kappa, orbit, point)
+            num = alternating_sum(rs, kappa, xi, point)
             smat[a][b] = smat[b][a] = num * den_inv
 
     tdiag = [twist(rs, kappa, lam) for lam in alcove]

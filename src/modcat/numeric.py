@@ -39,9 +39,9 @@ class InternalConsistencyError(RuntimeError):
 
 
 def check_tolerance(tol: float, name: str = "tolerance") -> float:
-    """tol itself if it is finite and non-negative; ValueError otherwise."""
-    if not (isfinite(tol) and tol >= 0):
-        raise ValueError(f"{name} must be a finite non-negative number, "
+    """tol itself if finite and positive (0 fails every float check)."""
+    if not (isfinite(tol) and tol > 0):
+        raise ValueError(f"{name} must be a finite positive number, "
                          f"got {tol!r}")
     return tol
 
@@ -50,7 +50,11 @@ def default_tolerance() -> float:
     env = os.environ.get("MODCAT_TOLERANCE")
     if not env:
         return DEFAULT_TOLERANCE
-    return check_tolerance(float(env), "MODCAT_TOLERANCE")
+    try:
+        return check_tolerance(float(env), "MODCAT_TOLERANCE")
+    except ValueError:
+        raise ValueError("MODCAT_TOLERANCE must be a finite positive "
+                         f"number, got {env!r}") from None
 
 
 def approx_eq(a: complex, b: complex, tol: float | None = None) -> bool:

@@ -1,9 +1,14 @@
-"""Finite Weyl groups, the star involution, and level-kappa affine folding.
+"""Weyl group orders, signed Weyl orbits, the star involution, and
+level-kappa affine folding.
 
-Group elements act on fundamental-weight coordinates as integer matrices.
-The shifted affine action of W extended by kappa * Q^vee translations is
-realized by the folding routine, which drives both the wall-vanishing
-bookkeeping and the fusion-rule computation downstream.
+W is never built as a group: everything goes through the simple
+reflections acting on fundamental-weight coordinates.  For a strictly
+dominant xi the map w -> w xi is a bijection from W onto the orbit, so the
+orbit found by breadth-first search, with parities, stands for W with its
+signs in every alternating sum.  The shifted affine action of W extended by
+kappa * Q^vee translations is realized by the folding routine, which drives
+both the wall-vanishing bookkeeping and the fusion-rule computation
+downstream.
 """
 
 from __future__ import annotations
@@ -13,61 +18,31 @@ from functools import lru_cache
 from math import factorial
 
 from .lie import (RootSystemData, Weight, pairing, theta_pairing,
-                  wadd, wsub, wneg)
+                  wadd, wneg, wscale, wsub)
+from .numeric import InternalConsistencyError
 
 DEFAULT_WEYL_CAP = 10 ** 6
-
-Matrix = tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class WeylElement:
-    matrix: Matrix
-    length: int
-
-    @property
-    def sign(self) -> int:
-        return -1 if self.length % 2 else 1
-
-    def apply(self, w: Weight) -> Weight:
-        return tuple(sum(row[j] * w[j] for j in range(len(w)))
-                     for row in self.matrix)
 
 
 @dataclass(frozen=True)
 class AffineFoldResult:
     """Representative in the closed alcove plus the folding sign.
 
-    sign is 0 exactly when the shifted orbit meets a wall.  The folding
-    element w of the affine group is recorded as (linear, translation):
-    representative + rho = linear(weight + rho) + translation, where the
-    translation lies in kappa * Q^vee.
+    representative + rho = w(weight + rho) for an element w of W extended
+    by kappa * Q^vee translations; sign is det(w) of the linear part, and
+    0 exactly when the shifted orbit meets a wall.
     """
 
     representative: Weight
     sign: int
-    linear: Matrix
-    translation: Weight
 
 
-def _identity(rank: int) -> Matrix:
-    return tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
-
-
-def _mat_apply(mat: Matrix, w: Weight) -> Weight:
-    return tuple(sum(row[j] * w[j] for j in range(len(w))) for row in mat)
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n))
-                       for j in range(n)) for i in range(n))
-
-
-def simple_reflection_matrix(rs: RootSystemData, i: int) -> Matrix:
-    # s_i(lam)_k = lam_k - lam_i * a_ki
-    return tuple(tuple(int(k == j) - (rs.cartan[k][i] if j == i else 0)
-                       for j in range(rs.rank)) for k in range(rs.rank))
+def reflect(rs: RootSystemData, i: int, w: Weight) -> Weight:
+    """The simple reflection s_i(w) = w - w_i alpha_i."""
+    c = w[i]
+    if not c:
+        return w
+    return tuple(x - c * a for x, a in zip(w, rs.simple_roots[i]))
 
 
 def weyl_order(rs: RootSystemData) -> int:
@@ -87,32 +62,31 @@ def weyl_order(rs: RootSystemData) -> int:
 
 
 @lru_cache(maxsize=None)
-def enumerate_weyl(rs: RootSystemData,
-                   cap: int = DEFAULT_WEYL_CAP) -> tuple[WeylElement, ...]:
-    """All Weyl elements with exact lengths, or a ValueError beyond the cap."""
+def weyl_orbit(rs: RootSystemData,
+               lam: Weight) -> tuple[tuple[Weight, int], ...]:
+    """The W-orbit of a dominant lam as (image, parity) pairs in BFS order.
+
+    The search goes down from lam by the reflections s_i with image_i > 0,
+    and parity is (-1)^depth.  For strictly dominant lam the pairs are
+    exactly (w lam, sign(w)) over W, the last one being (w0 lam,
+    (-1)^|R+|).  Such an orbit has |W| points and is refused beyond
+    DEFAULT_WEYL_CAP before any work.
+    """
     order = weyl_order(rs)
-    if order > cap:
+    if all(lam) and order > DEFAULT_WEYL_CAP:
         raise ValueError(
             f"Weyl group of {rs.series}{rs.rank} has {order} elements, "
-            f"beyond the enumeration cap {cap}")
-    gens = [simple_reflection_matrix(rs, i) for i in range(rs.rank)]
-    seen: dict[Matrix, int] = {_identity(rs.rank): 0}
-    frontier = [_identity(rs.rank)]
-    length = 0
-    while frontier:
-        length += 1
-        nxt = []
-        for mat in frontier:
-            for g in gens:
-                cand = _mat_mul(mat, g)
-                if cand not in seen:
-                    seen[cand] = length
-                    nxt.append(cand)
-        frontier = nxt
-    assert len(seen) == order
-    elements = [WeylElement(mat, l) for mat, l in seen.items()]
-    elements.sort(key=lambda e: (e.length, e.matrix))
-    return tuple(elements)
+            f"beyond the enumeration cap {DEFAULT_WEYL_CAP}")
+    out = [(lam, 1)]
+    seen = {lam}
+    for w, parity in out:  # out grows as it is read: the BFS queue
+        for i in range(rs.rank):
+            if w[i] > 0:
+                r = reflect(rs, i, w)
+                if r not in seen:
+                    seen.add(r)
+                    out.append((r, -parity))
+    return tuple(out)
 
 
 def make_dominant(rs: RootSystemData, lam: Weight) -> tuple[Weight, int]:
@@ -121,37 +95,22 @@ def make_dominant(rs: RootSystemData, lam: Weight) -> tuple[Weight, int]:
     Parity is the usual sign (-1)^(number of reflections used); it is only
     meaningful when the orbit is regular.
     """
-    cur = lam
-    parity = 1
-    while True:
-        i = next((k for k, c in enumerate(cur) if c < 0), None)
-        if i is None:
-            return cur, parity
-        ci = cur[i]
-        cur = tuple(cur[k] - ci * rs.cartan[k][i] for k in range(rs.rank))
-        parity = -parity
+    cur, parity = lam, 1
+    while (i := next((k for k, c in enumerate(cur) if c < 0), -1)) >= 0:
+        cur, parity = reflect(rs, i, cur), -parity
+    return cur, parity
 
 
 @lru_cache(maxsize=None)
-def longest_element(rs: RootSystemData) -> Matrix:
-    """Matrix of the longest Weyl element w0."""
-    cur = wneg(rs.rho)
-    mat = _identity(rs.rank)
-    while True:
-        i = next((k for k, c in enumerate(cur) if c < 0), None)
-        if i is None:
-            break
-        ci = cur[i]
-        cur = tuple(cur[k] - ci * rs.cartan[k][i] for k in range(rs.rank))
-        mat = _mat_mul(simple_reflection_matrix(rs, i), mat)
-    # mat maps -rho to rho; w0 is an involution, so this is w0 itself
-    assert _mat_apply(mat, wneg(rs.rho)) == rs.rho
-    return mat
+def _star_perm(rs: RootSystemData) -> tuple[int, ...]:
+    """pi with -w0(omega_i) = omega_pi(i): W(-omega_i) is dominant there."""
+    return tuple(make_dominant(rs, wneg(omega))[0].index(1)
+                 for omega in rs.fundamental_weights)
 
 
 def star(rs: RootSystemData, lam: Weight) -> Weight:
-    """The duality involution lam -> -w0(lam)."""
-    return wneg(_mat_apply(longest_element(rs), lam))
+    """The duality involution lam -> -w0(lam), a permutation of coordinates."""
+    return tuple(lam[p] for p in _star_perm(rs))
 
 
 def _theta_bounded_dominant(rs: RootSystemData, bound) -> list[Weight]:
@@ -193,8 +152,10 @@ def enumerate_ck(rs: RootSystemData, bound: int) -> tuple[Weight, ...]:
     kappa = bound + rs.dual_coxeter
     for lam in out:
         shifted = wadd(lam, rs.rho)
-        assert all(pairing(rs, shifted, alpha) < kappa
-                   for alpha in rs.positive_roots)
+        if not all(pairing(rs, shifted, alpha) < kappa
+                   for alpha in rs.positive_roots):
+            raise InternalConsistencyError(
+                f"sub-alcove weight {lam} fails <lam+rho, alpha> < {kappa}")
     return tuple(out)
 
 
@@ -206,50 +167,17 @@ def fold_to_alcove(rs: RootSystemData, kappa: int,
             f"kappa = {kappa} below the dual Coxeter number "
             f"{rs.dual_coxeter} of {rs.series}{rs.rank}")
     theta = rs.highest_root
-    nu = wadd(lam, rs.rho)
-    linear = _identity(rs.rank)
-    translation = rs.zero
-    parity = 1
-    while True:
-        i = next((k for k, c in enumerate(nu) if c < 0), None)
-        if i is not None:
-            ci = nu[i]
-            nu = tuple(nu[k] - ci * rs.cartan[k][i] for k in range(rs.rank))
-            refl = simple_reflection_matrix(rs, i)
-            linear = _mat_mul(refl, linear)
-            translation = _mat_apply(refl, translation)
-            parity = -parity
-            continue
+    nu, parity = make_dominant(rs, wadd(lam, rs.rho))
+    height = theta_pairing(rs, nu)
+    while height > kappa:
+        # reflect across the affine wall <x, theta^vee> = kappa
+        excess = height - kappa
+        if excess.denominator != 1:
+            raise InternalConsistencyError(
+                f"affine reflection step {excess} is not integral")
+        nu, flips = make_dominant(rs, wsub(nu, wscale(int(excess), theta)))
+        parity = -parity * flips
         height = theta_pairing(rs, nu)
-        if height > kappa:
-            # reflect across the affine wall <x, theta^vee> = kappa
-            excess = height - kappa
-            assert excess.denominator == 1
-            nu = wsub(nu, tuple(int(excess) * t for t in theta))
-            # linear part s_theta, translation part kappa * theta
-            refl = _reflection_in_root(rs, theta)
-            linear = _mat_mul(refl, linear)
-            translation = wadd(_mat_apply(refl, translation),
-                               tuple(kappa * t for t in theta))
-            parity = -parity
-            continue
-        break
-    on_wall = any(c == 0 for c in nu) or theta_pairing(rs, nu) == kappa
-    return AffineFoldResult(
-        representative=wsub(nu, rs.rho),
-        sign=0 if on_wall else parity,
-        linear=linear,
-        translation=translation,
-    )
-
-
-@lru_cache(maxsize=None)
-def _reflection_in_root(rs: RootSystemData, alpha: Weight) -> Matrix:
-    cols = []
-    for j in range(rs.rank):
-        e = tuple(int(i == j) for i in range(rs.rank))
-        p = pairing(rs, e, alpha)
-        assert p.denominator == 1
-        cols.append(wsub(e, tuple(int(p) * a for a in alpha)))
-    return tuple(tuple(cols[j][i] for j in range(rs.rank))
-                 for i in range(rs.rank))
+    on_wall = not all(nu) or height == kappa
+    return AffineFoldResult(representative=wsub(nu, rs.rho),
+                            sign=0 if on_wall else parity)

@@ -144,10 +144,12 @@ def test_quantum_dim_sine_product():
 
 
 def test_quantum_dim_two_rho_points_agree():
+    # the q-Weyl product and the alternating sums at +2 rho and -2 rho
     for rs, kappa in [(A2, 5), (G2, 5)]:
         for lam in enumerate_alcove(rs, kappa):
-            assert (char_value(rs, kappa, lam, wscale(2, rs.rho))
-                    == char_value(rs, kappa, lam, wscale(-2, rs.rho)))
+            dim = quantum_dim(rs, kappa, lam)
+            assert dim == char_value(rs, kappa, lam, wscale(2, rs.rho))
+            assert dim == char_value(rs, kappa, lam, wscale(-2, rs.rho))
 
 
 def test_weyl_denominator_values():

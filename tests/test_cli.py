@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -175,12 +176,12 @@ def test_verify_usage_errors(capsys):
     assert code == 2 and "needs" in err
     code, _, err = run_cli(capsys, "verify", "--suite", "section5")
     assert code == 2
-    for bad in ("nan", "-1", "inf", "-inf"):
+    for bad in ("nan", "-1", "inf", "-inf", "0"):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "modular", "--algebra", "A1",
                   "--kappa", "3", f"--tolerance={bad}"])
         assert exc.value.code == 2
-        assert "finite non-negative" in capsys.readouterr().err
+        assert "finite positive" in capsys.readouterr().err
 
 
 def test_exact_mode_byte_determinism(capsys):
@@ -228,10 +229,27 @@ def test_tolerance_env_override(capsys, monkeypatch):
     assert default_tolerance() == 1e-3
     monkeypatch.delenv("MODCAT_TOLERANCE")
     assert default_tolerance() == 1e-9
-    for bad in ("nan", "-1", "inf"):
+    for bad in ("nan", "-1", "inf", "0", "abc"):
         monkeypatch.setenv("MODCAT_TOLERANCE", bad)
         with pytest.raises(ValueError, match="MODCAT_TOLERANCE"):
             default_tolerance()
         code, _, err = run_cli(capsys, "verify", "--suite", "modular",
                                "--algebra", "A1", "--kappa", "3")
         assert code == 2 and "MODCAT_TOLERANCE" in err
+
+
+def test_weyl_cap_refused_fast(capsys):
+    t0 = time.monotonic()
+    code, _, err = run_cli(capsys, "modular", "--algebra", "E8", "--kappa",
+                           "31")
+    assert time.monotonic() - t0 < 2
+    assert code == 2 and "beyond the enumeration cap" in err
+
+
+def test_dims_beyond_weyl_cap(capsys):
+    # quantum dimensions need no Weyl orbit, so E7 is not refused
+    code, out, _ = run_cli(capsys, "dims", "--algebra", "E7", "--kappa", "20")
+    assert code == 0
+    dims = json.loads(out)["dims"]
+    assert dims[0]["weight"] == [0] * 7
+    assert CycNum.from_json_obj(dims[0]["dim"]) == CycNum.one()

@@ -1,0 +1,31 @@
+"""Exact-mode CLI outputs compared byte for byte with the recorded goldens.
+
+The goldens live in tests/golden/ and are written by
+`python3 tests/golden/record.py`.  A change that alters one of them has to
+re-record it and say why.
+"""
+
+import contextlib
+import io
+import json
+import os
+
+import pytest
+
+from modcat.cli import main as cli_main
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+with open(os.path.join(GOLDEN, "manifest.json"), encoding="utf-8") as _fh:
+    MANIFEST = json.load(_fh)
+
+
+@pytest.mark.parametrize("name", sorted(MANIFEST))
+def test_golden_output(name):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli_main(list(MANIFEST[name]))
+    assert code == 0
+    with open(os.path.join(GOLDEN, f"{name}.out"), "rb") as fh:
+        want = fh.read()
+    assert buf.getvalue().encode("utf-8") == want, name

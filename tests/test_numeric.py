@@ -89,17 +89,25 @@ def test_pdivmod_randomized():
 
 
 def test_pdivexact_raises_under_python_O():
-    code = ("from modcat.numeric import _pdivexact, InternalConsistencyError\n"
+    # a half-integral weight breaks the integrality of weyl_dimension
+    code = ("from fractions import Fraction\n"
+            "from modcat.chardata import weyl_dimension\n"
+            "from modcat.lie import build_root_system\n"
+            "from modcat.numeric import _pdivexact, InternalConsistencyError\n"
             "assert False, 'asserts are live'\n"
             "try:\n"
             "    _pdivexact([1, 0, 1], [1, 1])\n"
+            "except InternalConsistencyError:\n"
+            "    print('raised')\n"
+            "try:\n"
+            "    weyl_dimension(build_root_system('A', 1), (Fraction(1, 2),))\n"
             "except InternalConsistencyError:\n"
             "    print('raised')\n")
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "raised"
+    assert proc.stdout.split() == ["raised", "raised"]
 
 
 def test_rational_embedding():

@@ -4,9 +4,14 @@ import random
 import pytest
 
 from modcat.lie import build_root_system, form, theta_pairing, wadd, wneg
-from modcat.weyl import (enumerate_alcove, enumerate_ck, enumerate_weyl,
-                         fold_to_alcove, longest_element, make_dominant,
-                         simple_reflection_matrix, star, weyl_order)
+from modcat.weyl import (enumerate_alcove, enumerate_ck, fold_to_alcove,
+                         make_dominant, reflect, star, weyl_orbit, weyl_order)
+
+ORBIT_ALGEBRAS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+                  ("B", 4), ("C", 3), ("D", 4), ("D", 5), ("G", 2), ("F", 4),
+                  ("E", 6)]
+# the algebras where -w0 is not the identity
+STAR_MOVES = {("A", 2), ("A", 3), ("A", 4), ("D", 5), ("E", 6)}
 
 
 def brute_det(mat):
@@ -18,47 +23,67 @@ def brute_det(mat):
                for j in range(n))
 
 
-def test_enumeration_counts_and_lengths():
-    a1 = build_root_system("A", 1)
-    els = enumerate_weyl(a1)
-    assert len(els) == 2 and sorted(e.length for e in els) == [0, 1]
-
-    a2 = build_root_system("A", 2)
-    els = enumerate_weyl(a2)
-    assert len(els) == 6 and max(e.length for e in els) == 3
-
-    b2 = build_root_system("B", 2)
-    els = enumerate_weyl(b2)
-    assert len(els) == 8 and max(e.length for e in els) == 4
+def reflection_matrix(rs, i):
+    # column j is reflect applied to the j-th fundamental weight
+    cols = [reflect(rs, i, tuple(int(k == j) for k in range(rs.rank)))
+            for j in range(rs.rank)]
+    return [[cols[j][k] for j in range(rs.rank)] for k in range(rs.rank)]
 
 
-@pytest.mark.parametrize("series,rank", [("A", 3), ("G", 2), ("B", 3)])
+def apply(mat, w):
+    return tuple(sum(a * b for a, b in zip(row, w)) for row in mat)
+
+
+@pytest.mark.parametrize("series,rank", ORBIT_ALGEBRAS)
 def test_enumeration_matches_order_formula(series, rank):
+    # the signed orbit of rho has |W| distinct points, and make_dominant
+    # walks each one back to rho with the parity the BFS assigned
     rs = build_root_system(series, rank)
-    els = enumerate_weyl(rs)
-    assert len(els) == weyl_order(rs)
-    # longest length is the number of positive roots
-    assert max(e.length for e in els) == len(rs.positive_roots)
-    # exactly one element of maximal length
-    assert sum(1 for e in els if e.length == len(rs.positive_roots)) == 1
+    orbit = weyl_orbit(rs, rs.rho)
+    assert len(orbit) == weyl_order(rs)
+    assert len({image for image, _ in orbit}) == len(orbit)
+    for image, parity in orbit:
+        assert make_dominant(rs, image) == (rs.rho, parity)
 
 
 def test_enumeration_cap():
     e8 = build_root_system("E", 8)
-    with pytest.raises(ValueError):
-        enumerate_weyl(e8, cap=1000)
+    with pytest.raises(ValueError, match="beyond the enumeration cap"):
+        weyl_orbit(e8, e8.rho)
+    # a singular orbit is smaller than W and is not refused: the roots
+    assert len(weyl_orbit(e8, e8.highest_root)) == 2 * len(e8.positive_roots)
 
 
 @pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2), ("G", 2)])
 def test_sign_is_determinant_and_form_invariance(series, rank):
+    # compose the reflections that take each orbit point back to rho: the
+    # product's determinant is the BFS parity, and the form is invariant
+    # under it and under each reflect
     rs = build_root_system(series, rank)
     rng = random.Random(5)
-    for e in enumerate_weyl(rs):
-        assert e.sign == brute_det([list(row) for row in e.matrix])
+    for i in range(rank):
+        assert brute_det(reflection_matrix(rs, i)) == -1
         for _ in range(5):
             lam = tuple(rng.randrange(-3, 4) for _ in range(rank))
             mu = tuple(rng.randrange(-3, 4) for _ in range(rank))
-            assert form(rs, e.apply(lam), e.apply(mu)) == form(rs, lam, mu)
+            assert (form(rs, reflect(rs, i, lam), reflect(rs, i, mu))
+                    == form(rs, lam, mu))
+    for image, parity in weyl_orbit(rs, rs.rho):
+        mat = [[int(r == c) for c in range(rank)] for r in range(rank)]
+        cur = image
+        while (i := next((k for k, c in enumerate(cur) if c < 0),
+                         None)) is not None:
+            cur = reflect(rs, i, cur)
+            refl = reflection_matrix(rs, i)
+            mat = [[sum(refl[r][k] * mat[k][c] for k in range(rank))
+                    for c in range(rank)] for r in range(rank)]
+        assert apply(mat, image) == rs.rho
+        assert brute_det(mat) == parity
+        for _ in range(5):
+            lam = tuple(rng.randrange(-3, 4) for _ in range(rank))
+            mu = tuple(rng.randrange(-3, 4) for _ in range(rank))
+            assert (form(rs, apply(mat, lam), apply(mat, mu))
+                    == form(rs, lam, mu))
 
 
 def test_star_rank_one_is_identity():
@@ -95,12 +120,17 @@ def test_star_maps_alcove_onto_itself():
 
 
 def test_longest_element_negates_rho():
-    for series, rank in [("A", 2), ("B", 2), ("G", 2), ("A", 3)]:
+    # the BFS ends at w0 xi = -star(xi) with sign (-1)^|R+|, which checks
+    # star against w0; xi = rho + omega_1 + 2 omega_r is moved by star
+    # exactly where -w0 is not the identity
+    for series, rank in ORBIT_ALGEBRAS:
         rs = build_root_system(series, rank)
-        w0 = longest_element(rs)
-        img = tuple(sum(w0[i][j] * rs.rho[j] for j in range(rank))
-                    for i in range(rank))
-        assert img == wneg(rs.rho)
+        sign = (-1) ** len(rs.positive_roots)
+        assert weyl_orbit(rs, rs.rho)[-1] == (wneg(rs.rho), sign)
+        xi = wadd(rs.rho, tuple(int(k == 0) + 2 * int(k == rank - 1)
+                                for k in range(rank)))
+        assert (star(rs, xi) != xi) == ((series, rank) in STAR_MOVES)
+        assert weyl_orbit(rs, xi)[-1] == (wneg(star(rs, xi)), sign)
 
 
 def test_alcove_examples():
@@ -175,23 +205,6 @@ def test_fold_identity_on_alcove():
             assert r.representative == lam and r.sign == 1
 
 
-def test_fold_records_affine_element():
-    a2 = build_root_system("A", 2)
-    rng = random.Random(3)
-    for _ in range(60):
-        lam = tuple(rng.randrange(-12, 13) for _ in range(2))
-        r = fold_to_alcove(a2, 5, lam)
-        shifted = wadd(lam, a2.rho)
-        img = tuple(sum(r.linear[i][j] * shifted[j] for j in range(2))
-                    for i in range(2))
-        assert wadd(img, r.translation) == wadd(r.representative, a2.rho)
-        # translation lies in kappa * Qv: alpha-coordinates divisible by kappa
-        from modcat.lie import root_alpha_coords
-        coords = root_alpha_coords(a2, r.translation)
-        for c in coords:
-            assert c.denominator == 1 and int(c) % 5 == 0
-
-
 @pytest.mark.parametrize("series,rank,kappa", [("A", 1, 3), ("A", 1, 6),
                                                ("A", 2, 4), ("A", 2, 6)])
 def test_fold_fundamental_domain(series, rank, kappa):
@@ -220,9 +233,7 @@ def test_fold_sign_composition_with_generators():
         base = fold_to_alcove(a2, kappa, lam)
         shifted = wadd(lam, a2.rho)
         for i in range(2):
-            refl = simple_reflection_matrix(a2, i)
-            img = tuple(sum(refl[r][c] * shifted[c] for c in range(2))
-                        for r in range(2))
+            img = reflect(a2, i, shifted)
             moved = fold_to_alcove(a2, kappa, wadd(img, wneg(a2.rho)))
             assert moved.representative == base.representative
             assert moved.sign == -base.sign
@@ -239,10 +250,7 @@ def test_alcove_members_regular():
         rs = build_root_system(series, rank)
         for lam in enumerate_alcove(rs, kappa):
             r = fold_to_alcove(rs, kappa, lam)
-            assert r.sign == 1
-            ident = tuple(tuple(int(i == j) for j in range(rank))
-                          for i in range(rank))
-            assert r.linear == ident and r.translation == rs.zero
+            assert r.sign == 1 and r.representative == lam
 
 
 def test_make_dominant():
@@ -253,4 +261,5 @@ def test_make_dominant():
         dom, parity = make_dominant(a2, lam)
         assert all(c >= 0 for c in dom)
         assert parity in (-1, 1)
-        assert dom in {tuple(e.apply(lam)) for e in enumerate_weyl(a2)}
+        assert dom == make_dominant(a2, dom)[0]
+        assert lam in {image for image, _ in weyl_orbit(a2, dom)}
