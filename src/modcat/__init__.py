@@ -8,7 +8,8 @@ from .numeric import (CycNum, LaurentPoly, PoleAtEpsilonError, QRatFn,
                       approx_eq, default_tolerance, epsilon_power, q_number,
                       sqrt_of_int)
 from .weyl import (AffineFoldResult, enumerate_alcove, enumerate_ck,
-                   fold_to_alcove, make_dominant, reflect, star, weyl_orbit)
+                   fold_to_alcove, make_dominant, reflect, star,
+                   star_positions, weyl_orbit)
 from .chardata import (CharacterTable, char_value, quantum_dim,
                        vanishing_criterion, weight_multiplicities,
                        weyl_denominator_value, weyl_dimension)
@@ -16,7 +17,7 @@ from .modular import (ModularData, build_modular_data, s_entry_extended,
                       twist, verify_modular_relations)
 from .fusion import (FusionConsistencyError, FusionTable, build_fusion_table,
                      classical_tensor, fusion_coefficients,
-                     verify_fusion, verify_grothendieck, verlinde_coefficient)
+                     verify_fusion, verify_grothendieck)
 from .macdonald import (MacdonaldContext, SUData, WPoly, build_context,
                         build_su_data, delta_k_product, dominance_leq,
                         inner_product_k, macdonald_norm,

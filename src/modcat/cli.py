@@ -332,13 +332,14 @@ def _cmd_verify(args) -> int:
 
 # -- argument wiring -----------------------------------------------------------
 
-def _add_common(p, fmt=("json", "csv", "pretty")):
-    p.add_argument("--mode", choices=("exact", "float"), default="exact")
-    p.add_argument("--format", choices=fmt, default="json")
+def _add_output(p, formats=(), mode=False):
+    """--out, plus --format where the handler renders more than JSON and
+    --mode where it renders cyclotomic numbers."""
+    if mode:
+        p.add_argument("--mode", choices=("exact", "float"), default="exact")
+    if formats:
+        p.add_argument("--format", choices=formats, default="json")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--tolerance", type=_tolerance, default=None,
-                   help="float-mode tolerance (default 1e-9 or "
-                        "MODCAT_TOLERANCE)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,10 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact modular data of quantum-group fusion categories "
                     "and type-A Macdonald polynomials")
     sub = parser.add_subparsers(dest="command", required=True)
+    tables = ("json", "csv", "pretty")
 
     p = sub.add_parser("lie-info", help="root-system tables")
     p.add_argument("--algebra", required=True)
-    _add_common(p)
+    _add_output(p, formats=("json", "pretty"))
     p.set_defaults(handler=_cmd_lie_info)
 
     p = sub.add_parser("alcove", help="list the alcove or the sub-alcove")
@@ -358,19 +360,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--K", dest="level", type=int)
-    _add_common(p)
+    _add_output(p, formats=("json", "pretty"))
     p.set_defaults(handler=_cmd_alcove)
 
     p = sub.add_parser("dims", help="quantum dimensions over the alcove")
     p.add_argument("--algebra", required=True)
     p.add_argument("--kappa", type=int, required=True)
-    _add_common(p)
+    _add_output(p, formats=tables, mode=True)
     p.set_defaults(handler=_cmd_dims)
 
     p = sub.add_parser("modular", help="s/t/c matrices and scalars")
     p.add_argument("--algebra", required=True)
     p.add_argument("--kappa", type=int, required=True)
-    _add_common(p)
+    _add_output(p, formats=tables, mode=True)
     p.set_defaults(handler=_cmd_modular)
 
     p = sub.add_parser("fusion", help="fusion products")
@@ -378,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=int, required=True)
     p.add_argument("--lhs", help="left weight, comma-separated coordinates")
     p.add_argument("--rhs", help="right weight")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(handler=_cmd_fusion)
 
     p = sub.add_parser("macdonald", help="Macdonald polynomials and matrices")
@@ -388,13 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--k", type=int, required=True)
     pp.add_argument("--K", dest="level", type=int, default=None)
     pp.add_argument("--lambda", dest="lam", required=True)
-    _add_common(pp)
+    _add_output(pp)
     pp.set_defaults(handler=_cmd_macdonald)
     ps = msub.add_parser("su", help="modular matrices on intertwiners")
     ps.add_argument("--n", type=int, required=True)
     ps.add_argument("--k", type=int, required=True)
     ps.add_argument("--K", dest="level", type=int, required=True)
-    _add_common(ps)
+    _add_output(ps, mode=True)
     ps.set_defaults(handler=_cmd_macdonald)
 
     p = sub.add_parser("verify", help="run an identity-verification suite")
@@ -405,7 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--K", dest="level", type=int)
-    _add_common(p, fmt=("json", "pretty"))
+    p.add_argument("--tolerance", type=_tolerance, default=None,
+                   help="float-mode tolerance (default 1e-9 or "
+                        "MODCAT_TOLERANCE)")
+    _add_output(p, formats=("json", "pretty"))
     p.set_defaults(handler=_cmd_verify)
 
     return parser
@@ -422,8 +427,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (FusionConsistencyError, InternalConsistencyError,
-            AssertionError) as exc:
+    except (FusionConsistencyError, InternalConsistencyError) as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
 

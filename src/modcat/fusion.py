@@ -2,22 +2,30 @@
 
 The tensor product decomposes classically first (an alternating sum over
 the weight diagram of one factor), then folds into the alcove with signs
-from the shifted affine action.  The folded coefficients are cross-checked
-against the diagonalization of the fusion ring by the s-matrix, which is
-an independent route through exact cyclotomic arithmetic.
+from the shifted affine action (Kac-Walton).  The table holds the folded
+coefficients as integer fusion matrices N_i over alcove positions.
+
+The checks work on those matrices.  The folded coefficients are checked
+against the diagonalization of the fusion ring by the s-matrix (Verlinde),
+an independent route through exact cyclotomic arithmetic, in eigenvector
+form: N_i s = s diag(s_{ip} / s_{0p}), which needs one inverse per
+column.  Associativity is an integer matrix identity, and the unit, dual
+and symmetry checks are index arithmetic on the star permutation.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 from .chardata import weight_multiplicities, weyl_dimension
 from .lie import RootSystemData, Weight, wadd, wsub
 from .modular import ModularData, mat_det_is_nonzero
-from .numeric import CycNum
-from .report import VerificationReport
-from .weyl import fold_to_alcove, make_dominant, star
+from .numeric import InternalConsistencyError
+from .report import VerificationReport, mismatches
+from .weyl import fold_to_alcove, make_dominant, star_positions
 
 
 class FusionConsistencyError(RuntimeError):
@@ -26,21 +34,26 @@ class FusionConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class FusionTable:
+    """N_{ij}^k = matrices[i][j][k] over alcove positions: matrices[i] is
+    the fusion matrix N_i of alcove[i], with rows j and columns k."""
+
     rs: RootSystemData
     kappa: int
     alcove: tuple[Weight, ...]
-    coefficients: dict[tuple[Weight, Weight, Weight], int]
+    matrices: tuple[tuple[tuple[int, ...], ...], ...]
+
+    @cached_property
+    def positions(self) -> dict[Weight, int]:
+        return {w: i for i, w in enumerate(self.alcove)}
 
     def n(self, lam: Weight, mu: Weight, nu: Weight) -> int:
-        return self.coefficients.get((lam, mu, nu), 0)
+        pos = self.positions
+        return self.matrices[pos[lam]][pos[mu]][pos[nu]]
 
     def product(self, lam: Weight, mu: Weight) -> dict[Weight, int]:
-        out = {}
-        for nu in self.alcove:
-            c = self.n(lam, mu, nu)
-            if c:
-                out[nu] = c
-        return out
+        pos = self.positions
+        row = self.matrices[pos[lam]][pos[mu]]
+        return {nu: c for nu, c in zip(self.alcove, row) if c}
 
 
 def classical_tensor(rs: RootSystemData, lam: Weight,
@@ -58,9 +71,13 @@ def classical_tensor(rs: RootSystemData, lam: Weight,
         target = wsub(dom, rs.rho)
         out[target] = out.get(target, 0) + sign * mult
     out = {nu: c for nu, c in out.items() if c}
-    assert all(c > 0 for c in out.values())
+    if any(c < 0 for c in out.values()):
+        raise InternalConsistencyError(
+            f"negative multiplicity in {lam} x {mu}: {out}")
     total = sum(c * weyl_dimension(rs, nu) for nu, c in out.items())
-    assert total == weyl_dimension(rs, lam) * weyl_dimension(rs, mu)
+    if total != weyl_dimension(rs, lam) * weyl_dimension(rs, mu):
+        raise InternalConsistencyError(
+            f"summands of {lam} x {mu} have total dimension {total}")
     return out
 
 
@@ -84,29 +101,56 @@ def fusion_coefficients(rs: RootSystemData, kappa: int, lam: Weight,
 
 def build_fusion_table(rs: RootSystemData, kappa: int,
                        alcove: tuple[Weight, ...]) -> FusionTable:
-    coeffs: dict[tuple[Weight, Weight, Weight], int] = {}
+    n = len(alcove)
+    pos = {w: i for i, w in enumerate(alcove)}
+    mats = [[[0] * n for _ in range(n)] for _ in range(n)]
     for a, lam in enumerate(alcove):
-        for mu in alcove[a:]:
-            prod = fusion_coefficients(rs, kappa, lam, mu)
-            for nu, c in prod.items():
-                coeffs[(lam, mu, nu)] = c
-                coeffs[(mu, lam, nu)] = c
-    return FusionTable(rs=rs, kappa=kappa, alcove=alcove, coefficients=coeffs)
+        for b in range(a, n):
+            for nu, c in fusion_coefficients(rs, kappa, lam,
+                                             alcove[b]).items():
+                mats[a][b][pos[nu]] = mats[b][a][pos[nu]] = c
+    return FusionTable(rs=rs, kappa=kappa, alcove=alcove,
+                       matrices=tuple(tuple(map(tuple, m)) for m in mats))
 
 
-def verlinde_coefficient(md: ModularData, lam: Weight, mu: Weight,
-                         nu: Weight) -> CycNum:
-    """sum over sigma of s_{l sigma} s_{m sigma} conj(s_{n sigma}) / (D^2 s_{0 sigma})."""
-    i, j, k = md.index_of(lam), md.index_of(mu), md.index_of(nu)
-    acc = CycNum.zero()
-    for c in range(md.size):
-        base = md.smatrix[0][c]
-        if base.is_zero():
+def _combine(coeffs, rows) -> list:
+    """sum_k coeffs[k] rows[k] for integer coeffs, over the nonzero ones."""
+    terms = [row if c == 1 else [c * x for x in row]
+             for c, row in zip(coeffs, rows) if c]
+    if not terms:
+        return [0 * x for x in rows[0]]
+    return [sum(col[1:], col[0]) for col in zip(*terms)]
+
+
+def _diagonalization_failures(table: FusionTable, m, name: str):
+    """Witnesses against N_i m = m diag(m_{ip} / m_{0p}) for every i; row 0
+    of m belongs to the unit object and must not vanish."""
+    base = []
+    for p, x in enumerate(m[0]):
+        if x.is_zero():
             raise FusionConsistencyError(
-                f"vanishing quantum dimension inside the alcove at {md.alcove[c]}")
-        acc = acc + (md.smatrix[i][c] * md.smatrix[j][c]
-                     * md.smatrix[k][c].conjugate()) / base
-    return acc / md.d_squared
+                "vanishing quantum dimension inside the alcove at "
+                f"{table.alcove[p]}")
+        base.append(x.inverse())
+    for i, n_i in enumerate(table.matrices):
+        eigen = [x * y for x, y in zip(m[i], base)]
+        left = [_combine(row, m) for row in n_i]
+        right = [[x * e for x, e in zip(row, eigen)] for row in m]
+        for w in mismatches(left, right, table.alcove):
+            yield f"N_{table.alcove[i]} {name} {w}"
+
+
+def _associativity_failures(table: FusionTable):
+    """Witnesses against N_j N_i = sum_s N_{ij}^s N_s, which is the identity
+    sum_s N_{ij}^s N_{sk}^t = sum_s N_{jk}^s N_{is}^t in matrix form."""
+    mats, alcove = table.matrices, table.alcove
+    rows_at = list(zip(*mats))   # rows_at[j][s] = row j of N_s
+    for i, n_i in enumerate(mats):
+        for j, n_j in enumerate(mats):
+            left = [_combine(row, n_i) for row in n_j]
+            right = [_combine(n_i[j], rows) for rows in rows_at]
+            for w in mismatches(left, right, alcove):
+                yield f"N_{alcove[j]} N_{alcove[i]} {w}"
 
 
 def verify_fusion(md: ModularData,
@@ -114,83 +158,39 @@ def verify_fusion(md: ModularData,
     """Folding vs s-matrix diagonalization, plus the ring axioms."""
     t0 = time.monotonic()
     rep = VerificationReport(suite="fusion")
-    rs, kappa = md.rs, md.kappa
-    alcove = md.alcove
     if table is None:
-        table = build_fusion_table(rs, kappa, alcove)
+        table = build_fusion_table(md.rs, md.kappa, md.alcove)
+    alcove, mats = table.alcove, table.matrices
+    idx = range(len(alcove))
+    sp = star_positions(md.rs, alcove)
 
-    ok = True
-    witness = None
-    for lam in alcove:
-        for mu in alcove:
-            for nu in alcove:
-                want = CycNum.from_rational(table.n(lam, mu, nu))
-                got = verlinde_coefficient(md, lam, mu, nu)
-                if got != want:
-                    ok = False
-                    witness = f"{lam} x {mu} -> {nu}: fold {want!r}, s-diag {got!r}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.record("folded coefficients = s-matrix diagonalization", ok, witness)
+    def each(sides):
+        # the mismatches of every pair sides(i) = (left, right), naming N_i
+        return (f"N_{alcove[i]} {w}" for i in idx
+                for w in mismatches(*sides(i), alcove))
 
-    zero = rs.zero
-    rep.record(
-        "N_{l m}^0 = delta_{l m*}",
-        all(table.n(lam, mu, zero) == int(mu == star(rs, lam))
-            for lam in alcove for mu in alcove))
+    rep.check("folded coefficients = s-matrix diagonalization",
+              _diagonalization_failures(table, md.smatrix, "s"))
 
-    rep.record(
-        "unit row: N_{l 0}^n = delta_{l n}",
-        all(table.n(lam, zero, nu) == int(lam == nu)
-            for lam in alcove for nu in alcove))
+    # alcove[0] is the unit object, the zero weight
+    rep.check("N_{l m}^0 = delta_{l m*}", each(lambda i: (
+        ((row[0],) for row in mats[i]), ((int(j == sp[i]),) for j in idx))))
 
-    sym_ok = all(
-        table.n(lam, mu, nu) == table.n(mu, lam, nu)
-        == table.n(lam, star(rs, nu), star(rs, mu))
-        == table.n(star(rs, lam), star(rs, mu), star(rs, nu))
-        for lam in alcove for mu in alcove for nu in alcove)
-    rep.record("index symmetries of N", sym_ok)
+    rep.check("unit row: N_{l 0}^n = delta_{l n}", each(lambda i: (
+        mats[i][:1], ([int(k == i) for k in idx],))))
 
-    assoc_ok = True
-    assoc_witness = None
-    for lam in alcove:
-        for mu in alcove:
-            for nu in alcove:
-                for tau in alcove:
-                    left = sum(table.n(lam, mu, sg) * table.n(sg, nu, tau)
-                               for sg in alcove)
-                    right = sum(table.n(mu, nu, sg) * table.n(lam, sg, tau)
-                                for sg in alcove)
-                    if left != right:
-                        assoc_ok = False
-                        assoc_witness = f"({lam},{mu},{nu},{tau}): {left} vs {right}"
-                        break
-                if not assoc_ok:
-                    break
-            if not assoc_ok:
-                break
-        if not assoc_ok:
-            break
-    rep.record("associativity", assoc_ok, assoc_witness)
+    rep.check("index symmetries of N", chain(
+        each(lambda i: (mats[i], (mats[j][i] for j in idx))),
+        each(lambda i: (mats[i], ((mats[i][sp[k]][sp[j]] for k in idx)
+                                  for j in idx))),
+        each(lambda i: (mats[i], ((mats[sp[i]][sp[j]][sp[k]] for k in idx)
+                                  for j in idx)))))
 
-    dim_ok = True
-    dim_witness = None
-    for a, lam in enumerate(alcove):
-        for mu in alcove[a:]:
-            left = md.dims[md.index_of(lam)] * md.dims[md.index_of(mu)]
-            right = CycNum.zero()
-            for nu, c in table.product(lam, mu).items():
-                right = right + md.dims[md.index_of(nu)] * c
-            if left != right:
-                dim_ok = False
-                dim_witness = f"{lam} x {mu}: {left!r} vs {right!r}"
-                break
-        if not dim_ok:
-            break
-    rep.record("quantum dimension homomorphism", dim_ok, dim_witness)
+    rep.check("associativity", _associativity_failures(table))
+
+    # dims as a one-column matrix: N_i dims = dims_i dims, as dims_0 = 1
+    rep.check("quantum dimension homomorphism", _diagonalization_failures(
+        table, [(d,) for d in md.dims], "dims"))
 
     rep.duration_seconds = time.monotonic() - t0
     return rep
@@ -201,37 +201,16 @@ def verify_grothendieck(md: ModularData,
     """The character map diagonalizes the fusion ring pointwise."""
     t0 = time.monotonic()
     rep = VerificationReport(suite="grothendieck")
-    rs, kappa = md.rs, md.kappa
-    alcove = md.alcove
     if table is None:
-        table = build_fusion_table(rs, kappa, alcove)
+        table = build_fusion_table(md.rs, md.kappa, md.alcove)
 
-    # f_{V_lam}(mu) = ch V_lam (eps^{-2(mu+rho)}) = s_{lam mu} / dim_mu
-    n = md.size
+    # f_{V_lam}(mu) = ch V_lam (eps^{-2(mu+rho)}) = s_{lam mu} / dim_mu, so
+    # f_{0 mu} = 1 and N_lam f = f diag(f_{lam mu}) is the ring homomorphism
+    # f_lam f_mu = sum_nu N_{lam mu}^nu f_nu at every point
     dims_inv = [d.inverse() for d in md.dims]
-    fmat = [[md.smatrix[i][j] * dims_inv[j] for j in range(n)]
-            for i in range(n)]
-
-    hom_ok = True
-    witness = None
-    for i, lam in enumerate(alcove):
-        for j, mu in enumerate(alcove):
-            prod = table.product(lam, mu)
-            for p in range(n):
-                left = fmat[i][p] * fmat[j][p]
-                right = CycNum.zero()
-                for nu, c in prod.items():
-                    right = right + fmat[md.index_of(nu)][p] * c
-                if left != right:
-                    hom_ok = False
-                    witness = (f"f_{lam} f_{mu} at {alcove[p]}: "
-                               f"{left!r} vs {right!r}")
-                    break
-            if not hom_ok:
-                break
-        if not hom_ok:
-            break
-    rep.record("pointwise ring homomorphism", hom_ok, witness)
+    fmat = [[x * y for x, y in zip(row, dims_inv)] for row in md.smatrix]
+    rep.check("pointwise ring homomorphism",
+              _diagonalization_failures(table, fmat, "f"))
 
     rep.record("character evaluation matrix non-singular",
                mat_det_is_nonzero(fmat), "singular evaluation matrix")

@@ -14,6 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .numeric import InternalConsistencyError
+
 Weight = tuple[int, ...]
 
 _RANK_RANGES = {
@@ -65,6 +67,11 @@ class RootSystemData:
     @property
     def zero(self) -> Weight:
         return (0,) * self.rank
+
+    def __hash__(self) -> int:
+        # build_root_system is cached, so (series, rank) fixes every other
+        # field; hashing them all would rehash the Fraction Gram matrix
+        return hash((self.series, self.rank))
 
     def __repr__(self) -> str:
         return f"RootSystemData({self.series}{self.rank})"
@@ -119,7 +126,8 @@ def _symmetrizers(cartan: list[list[int]]) -> list[int]:
             if i != j and cartan[i][j] != 0 and d[j] is None:
                 d[j] = d[i] * cartan[i][j] / cartan[j][i]
                 queue.append(j)
-    assert all(x is not None for x in d), "Cartan matrix not connected"
+    if any(x is None for x in d):
+        raise InternalConsistencyError("Cartan matrix not connected")
     denom = 1
     for x in d:
         denom = denom * x.denominator // gcd(denom, x.denominator)
@@ -212,7 +220,8 @@ def build_root_system(series: str, rank: int) -> RootSystemData:
                    for i in range(rank) for j in range(rank))
 
     hvee = 2 * primed(rho, theta) / primed(theta, theta) + 1
-    assert hvee.denominator == 1
+    if hvee.denominator != 1:
+        raise InternalConsistencyError(f"dual Coxeter number {hvee}")
 
     rs = RootSystemData(
         series=series,
@@ -238,16 +247,24 @@ def build_root_system(series: str, rank: int) -> RootSystemData:
 
 def _check_tables(rs: RootSystemData) -> None:
     theta2 = form(rs, rs.highest_root, rs.highest_root)
-    assert theta2 == 2, f"highest root normalization broke: {theta2}"
+    if theta2 != 2:
+        raise InternalConsistencyError(
+            f"highest root normalization broke: {theta2}")
     g = 0
     for x in rs.symmetrizers:
         g = gcd(g, x)
-    assert g == 1
-    assert len(rs.positive_roots) == (rs.dim_adjoint - rs.rank) // 2
+    if g != 1:
+        raise InternalConsistencyError(f"symmetrizers have gcd {g}")
+    if len(rs.positive_roots) != (rs.dim_adjoint - rs.rank) // 2:
+        raise InternalConsistencyError(
+            f"{len(rs.positive_roots)} positive roots for dimension "
+            f"{rs.dim_adjoint}")
     two_rho = rs.zero
     for alpha in rs.positive_roots:
         two_rho = wadd(two_rho, alpha)
-    assert two_rho == wscale(2, rs.rho)
+    if two_rho != wscale(2, rs.rho):
+        raise InternalConsistencyError(
+            f"positive roots sum to {two_rho}, not 2 rho")
 
 
 def form(rs: RootSystemData, lam: Weight, mu: Weight,
@@ -284,8 +301,11 @@ def simple_coroots(rs: RootSystemData) -> tuple[Weight, ...]:
     """Images of the simple coroots in the weight lattice: (m/d_i) alpha_i."""
     out = []
     for i, alpha in enumerate(rs.simple_roots):
-        c = rs.lacing // rs.symmetrizers[i]
-        assert rs.lacing % rs.symmetrizers[i] == 0
+        c, r = divmod(rs.lacing, rs.symmetrizers[i])
+        if r:
+            raise InternalConsistencyError(
+                f"symmetrizer {rs.symmetrizers[i]} does not divide the "
+                f"lacing {rs.lacing}")
         out.append(wscale(c, alpha))
     return tuple(out)
 
@@ -321,7 +341,8 @@ def _int_det(mat: list[list[int]]) -> int:
             if a[r][col] != 0:
                 f = a[r][col] * inv
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise InternalConsistencyError(f"integer matrix with determinant {det}")
     return int(det)
 
 

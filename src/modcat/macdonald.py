@@ -15,21 +15,23 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from itertools import chain
 
 from .chardata import (dominant_weights_below, is_dominant, quantum_dim,
                        weight_multiplicities, weyl_denominator_value)
 from .lie import (RootSystemData, Weight, build_root_system, form,
                   lattice_index, root_alpha_coords, theta_pairing, wadd,
                   wneg, wscale)
-from .numeric import (CycNum, PoleAtEpsilonError, QRatFn, approx_eq,
-                      default_tolerance, epsilon_power, q_number,
-                      sqrt_of_int)
-from .report import VerificationReport
-from .weyl import (enumerate_ck, make_dominant, reflect, star, weyl_orbit,
-                   weyl_order)
+from .numeric import (CycNum, InternalConsistencyError, PoleAtEpsilonError,
+                      QRatFn, approx_eq, default_tolerance, epsilon_power,
+                      q_number, sqrt_of_int)
+from .report import VerificationReport, mismatches
+from .weyl import (enumerate_ck, make_dominant, reflect, star,
+                   star_positions, weyl_orbit, weyl_order)
 
-from .modular import (CycMatrix, first_mismatch, mat_eq, mat_identity,
-                      mat_mul, mat_scale)
+from .modular import (CycMatrix, int_to_cyc_matrix, mat_conj_transpose,
+                      mat_identity, mat_mul, mat_scale, permutation_matrix)
 
 
 def dominance_leq(rs: RootSystemData, lam: Weight, mu: Weight) -> bool:
@@ -166,7 +168,9 @@ def norm_formula(rs: RootSystemData, k: int, lam: Weight) -> QRatFn:
     shifted = wadd(lam, wscale(k, rs.rho))
     for alpha in rs.positive_roots:
         x = form(rs, alpha, shifted)
-        assert x.denominator == 1
+        if x.denominator != 1:
+            raise InternalConsistencyError(
+                f"(alpha, lam + k rho) = {x} is not integral for {alpha}")
         x = int(x)
         for i in range(1, k):
             out = out * q_number(x + i) / q_number(x - i)
@@ -365,14 +369,6 @@ def build_su_data(ctx: MacdonaldContext) -> SUData:
                   twist_u=twist_u, norms_eps=norms_eps)
 
 
-def _star_permutation(ctx: MacdonaldContext) -> tuple[tuple[int, ...], ...]:
-    alcove = ctx.alcove
-    return tuple(
-        tuple(int(alcove[j] == star(ctx.rs, alcove[i]))
-              for j in range(len(alcove)))
-        for i in range(len(alcove)))
-
-
 def verify_section5(ctx: MacdonaldContext,
                     tol: float | None = None) -> VerificationReport:
     """All exact identities of the intertwiner modular action, plus the
@@ -381,158 +377,142 @@ def verify_section5(ctx: MacdonaldContext,
         tol = default_tolerance()
     t0 = time.monotonic()
     rep = VerificationReport(suite="section5")
-    rs, k, kappa, n = ctx.rs, ctx.k, ctx.kappa, ctx.n
+    rs, k, kappa = ctx.rs, ctx.k, ctx.kappa
     alcove = ctx.alcove
     size = len(alcove)
+    idx = range(size)
 
     # specialization must be pole-free on the sub-alcove
-    pole_witness = None
-    for lam in alcove:
-        try:
-            specialize(ctx, lam)
-        except PoleAtEpsilonError as exc:
-            pole_witness = f"{lam}: {exc}"
-            break
-    rep.record("specialization pole-free on the sub-alcove",
-               pole_witness is None, pole_witness)
-    if pole_witness is not None:
+    def pole_failures():
+        for lam in alcove:
+            try:
+                specialize(ctx, lam)
+            except PoleAtEpsilonError as exc:
+                yield f"{lam}: {exc}"
+
+    if not rep.check("specialization pole-free on the sub-alcove",
+                     pole_failures()):
         rep.duration_seconds = time.monotonic() - t0
         return rep
 
     su = build_su_data(ctx)
     s = su.smatrix
-    star_idx = [alcove.index(star(rs, lam)) for lam in alcove]
+    norms = su.norms_eps
+    sp = star_positions(rs, alcove)
 
-    rep.record("S_{lm} = S_{l* m*}",
-               all(s[i][j] == s[star_idx[i]][star_idx[j]]
-                   for i in range(size) for j in range(size)))
+    rep.check("S_{lm} = S_{l* m*}", mismatches(
+        s, ((s[p][q] for q in sp) for p in sp), alcove))
 
     thm55_scalar = su.conj_scalar.inverse()
-    rep.record("conj(S_{lm}) = phase * S_{l* m}",
-               all(s[i][j].conjugate() == thm55_scalar * s[star_idx[i]][j]
-                   for i in range(size) for j in range(size)))
+    rep.check("conj(S_{lm}) = phase * S_{l* m}", mismatches(
+        ((x.conjugate() for x in row) for row in s),
+        ((thm55_scalar * x for x in s[p]) for p in sp), alcove))
 
     s2 = mat_mul(s, s)
-    perm = tuple(tuple(CycNum.from_rational(x) for x in row)
-                 for row in _star_permutation(ctx))
-    target = mat_scale(su.conj_scalar, perm)
-    rep.record("S^2 = conjugation permutation with phase",
-               mat_eq(s2, target), first_mismatch(s2, target))
+    rep.check("S^2 = conjugation permutation with phase", mismatches(
+        s2, mat_scale(su.conj_scalar,
+                      int_to_cyc_matrix(permutation_matrix(sp))), alcove))
 
+    product = su.conj_scalar * thm55_scalar
     rep.record("conjugation scalars of S^2 and the dual basis map are inverse",
-               su.conj_scalar * thm55_scalar == CycNum.one())
+               product == CycNum.one(), f"{product!r} vs {CycNum.one()!r}")
 
-    rep.record("conj_scalar^2 = 1 / twist_u",
-               su.conj_scalar * su.conj_scalar == su.twist_u.inverse())
+    square = su.conj_scalar * su.conj_scalar
+    inv_twist = su.twist_u.inverse()
+    rep.record("conj_scalar^2 = 1 / twist_u", square == inv_twist,
+               f"{square!r} vs {inv_twist!r}")
 
-    s4 = mat_mul(s2, s2)
-    rep.record("S^4 = Id / twist_u",
-               mat_eq(s4, mat_scale(su.twist_u.inverse(),
-                                    mat_identity(size))))
+    rep.check("S^4 = Id / twist_u", mismatches(
+        mat_mul(s2, s2), mat_scale(inv_twist, mat_identity(size)), alcove))
 
     st = mat_mul(s, su.tmatrix)
     st3 = mat_mul(mat_mul(st, st), st)
-    rep.record("(ST)^3 = S^2", mat_eq(st3, s2), first_mismatch(st3, s2))
+    rep.check("(ST)^3 = S^2", mismatches(st3, s2, alcove))
 
-    rep.record("norm-weighted symmetry S_{lm} n_l = S_{ml} n_m",
-               all(s[i][j] * su.norms_eps[i] == s[j][i] * su.norms_eps[j]
-                   for i in range(size) for j in range(size)))
+    weighted = [[x * norms[i] for x in row] for i, row in enumerate(s)]
+    rep.check("norm-weighted symmetry S_{lm} n_l = S_{ml} n_m", mismatches(
+        weighted, ((weighted[j][i] for j in idx) for i in idx), alcove))
 
     # the same identity written out through the polynomial values
     points = [wscale(-2, wadd(lam, wscale(k, rs.rho))) for lam in alcove]
     dvals = [d_coefficient(ctx, lam) for lam in alcove]
-    explicit_ok = True
-    for i, lam in enumerate(alcove):
-        for j, mu in enumerate(alcove):
-            left = (specialize(ctx, lam).value_at(rs, kappa, points[j])
-                    * su.norms_eps[j] * dvals[j])
-            right = (specialize(ctx, mu).value_at(rs, kappa, points[i])
-                     * su.norms_eps[i] * dvals[i])
-            if left != right:
-                explicit_ok = False
-                break
-        if not explicit_ok:
-            break
-    rep.record("explicit symmetry through polynomial special values",
-               explicit_ok)
+    explicit = [[specialize(ctx, lam).value_at(rs, kappa, points[j])
+                 * norms[j] * dvals[j] for j in idx] for lam in alcove]
+    rep.check("explicit symmetry through polynomial special values",
+              mismatches(explicit,
+                         ((explicit[j][i] for j in idx) for i in idx),
+                         alcove))
 
     # unitarity for the weighted inner product: S^dagger diag(n) S = diag(n)
-    dagger = tuple(tuple(s[j][i].conjugate() for j in range(size))
-                   for i in range(size))
-    weighted = tuple(tuple(dagger[i][j] * su.norms_eps[j]
-                           for j in range(size)) for i in range(size))
-    sds = mat_mul(weighted, s)
-    dn = tuple(tuple(su.norms_eps[i] if i == j else CycNum.zero()
-                     for j in range(size)) for i in range(size))
-    rep.record("norm-weighted unitarity S^dagger diag(n) S = diag(n)",
-               mat_eq(sds, dn), first_mismatch(sds, dn))
+    weighted_dagger = tuple(tuple(x * nv for x, nv in zip(row, norms))
+                            for row in mat_conj_transpose(s))
+    zero = CycNum.zero()
+    rep.check("norm-weighted unitarity S^dagger diag(n) S = diag(n)",
+              mismatches(mat_mul(weighted_dagger, s),
+                         ((nv if i == j else zero for j in idx)
+                          for i, nv in enumerate(norms)), alcove))
 
     # vanishing criterion for the norm at the root of unity: the closed-form
     # norm is nonzero exactly on the sub-alcove, over the whole region where
     # the shifted weight stays inside the open alcove
-    box_bound = ctx.level + k - 1
-    crit_ok = True
-    crit_witness = None
-    for lam in enumerate_ck(rs, box_bound):
-        inside = theta_pairing(rs, lam) <= ctx.level
-        try:
-            value = norm_formula(rs, k, lam).eval_at_epsilon(1, kappa)
-            nonzero = not value.is_zero()
-        except PoleAtEpsilonError as exc:
-            crit_ok = False
-            crit_witness = f"pole at {lam}: {exc}"
-            break
-        if nonzero != inside:
-            crit_ok = False
-            crit_witness = f"{lam}: norm nonzero {nonzero}, in sub-alcove {inside}"
-            break
-    rep.record("norm at the root of unity vanishes exactly off the sub-alcove",
-               crit_ok, crit_witness)
+    def criterion_failures():
+        for lam in enumerate_ck(rs, ctx.level + k - 1):
+            inside = theta_pairing(rs, lam) <= ctx.level
+            try:
+                value = norm_formula(rs, k, lam).eval_at_epsilon(1, kappa)
+            except PoleAtEpsilonError as exc:
+                yield f"pole at {lam}: {exc}"
+                continue
+            if value.is_zero() == inside:
+                yield (f"{lam}: norm nonzero {not value.is_zero()} vs "
+                       f"in sub-alcove {inside}")
 
-    rep.record("norms at the root of unity are conjugation-invariant",
-               all(x.conjugate() == x for x in su.norms_eps))
+    rep.check("norm at the root of unity vanishes exactly off the sub-alcove",
+              criterion_failures())
+
+    rep.check("norms at the root of unity are conjugation-invariant",
+              mismatches(((x.conjugate(),) for x in norms),
+                         ((x,) for x in norms), alcove))
 
     rplus = len(rs.positive_roots)
+    parity = (-1) ** ((k * rplus) % 2)
     rep.record(
         f"calibrated pairing sign {ctx.sigma:+d} has parity of k |R+|",
-        ctx.sigma == (-1) ** ((k * rplus) % 2))
+        ctx.sigma == parity, f"{ctx.sigma:+d} vs {parity:+d}")
 
     # float cross-checks against the category data
     index = lattice_index(rs, "P", f"{kappa}Qv")
-    dsq = index * (-1) ** len(rs.positive_roots)
+    dsq = index * (-1) ** rplus
     delta_val = weyl_denominator_value(rs, kappa, wscale(-2, rs.rho))
     d_total = (dsq / (delta_val * delta_val).to_complex()).real ** 0.5
 
-    dcheck_ok = True
-    dcheck_witness = None
-    for i, lam in enumerate(alcove):
-        lam_k = wadd(lam, wscale(k - 1, rs.rho))
-        dim_val = quantum_dim(rs, kappa, lam_k).to_complex()
-        phi0 = 1 + 0j
-        shifted = wadd(lam, wscale(k, rs.rho))
-        for alpha in rs.positive_roots:
-            x = form(rs, alpha, shifted)
-            for i2 in range(1, k):
-                phi0 *= (_eps(ctx, -x) - _eps(ctx, x - 2 * i2)).to_complex()
-        want = dim_val / d_total * phi0
-        if not approx_eq(dvals[i].to_complex(), want, tol):
-            dcheck_ok = False
-            dcheck_witness = f"{lam}: {dvals[i].to_complex()} vs {want}"
-            break
-    rep.record("float: row normalization matches dimension ratio route",
-               dcheck_ok, dcheck_witness)
+    def normalization_failures():
+        for lam, d in zip(alcove, dvals):
+            lam_k = wadd(lam, wscale(k - 1, rs.rho))
+            dim_val = quantum_dim(rs, kappa, lam_k).to_complex()
+            phi0 = 1 + 0j
+            shifted = wadd(lam, wscale(k, rs.rho))
+            for alpha in rs.positive_roots:
+                x = form(rs, alpha, shifted)
+                for i in range(1, k):
+                    phi0 *= (_eps(ctx, -x) - _eps(ctx, x - 2 * i)).to_complex()
+            want = dim_val / d_total * phi0
+            if not approx_eq(d.to_complex(), want, tol):
+                yield f"{lam}: {d.to_complex()} vs {want}"
+
+    rep.check("float: row normalization matches dimension ratio route",
+              normalization_failures())
 
     if k == 1:
         from .modular import build_modular_data
         md = build_modular_data(rs, kappa)
         d_pos = md.d_squared.to_complex().real ** 0.5
-        same = md.alcove == alcove
-        agree = same and all(
-            approx_eq(s[i][j].to_complex(),
-                      md.smatrix[i][j].to_complex() / d_pos, tol)
-            for i in range(size) for j in range(size))
-        rep.record("float: k=1 matrix equals the normalized category s-matrix",
-                   agree)
+        rep.check("float: k=1 matrix equals the normalized category s-matrix",
+                  chain(mismatches(((md.alcove,),), ((alcove,),)), mismatches(
+                      ((x.to_complex() for x in row) for row in s),
+                      ((x.to_complex() / d_pos for x in row)
+                       for row in md.smatrix), alcove,
+                      lambda x, y: approx_eq(x, y, tol))))
 
     rep.duration_seconds = time.monotonic() - t0
     return rep
@@ -547,89 +527,62 @@ def verify_generic_macdonald(n: int, k: int, bound: int) -> VerificationReport:
     ctx = build_context(n, k, bound)
     rs = ctx.rs
     grid = enumerate_ck(rs, bound)
+    poly = partial(macdonald_polynomial, ctx)
+    one = QRatFn.one()
 
-    tri_ok = True
-    tri_witness = None
-    for lam in grid:
-        p = macdonald_polynomial(ctx, lam)
-        lead = p.coefficient(lam)
-        if lead is None or not (lead == QRatFn.one()):
-            tri_ok = False
-            tri_witness = f"leading coefficient of {lam}: {lead!r}"
-            break
-        for w in p.terms:
-            dom, _ = make_dominant(rs, w)
-            if not dominance_leq(rs, dom, lam):
-                tri_ok = False
-                tri_witness = f"support of {lam} leaks to {w}"
-                break
-        if not tri_ok:
-            break
-    rep.record("unit leading coefficient and triangular support", tri_ok,
-               tri_witness)
+    def triangularity_failures():
+        for lam in grid:
+            lead = poly(lam).coefficient(lam)
+            if lead is None or not (lead == one):
+                yield f"leading coefficient of {lam}: {lead!r} vs {one!r}"
+            for w in poly(lam).terms:
+                if not dominance_leq(rs, make_dominant(rs, w)[0], lam):
+                    yield f"support of {lam} leaks to {w}"
 
-    orth_ok = True
-    orth_witness = None
-    for a, lam in enumerate(grid):
-        for mu in grid[a + 1:]:
-            val = inner_product_k(ctx, macdonald_polynomial(ctx, lam),
-                                  macdonald_polynomial(ctx, mu))
-            if not val.is_zero():
-                orth_ok = False
-                orth_witness = f"({lam}, {mu}) -> {val!r}"
-                break
-        if not orth_ok:
-            break
-    rep.record("pairwise orthogonality", orth_ok, orth_witness)
+    rep.check("unit leading coefficient and triangular support",
+              triangularity_failures())
 
-    norm_ok = True
-    norm_witness = None
-    for lam in grid:
-        got = macdonald_norm(ctx, lam)
-        want = norm_formula(rs, k, lam)
-        if got != want:
-            norm_ok = False
-            norm_witness = f"{lam}: {got!r} vs {want!r}"
-            break
-    rep.record("constant-term norms equal the closed product", norm_ok,
-               norm_witness)
+    def orthogonality_failures():
+        for a, lam in enumerate(grid):
+            for mu in grid[a + 1:]:
+                val = inner_product_k(ctx, poly(lam), poly(mu))
+                if not val.is_zero():
+                    yield f"({lam}, {mu}): {val!r} vs 0"
 
-    bar_ok = True
-    for lam in grid:
-        p = macdonald_polynomial(ctx, lam)
-        if p.bar(rs) != macdonald_polynomial(ctx, star(rs, lam)):
-            bar_ok = False
-            break
-    rep.record("bar sends P_lam to P_{lam*}", bar_ok)
+    rep.check("pairwise orthogonality", orthogonality_failures())
 
-    sym_ok = all(macdonald_polynomial(ctx, lam).is_w_invariant(rs)
-                 for lam in grid)
-    rep.record("Weyl invariance", sym_ok)
+    def norm_failures():
+        for lam in grid:
+            got, want = macdonald_norm(ctx, lam), norm_formula(rs, k, lam)
+            if got != want:
+                yield f"{lam}: {got!r} vs {want!r}"
 
-    herm_ok = True
-    for lam in grid[:3]:
-        for mu in grid[:3]:
-            f = macdonald_polynomial(ctx, lam)
-            g = macdonald_polynomial(ctx, mu)
-            if inner_product_k(ctx, g, f) != inner_product_k(ctx, f, g).bar():
-                herm_ok = False
-                break
-    rep.record("hermitian symmetry of the pairing", herm_ok)
+    rep.check("constant-term norms equal the closed product", norm_failures())
+
+    rep.check("bar sends P_lam to P_{lam*}", (
+        f"{lam}: bar P_lam differs from P_{star(rs, lam)}" for lam in grid
+        if poly(lam).bar(rs) != poly(star(rs, lam))))
+
+    rep.check("Weyl invariance", (
+        f"{lam}: P_lam is not invariant under the simple reflections"
+        for lam in grid if not poly(lam).is_w_invariant(rs)))
+
+    def hermitian_failures():
+        for lam in grid[:3]:
+            for mu in grid[:3]:
+                got = inner_product_k(ctx, poly(mu), poly(lam))
+                want = inner_product_k(ctx, poly(lam), poly(mu)).bar()
+                if got != want:
+                    yield f"({mu}, {lam}): {got!r} vs {want!r}"
+
+    rep.check("hermitian symmetry of the pairing", hermitian_failures())
 
     if k == 1:
-        char_ok = True
-        char_witness = None
-        for lam in grid:
-            got = macdonald_polynomial(ctx, lam)
-            table = weight_multiplicities(rs, lam)
-            want = WPoly({w: QRatFn.from_rational(c)
-                          for w, c in table.mults.items()})
-            if got != want:
-                char_ok = False
-                char_witness = f"{lam}"
-                break
-        rep.record("k=1 polynomials are the classical characters", char_ok,
-                   char_witness)
+        rep.check("k=1 polynomials are the classical characters", (
+            f"{lam}: P_lam differs from the character" for lam in grid
+            if poly(lam) != WPoly({
+                w: QRatFn.from_rational(c)
+                for w, c in weight_multiplicities(rs, lam).mults.items()})))
 
     rep.duration_seconds = time.monotonic() - t0
     return rep

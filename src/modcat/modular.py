@@ -15,12 +15,13 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .chardata import alternating_sum, quantum_dim, weyl_denominator_value
 from .lie import (RootSystemData, Weight, form, lattice_index, wadd, wscale)
 from .numeric import CycNum, approx_eq, default_tolerance, epsilon_power
-from .report import VerificationReport
-from .weyl import enumerate_alcove, star
+from .report import VerificationReport, mismatches
+from .weyl import enumerate_alcove, star_positions
 
 CycMatrix = tuple[tuple[CycNum, ...], ...]
 
@@ -81,8 +82,7 @@ def build_modular_data(rs: RootSystemData, kappa: int) -> ModularData:
     tdiag = [twist(rs, kappa, lam) for lam in alcove]
     tmat = tuple(tuple(tdiag[i] if i == j else CycNum.zero()
                        for j in range(n)) for i in range(n))
-    cmat = tuple(tuple(int(alcove[j] == star(rs, alcove[i]))
-                       for j in range(n)) for i in range(n))
+    cmat = permutation_matrix(star_positions(rs, alcove))
 
     dims = tuple(quantum_dim(rs, kappa, lam) for lam in alcove)
     p_plus = CycNum.zero()
@@ -130,28 +130,14 @@ def mat_scale(c: CycNum, a) -> CycMatrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def mat_eq(a, b) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 def mat_identity(n: int) -> CycMatrix:
-    one, zero = CycNum.one(), CycNum.zero()
-    return tuple(tuple(one if i == j else zero for j in range(n))
-                 for i in range(n))
+    return int_to_cyc_matrix(permutation_matrix(range(n)))
 
 
 def mat_conj_transpose(a) -> CycMatrix:
     n = len(a)
     return tuple(tuple(a[j][i].conjugate() for j in range(n))
                  for i in range(n))
-
-
-def first_mismatch(a, b) -> str:
-    for i, (ra, rb) in enumerate(zip(a, b)):
-        for j, (x, y) in enumerate(zip(ra, rb)):
-            if x != y:
-                return f"entry ({i},{j}): {x!r} vs {y!r}"
-    return "no mismatch"
 
 
 def mat_det_is_nonzero(a) -> bool:
@@ -176,6 +162,12 @@ def int_to_cyc_matrix(mat) -> CycMatrix:
     return tuple(tuple(CycNum.from_rational(x) for x in row) for row in mat)
 
 
+def permutation_matrix(perm) -> tuple[tuple[int, ...], ...]:
+    """The 0/1 matrix with a one at (i, perm[i])."""
+    n = len(perm)
+    return tuple(tuple(int(j == p) for j in range(n)) for p in perm)
+
+
 # -- the verification suite -----------------------------------------------------
 
 def verify_modular_relations(md: ModularData,
@@ -187,14 +179,14 @@ def verify_modular_relations(md: ModularData,
     rep = VerificationReport(suite="modular")
     rs, kappa = md.rs, md.kappa
     n = md.size
+    labels = md.alcove
     s = md.smatrix
     t = md.tmatrix
     c = int_to_cyc_matrix(md.cmatrix)
 
     s2 = mat_mul(s, s)
-    target = mat_scale(md.d_squared, c)
-    rep.record("s^2 = D^2 c", mat_eq(s2, target),
-               first_mismatch(s2, target))
+    rep.check("s^2 = D^2 c", mismatches(s2, mat_scale(md.d_squared, c),
+                                        labels))
 
     index = lattice_index(rs, "P", f"{kappa}Qv")
     den = weyl_denominator_value(rs, kappa, wscale(-2, rs.rho))
@@ -204,56 +196,51 @@ def verify_modular_relations(md: ModularData,
                md.d_squared == closed,
                f"{md.d_squared!r} vs {closed!r}")
 
+    squares = sum((d * d for d in md.dims), start=CycNum.zero())
     rep.record("D^2 = sum of squared quantum dimensions",
-               md.d_squared == sum((d * d for d in md.dims),
-                                   start=CycNum.zero()),
-               repr(md.d_squared))
+               md.d_squared == squares, f"{md.d_squared!r} vs {squares!r}")
 
     st = mat_mul(s, t)
     st3 = mat_mul(mat_mul(st, st), st)
-    ps2 = mat_scale(md.p_plus, s2)
-    rep.record("(st)^3 = p+ s^2", mat_eq(st3, ps2), first_mismatch(st3, ps2))
+    rep.check("(st)^3 = p+ s^2", mismatches(st3, mat_scale(md.p_plus, s2),
+                                            labels))
 
-    rep.record("s^2 t = t s^2", mat_eq(mat_mul(s2, t), mat_mul(t, s2)),
-               "twist does not commute with s^2")
+    rep.check("s^2 t = t s^2",
+              mismatches(mat_mul(s2, t), mat_mul(t, s2), labels))
 
-    ssd = mat_mul(s, mat_conj_transpose(s))
-    unit_target = mat_scale(md.d_squared, mat_identity(n))
-    rep.record("s s^dagger = D^2 Id", mat_eq(ssd, unit_target),
-               first_mismatch(ssd, unit_target))
+    rep.check("s s^dagger = D^2 Id",
+              mismatches(mat_mul(s, mat_conj_transpose(s)),
+                         mat_scale(md.d_squared, mat_identity(n)), labels))
 
     rep.record("det s != 0", mat_det_is_nonzero(s), "singular s-matrix")
 
-    rep.record("zeta^6 p- = p+", md.zeta ** 6 * md.p_minus == md.p_plus,
-               f"zeta^6 p- = {(md.zeta ** 6 * md.p_minus)!r}")
+    zeta6_pm = md.zeta ** 6 * md.p_minus
+    rep.record("zeta^6 p- = p+", zeta6_pm == md.p_plus,
+               f"{zeta6_pm!r} vs {md.p_plus!r}")
 
     rep.record("conj(p+) = p-", md.p_plus.conjugate() == md.p_minus,
-               repr(md.p_plus))
+               f"{md.p_plus.conjugate()!r} vs {md.p_minus!r}")
 
-    # symmetry bundle on the stored matrix
-    sym_ok = True
-    conj_ok = True
-    star_ok = True
-    for i, lam in enumerate(md.alcove):
-        li = md.index_of(star(rs, lam))
-        for j, mu in enumerate(md.alcove):
-            mj = md.index_of(star(rs, mu))
-            sym_ok = sym_ok and s[i][j] == s[j][i]
-            conj_ok = conj_ok and s[i][j].conjugate() == s[i][mj]
-            star_ok = star_ok and s[i][j] == s[li][mj]
-    rep.record("s symmetric", sym_ok)
-    rep.record("conj(s_{lm}) = s_{l m*}", conj_ok)
-    rep.record("s_{lm} = s_{l* m*}", star_ok)
+    # symmetry bundle on the stored matrix, with lazy rows
+    sp = star_positions(rs, md.alcove)
+    rep.check("s symmetric", mismatches(
+        s, ((s[j][i] for j in range(n)) for i in range(n)), labels))
+    rep.check("conj(s_{lm}) = s_{l m*}", mismatches(
+        ((x.conjugate() for x in row) for row in s),
+        ((row[q] for q in sp) for row in s), labels))
+    rep.check("s_{lm} = s_{l* m*}", mismatches(
+        s, ((s[p][q] for q in sp) for p in sp), labels))
 
-    rep.record("s_{l 0} = quantum dimensions",
-               all(s[i][0] == md.dims[i] for i in range(n)))
+    rep.check("s_{l 0} = quantum dimensions", mismatches(
+        ((row[0],) for row in s), ((d,) for d in md.dims), labels))
 
-    twist_ok = all(
-        t[i][i].conjugate() == t[i][i].inverse()
-        and t[i][i] == t[md.index_of(star(rs, lam))][md.index_of(star(rs, lam))]
-        for i, lam in enumerate(md.alcove))
-    rep.record("twists unitary and star-invariant, theta_0 = 1",
-               twist_ok and t[0][0] == CycNum.one())
+    zero = CycNum.zero()
+    t_inverse = ((x.inverse() if i == j else zero for j, x in enumerate(row))
+                 for i, row in enumerate(t))
+    rep.check("twists unitary and star-invariant, theta_0 = 1", chain(
+        mismatches(mat_conj_transpose(t), t_inverse, labels),
+        mismatches(t, ((t[p][q] for q in sp) for p in sp), labels),
+        mismatches((t[0][:1],), ((CycNum.one(),),), labels)))
 
     # float-mode checks: zeta against the central charge, D against sqrt
     zf = md.zeta.to_complex()
@@ -262,11 +249,11 @@ def verify_modular_relations(md: ModularData,
                f"{zf} vs {want}")
     dfloat = md.d_squared.to_complex()
     rep.record("float: D^2 real positive",
-               abs(dfloat.imag) <= tol and dfloat.real > 0, f"{dfloat}")
-    dpos = dfloat.real ** 0.5
+               abs(dfloat.imag) <= tol and dfloat.real > 0, f"D^2 = {dfloat}")
+    dzeta3 = dfloat.real ** 0.5 * zf ** 3
     rep.record("float: D zeta^3 = p+",
-               approx_eq(dpos * md.zeta.to_complex() ** 3,
-                         md.p_plus.to_complex(), tol))
+               approx_eq(dzeta3, md.p_plus.to_complex(), tol),
+               f"{dzeta3} vs {md.p_plus.to_complex()}")
     sine = 1.0
     for alpha in rs.positive_roots:
         sine *= (2 * math.sin(math.pi * float(form(rs, alpha, rs.rho))

@@ -1,7 +1,15 @@
-"""Verification report containers shared by the verify operations."""
+"""Verification report containers shared by the verify operations.
+
+A check is recorded from its failure witnesses: it passes when there are
+none and otherwise keeps the first.  A witness names where the identity
+breaks (the indices, and the weights they stand for) and the two values
+that differ.
+"""
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 
@@ -28,9 +36,16 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.status != "fail" for c in self.checks)
 
-    def record(self, name: str, ok: bool, witness: str | None = None) -> None:
+    def record(self, name: str, ok: bool, witness: str) -> None:
         self.checks.append(CheckResult(
             name, "pass" if ok else "fail", None if ok else witness))
+
+    def check(self, name: str, failures: Iterable[str]) -> bool:
+        """Record name from a lazy iterable of failure witnesses: pass when
+        it yields nothing, else fail with the first.  Returns the verdict."""
+        witness = next(iter(failures), None)
+        self.record(name, witness is None, witness)
+        return witness is None
 
     def skip(self, name: str, reason: str) -> None:
         self.checks.append(CheckResult(name, "skipped", reason))
@@ -59,3 +74,15 @@ class VerificationReport:
         verdict = "PASSED" if self.passed else "FAILED"
         lines.append(f"  => {verdict} in {self.duration_seconds:.2f}s")
         return lines
+
+
+def mismatches(a, b, labels: Sequence = (),
+               same: Callable = operator.eq) -> Iterator[str]:
+    """Witnesses for the entries where the matrices a and b differ, in
+    row-major order; labels (e.g. alcove weights) name rows and columns.
+    The rows may be lazy iterables, so a check stops at its first witness."""
+    for i, (ra, rb) in enumerate(zip(a, b)):
+        for j, (x, y) in enumerate(zip(ra, rb)):
+            if not same(x, y):
+                at = f" at {labels[i]}, {labels[j]}" if labels else ""
+                yield f"entry ({i},{j}){at}: {x!r} vs {y!r}"

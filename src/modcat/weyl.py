@@ -113,6 +113,18 @@ def star(rs: RootSystemData, lam: Weight) -> Weight:
     return tuple(lam[p] for p in _star_perm(rs))
 
 
+def star_positions(rs: RootSystemData,
+                   weights: tuple[Weight, ...]) -> tuple[int, ...]:
+    """p with weights[p[i]] = star(weights[i]), for star-closed weights
+    such as the alcove and the sub-alcove."""
+    position = {w: i for i, w in enumerate(weights)}
+    try:
+        return tuple(position[star(rs, w)] for w in weights)
+    except KeyError as exc:
+        raise ValueError(
+            f"star image {exc.args[0]} is not among the weights") from None
+
+
 def _theta_bounded_dominant(rs: RootSystemData, bound) -> list[Weight]:
     """Dominant weights with <lam, theta^vee> at most the bound."""
     comarks = [theta_pairing(rs, w) for w in rs.fundamental_weights]

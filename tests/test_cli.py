@@ -184,6 +184,21 @@ def test_verify_usage_errors(capsys):
         assert "finite positive" in capsys.readouterr().err
 
 
+def test_options_only_where_read(capsys):
+    # each subcommand takes only the options its handler reads
+    for argv in (("lie-info", "--algebra", "A1", "--format", "csv"),
+                 ("fusion", "--algebra", "A1", "--kappa", "4",
+                  "--mode", "float"),
+                 ("modular", "--algebra", "A1", "--kappa", "3",
+                  "--tolerance", "1e-9"),
+                 ("macdonald", "poly", "--n", "2", "--k", "1",
+                  "--lambda", "1", "--format", "pretty")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2, argv
+        assert "error" in capsys.readouterr().err
+
+
 def test_exact_mode_byte_determinism(capsys):
     commands = [
         ("modular", "--algebra", "A2", "--kappa", "5"),

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from modcat.chardata import weight_multiplicities, weyl_dimension
 from modcat.fusion import (build_fusion_table, classical_tensor,
                            fusion_coefficients, verify_fusion,
-                           verify_grothendieck, verlinde_coefficient)
+                           verify_grothendieck)
 from modcat.lie import build_root_system
 from modcat.modular import build_modular_data
 from modcat.numeric import CycNum, QRatFn
@@ -93,33 +94,108 @@ def test_classical_limit():
                 == classical_tensor(rs, lam, mu))
 
 
+def verlinde(md):
+    """N_{lam mu}^nu by the Verlinde sum
+    sum_sigma s_{lam sigma} s_{mu sigma} conj(s_{nu sigma}) / (D^2 s_{0 sigma}),
+    written out independently of the matrix form in verify_fusion."""
+    s = md.smatrix
+    weights = [(s[0][c] * md.d_squared).inverse() for c in range(md.size)]
+
+    def coefficient(lam, mu, nu):
+        i, j, k = md.index_of(lam), md.index_of(mu), md.index_of(nu)
+        acc = CycNum.zero()
+        for c, w in enumerate(weights):
+            acc = acc + s[i][c] * s[j][c] * s[k][c].conjugate() * w
+        return acc
+    return coefficient
+
+
 def test_verlinde_values():
-    md = build_modular_data(A1, 4)
-    assert verlinde_coefficient(md, (0,), (0,), (0,)) == CycNum.one()
-    assert verlinde_coefficient(md, (1,), (1,), (2,)) == CycNum.one()
-    md3 = build_modular_data(A1, 3)
-    assert verlinde_coefficient(md3, (1,), (1,), (1,)).is_zero()
+    n = verlinde(build_modular_data(A1, 4))
+    assert n((0,), (0,), (0,)) == CycNum.one()
+    assert n((1,), (1,), (2,)) == CycNum.one()
+    assert verlinde(build_modular_data(A1, 3))((1,), (1,), (1,)).is_zero()
 
 
 @pytest.mark.parametrize("rs,kappa", [(A1, 5), (A2, 5), (B2, 4), (G2, 5)])
 def test_verlinde_matches_folding(rs, kappa):
     md = build_modular_data(rs, kappa)
+    n = verlinde(md)
     table = build_fusion_table(rs, kappa, md.alcove)
     for lam in md.alcove:
         for mu in md.alcove:
             for nu in md.alcove:
-                assert (verlinde_coefficient(md, lam, mu, nu)
-                        == CycNum.from_rational(table.n(lam, mu, nu)))
+                assert n(lam, mu, nu) == CycNum.from_rational(
+                    table.n(lam, mu, nu))
 
 
 def test_fusion_suite_reports():
-    for rs, kappa in [(A1, 3), (A1, 4), (A2, 4), (B2, 5)]:
+    for rs, kappa in [(A1, 3), (A1, 4), (A1, 5), (A2, 4), (A2, 5), (B2, 4),
+                      (B2, 5), (G2, 5)]:
         md = build_modular_data(rs, kappa)
         table = build_fusion_table(rs, kappa, md.alcove)
         rep = verify_fusion(md, table)
         assert rep.passed, [c.name for c in rep.checks if c.status == "fail"]
         rep = verify_grothendieck(md, table)
         assert rep.passed, [c.name for c in rep.checks if c.status == "fail"]
+
+
+def with_entries(table, changes):
+    """The table with N_{ij}^k replaced for each (i, j, k): value."""
+    mats = [[list(row) for row in m] for m in table.matrices]
+    for (i, j, k), value in changes.items():
+        mats[i][j][k] = value
+    return dataclasses.replace(
+        table, matrices=tuple(tuple(map(tuple, m)) for m in mats))
+
+
+def statuses(rep):
+    assert all(c.witness for c in rep.checks if c.status == "fail")
+    return {c.name: c for c in rep.checks}
+
+
+def test_bumped_entry_fails_diagonalization():
+    md = build_modular_data(A2, 5)
+    table = build_fusion_table(A2, 5, md.alcove)
+    alcove = md.alcove
+    i, j, k = 1, 2, 3
+    bad = with_entries(table, {(i, j, k): table.matrices[i][j][k] + 1})
+    checks = statuses(verify_fusion(md, bad))
+    diag = checks["folded coefficients = s-matrix diagonalization"]
+    assert diag.status == "fail"
+    # the first mismatch is in row j of N_i s, and names both weights
+    assert diag.witness.startswith(f"N_{alcove[i]} s entry ({j},0) at "
+                                   f"{alcove[j]}, {alcove[0]}: ")
+    assert checks["quantum dimension homomorphism"].status == "fail"
+    assert statuses(verify_grothendieck(md, bad))[
+        "pointwise ring homomorphism"].status == "fail"
+
+
+def test_perturbed_last_column_fails_diagonalization():
+    # only the last column of N_i s = s diag(s_{i p} / s_{0 p}) breaks
+    md = build_modular_data(A2, 5)
+    table = build_fusion_table(A2, 5, md.alcove)
+    last = md.size - 1
+    s = tuple(tuple(x * 2 if q == last and p else x for q, x in enumerate(row))
+              for p, row in enumerate(md.smatrix))
+    checks = statuses(verify_fusion(dataclasses.replace(md, smatrix=s), table))
+    diag = checks["folded coefficients = s-matrix diagonalization"]
+    assert diag.status == "fail"
+    assert f",{last}) at " in diag.witness
+    assert diag.witness.split(": ")[0].endswith(str(md.alcove[last]))
+
+
+def test_non_associative_table_fails_associativity():
+    # Ising with N_{ss}^p = N_{sp}^s = N_{ps}^s = 2 keeps every index
+    # symmetry, but N_s N_s has 4 at (p, p) where N_0 + 2 N_p has 1
+    md = build_modular_data(A1, 4)
+    table = build_fusion_table(A1, 4, md.alcove)
+    bad = with_entries(table, {(1, 1, 2): 2, (1, 2, 1): 2, (2, 1, 1): 2})
+    checks = statuses(verify_fusion(md, bad))
+    assert checks["index symmetries of N"].status == "pass"
+    assoc = checks["associativity"]
+    assert assoc.status == "fail"
+    assert assoc.witness == "N_(1,) N_(1,) entry (2,2) at (2,), (2,): 4 vs 1"
 
 
 def test_ising_fusion_table():

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import random
 
 import pytest
@@ -125,7 +126,25 @@ def test_report_witnesses_on_failure():
     rep = verify_modular_relations(bad)
     assert not rep.passed
     failed = [c for c in rep.checks if c.status == "fail"]
-    assert failed and any(c.witness for c in failed)
+    assert failed and all(c.witness for c in failed)
+    # the first mismatch names the entry and its weights
+    sym = next(c for c in failed if c.name == "s^2 = D^2 c")
+    assert sym.witness.startswith("entry (0,0) at (0,), (0,): ")
+    # corrupted scalars and a non-unitary twist fail with witnesses too
+    bad_t = tuple(
+        tuple(x * 2 if (i, j) == (1, 1) else x for j, x in enumerate(row))
+        for i, row in enumerate(md.tmatrix))
+    bad = dataclasses.replace(md, tmatrix=bad_t, p_plus=md.p_plus + 1,
+                              dims=(md.dims[0] + 1,) + md.dims[1:])
+    rep = verify_modular_relations(bad)
+    failed = {c.name: c.witness for c in rep.checks if c.status == "fail"}
+    assert {"D^2 = sum of squared quantum dimensions", "zeta^6 p- = p+",
+            "conj(p+) = p-", "s_{l 0} = quantum dimensions",
+            "twists unitary and star-invariant, theta_0 = 1",
+            "float: D zeta^3 = p+"} <= set(failed)
+    assert all(failed.values())
+    assert failed["twists unitary and star-invariant, theta_0 = 1"] \
+        .startswith("entry (1,1) at (1,), (1,): ")
 
 
 def test_twists_and_zeta_are_roots_of_unity():

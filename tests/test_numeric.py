@@ -1,3 +1,4 @@
+import ast
 import cmath
 import json
 import math
@@ -108,6 +109,19 @@ def test_pdivexact_raises_under_python_O():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["raised", "raised"]
+
+
+def test_no_assert_statements_in_package():
+    # invariants raise InternalConsistencyError, which python -O keeps
+    package = os.path.join(SRC, "modcat")
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_rational_embedding():
