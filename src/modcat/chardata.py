@@ -3,20 +3,20 @@ quantum dimensions.
 
 Evaluation points are always weights mu standing for the point eps^mu, so
 everything stays inside one cyclotomic field: a group-ring element
-f = sum a_lam e^lam takes the value sum a_lam eps^((lam, mu)') there.
-Alternating sums run over the signed Weyl orbit of weyl.weyl_orbit, and
-quantum dimensions come from the q-Weyl product, which needs no orbit.
+f = sum a_lam e^lam takes the value sum a_lam eps^((lam, mu)') there, each
+exponent an integer over the Gram denominator D.  Alternating sums run over
+the signed Weyl orbit of weyl.weyl_orbit, and quantum dimensions come from
+the q-Weyl product, which needs no orbit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .lie import (RootSystemData, Weight, form, inverse_cartan,
-                  root_alpha_coords, wadd, wneg, wscale)
-from .numeric import CycNum, InternalConsistencyError, epsilon_power
+from .lie import (RootSystemData, Weight, _dot, _form_num, _gram_vector, wadd,
+                  wscale, wsub)
+from .numeric import CycNum, InternalConsistencyError
 from .weyl import make_dominant, weyl_orbit
 
 
@@ -32,20 +32,32 @@ class CharacterTable:
         return sum(self.mults.values())
 
 
+@lru_cache(maxsize=None)
 def weyl_dimension(rs: RootSystemData, lam: Weight) -> int:
-    """Classical dimension of the irreducible with highest weight lam."""
-    num = Fraction(1)
-    shifted = wadd(lam, rs.rho)
+    """Classical dimension of the irreducible with highest weight lam:
+    prod (lam + rho, alpha)' / prod (rho, alpha)' over positive alpha."""
+    shifted = _gram_vector(rs, wadd(lam, rs.rho))
+    rho = _gram_vector(rs, rs.rho)
+    num = den = 1
     for alpha in rs.positive_roots:
-        num *= form(rs, shifted, alpha) / form(rs, rs.rho, alpha)
-    if num.denominator != 1:
+        num *= _dot(alpha, shifted)
+        den *= _dot(alpha, rho)
+    dim, rem = divmod(num, den)
+    if rem:
         raise InternalConsistencyError(
-            f"Weyl dimension of {lam} is not an integer: {num}")
-    return int(num)
+            f"Weyl dimension of {lam} is not an integer: {num}/{den}")
+    return dim
 
 
 def is_dominant(lam: Weight) -> bool:
     return all(c >= 0 for c in lam)
+
+
+def _root_floor(rs: RootSystemData, w: Weight) -> list[int]:
+    """Floors of the simple-root coordinates of w, exact for w in Q: the
+    i-th is (omega_i, w)' / d_i, and (omega_i, w)' = (gram w)_i / D."""
+    return [x // (rs.denominator * d)
+            for x, d in zip(_gram_vector(rs, w), rs.symmetrizers)]
 
 
 def dominant_weights_below(rs: RootSystemData, lam: Weight) -> list[Weight]:
@@ -53,9 +65,7 @@ def dominant_weights_below(rs: RootSystemData, lam: Weight) -> list[Weight]:
 
     These are exactly the dominant weights of the irreducible V_lam.
     """
-    inv = inverse_cartan(rs)
-    bounds = [sum(inv[i][j] * lam[j] for j in range(rs.rank))
-              for i in range(rs.rank)]
+    bounds = _root_floor(rs, lam)
     out = []
 
     def rec(i: int, partial: Weight):
@@ -63,9 +73,8 @@ def dominant_weights_below(rs: RootSystemData, lam: Weight) -> list[Weight]:
             if is_dominant(partial):
                 out.append(partial)
             return
-        top = int(bounds[i])
         cur = partial
-        for c in range(top + 1):
+        for c in range(bounds[i] + 1):
             rec(i + 1, cur)
             cur = tuple(cur[k] - rs.cartan[k][i] for k in range(rs.rank))
 
@@ -81,18 +90,18 @@ def weight_multiplicities(rs: RootSystemData, lam: Weight) -> CharacterTable:
     doms = dominant_weights_below(rs, lam)
 
     # sort by depth so that every mu + j alpha is ready before mu
-    def depth(mu: Weight) -> Fraction:
-        return sum(root_alpha_coords(rs, wadd(lam, wneg(mu))))
-
-    doms.sort(key=lambda mu: (depth(mu), mu))
+    doms.sort(key=lambda mu: (sum(_root_floor(rs, wsub(lam, mu))), mu))
     dom_set = set(doms)
     dom_mult: dict[Weight, int] = {lam: 1}
-    shifted_norm = form(rs, wadd(lam, rs.rho), wadd(lam, rs.rho), "primed")
+    # D times the primed forms, so that D cancels in the Freudenthal ratio
+    norms = [_form_num(rs, alpha, alpha) for alpha in rs.positive_roots]
+    shifted_norm = _form_num(rs, wadd(lam, rs.rho), wadd(lam, rs.rho))
     for mu in doms:
         if mu == lam:
             continue
-        acc = Fraction(0)
-        for alpha in rs.positive_roots:
+        acc = 0
+        v = _gram_vector(rs, mu)
+        for alpha, norm in zip(rs.positive_roots, norms):
             j = 1
             while True:
                 nu = wadd(mu, wscale(j, alpha))
@@ -103,14 +112,14 @@ def weight_multiplicities(rs: RootSystemData, lam: Weight) -> CharacterTable:
                 if mult_nu is None:
                     raise InternalConsistencyError(
                         f"depth ordering broke at {rep} below {lam}")
-                acc += form(rs, nu, alpha, "primed") * mult_nu
+                acc += (_dot(alpha, v) + j * norm) * mult_nu
                 j += 1
-        mu_norm = form(rs, wadd(mu, rs.rho), wadd(mu, rs.rho), "primed")
-        value = 2 * acc / (shifted_norm - mu_norm)
-        if value.denominator != 1 or value <= 0:
+        gap = shifted_norm - _form_num(rs, wadd(mu, rs.rho), wadd(mu, rs.rho))
+        value, rem = divmod(2 * acc, gap)
+        if rem or value <= 0:
             raise InternalConsistencyError(
-                f"Freudenthal multiplicity of {mu} in {lam} is {value}")
-        dom_mult[mu] = int(value)
+                f"Freudenthal multiplicity of {mu} in {lam}: {2 * acc}/{gap}")
+        dom_mult[mu] = value
     full: dict[Weight, int] = {}
     for mu, mult in dom_mult.items():
         for nu, _ in weyl_orbit(rs, mu):
@@ -123,14 +132,21 @@ def weight_multiplicities(rs: RootSystemData, lam: Weight) -> CharacterTable:
     return table
 
 
+def _eps_order(rs: RootSystemData, kappa: int) -> int:
+    """N = 2 m kappa D, so that eps^((lam, mu)') = zeta_N^(D (lam, mu)')."""
+    return 2 * rs.lacing * kappa * rs.denominator
+
+
 def weyl_denominator_value(rs: RootSystemData, kappa: int,
                            point: Weight) -> CycNum:
     """prod over positive alpha of (eps^((alpha, point)'/2) - eps^(-...))."""
+    order = 2 * _eps_order(rs, kappa)
+    v = _gram_vector(rs, point)
     acc = CycNum.one()
     for alpha in rs.positive_roots:
-        half = form(rs, alpha, point, "primed") / 2
-        acc = acc * (epsilon_power(half, rs.lacing, kappa)
-                     - epsilon_power(-half, rs.lacing, kappa))
+        e = _dot(alpha, v)
+        acc = acc * (CycNum.root_of_unity(order, e)
+                     - CycNum.root_of_unity(order, -e))
         if acc.is_zero():
             return acc
     return acc
@@ -148,9 +164,10 @@ def alternating_sum(rs: RootSystemData, kappa: int, xi: Weight,
     acc = CycNum.zero()
     if not all(dom):
         return acc
+    order = _eps_order(rs, kappa)
+    v = _gram_vector(rs, point)
     for image, sign in weyl_orbit(rs, dom):
-        term = epsilon_power(form(rs, image, point, "primed"), rs.lacing,
-                             kappa)
+        term = CycNum.root_of_unity(order, _dot(image, v))
         acc = acc + (term if sign == parity else -term)
     return acc
 
@@ -170,10 +187,11 @@ def char_value(rs: RootSystemData, kappa: int, lam: Weight,
             f"character of non-dominant {lam} at a singular point: fold to "
             "the alcove first")
     table = weight_multiplicities(rs, lam)
+    order = _eps_order(rs, kappa)
+    v = _gram_vector(rs, point)
     acc = CycNum.zero()
     for mu, mult in sorted(table.mults.items()):
-        exp = form(rs, mu, point, "primed")
-        acc = acc + epsilon_power(exp, rs.lacing, kappa) * mult
+        acc = acc + CycNum.root_of_unity(order, _dot(mu, v)) * mult
     return acc
 
 
@@ -194,8 +212,7 @@ def vanishing_criterion(rs: RootSystemData, kappa: int, lam: Weight) -> bool:
     """True when dim_eps V_lam = 0: some (lam+rho, alpha) lies in kappa Z."""
     if not is_dominant(lam):
         raise ValueError(f"criterion needs a dominant weight, got {lam}")
-    shifted = wadd(lam, rs.rho)
-    for alpha in rs.positive_roots:
-        if (form(rs, shifted, alpha) / kappa).denominator == 1:
-            return True
-    return False
+    # (lam + rho, alpha) = (gram (lam + rho)) . alpha / (D m)
+    v = _gram_vector(rs, wadd(lam, rs.rho))
+    step = rs.denominator * rs.lacing * kappa
+    return any(_dot(alpha, v) % step == 0 for alpha in rs.positive_roots)

@@ -11,6 +11,12 @@ an independent route through exact cyclotomic arithmetic, in eigenvector
 form: N_i s = s diag(s_{ip} / s_{0p}), which needs one inverse per
 column.  Associativity is an integer matrix identity, and the unit, dual
 and symmetry checks are index arithmetic on the star permutation.
+
+build_fusion_table folds each unordered pair once and mirrors it, so on a
+built table the N_ij^k = N_ji^k part of the index symmetries checks the
+mirroring, not the fold.  Commutativity is still checked independently:
+the diagonalization check fixes N_ij^k as sum_p s_jp s_ip / s_0p (s^-1)_pk,
+which is symmetric in i and j.
 """
 
 from __future__ import annotations

@@ -2,17 +2,20 @@
 
 Weights are integer coordinate vectors in the fundamental-weight basis.
 Roots live in the same basis: the j-th simple root is the j-th column of
-the Cartan matrix.  Every bilinear-form value is an exact Fraction; the
-"normalized" form gives the highest root squared length 2, the "primed"
-form gives short roots squared length 2.
+the Cartan matrix.  The "normalized" form gives the highest root squared
+length 2, the "primed" form gives short roots squared length 2.  The primed
+form is an integer Gram matrix over its least common denominator D, so a
+form value is an integer dot product over D: an exact Fraction from the
+public functions, the integer numerator on the hot paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd
+from functools import cached_property, lru_cache
+from math import gcd, lcm, prod
+from operator import mul
 
 from .numeric import InternalConsistencyError
 
@@ -63,14 +66,22 @@ class RootSystemData:
     cartan_index: int                 # N = |P/Q|
     dim_adjoint: int
     gram_primed: tuple[tuple[Fraction, ...], ...]
+    gram: tuple[tuple[int, ...], ...]  # D (omega_i, omega_j)'
+    denominator: int                   # D, the least that makes gram integral
 
     @property
     def zero(self) -> Weight:
         return (0,) * self.rank
 
+    @cached_property
+    def comarks(self) -> tuple[int, ...]:
+        """<omega_i, theta^vee>, so that <lam, theta^vee> = comarks . lam."""
+        return tuple(_coroot_pairing(self, omega, self.highest_root)
+                     for omega in self.fundamental_weights)
+
     def __hash__(self) -> int:
         # build_root_system is cached, so (series, rank) fixes every other
-        # field; hashing them all would rehash the Fraction Gram matrix
+        # field; hashing them all would rehash both Gram matrices per lookup
         return hash((self.series, self.rank))
 
     def __repr__(self) -> str:
@@ -128,13 +139,9 @@ def _symmetrizers(cartan: list[list[int]]) -> list[int]:
                 queue.append(j)
     if any(x is None for x in d):
         raise InternalConsistencyError("Cartan matrix not connected")
-    denom = 1
-    for x in d:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
+    denom = lcm(*(x.denominator for x in d))
     ints = [int(x * denom) for x in d]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    g = gcd(*ints)
     return [x // g for x in ints]
 
 
@@ -206,20 +213,20 @@ def build_root_system(series: str, rank: int) -> RootSystemData:
     gram_primed = tuple(
         tuple(d[i] * inv_cartan[i][j] for j in range(rank))
         for i in range(rank))
+    denominator = lcm(*(x.denominator for row in gram_primed for x in row))
+    gram = tuple(tuple(int(x * denominator) for x in row)
+                 for row in gram_primed)
 
     positive = _positive_roots(cartan, inv_cartan)
-    # highest root: the unique positive root dominating all others
-    theta = max(
-        positive,
-        key=lambda w: sum(sum(inv_cartan[i][j] * w[j] for j in range(rank))
-                          for i in range(rank)))
+    # highest root: the unique root of greatest height, last in that order
+    theta = positive[-1]
     rho = (1,) * rank
 
-    def primed(a: Weight, b: Weight) -> Fraction:
-        return sum(a[i] * gram_primed[i][j] * b[j]
+    def primed(a: Weight, b: Weight) -> int:
+        return sum(a[i] * gram[i][j] * b[j]
                    for i in range(rank) for j in range(rank))
 
-    hvee = 2 * primed(rho, theta) / primed(theta, theta) + 1
+    hvee = Fraction(2 * primed(rho, theta), primed(theta, theta)) + 1
     if hvee.denominator != 1:
         raise InternalConsistencyError(f"dual Coxeter number {hvee}")
 
@@ -237,9 +244,11 @@ def build_root_system(series: str, rank: int) -> RootSystemData:
         dual_coxeter=int(hvee),
         lacing=m,
         symmetrizers=tuple(d),
-        cartan_index=abs(_int_det(cartan)),
+        cartan_index=prod(smith_diagonal(cartan)),
         dim_adjoint=rank + 2 * len(positive),
         gram_primed=gram_primed,
+        gram=gram,
+        denominator=denominator,
     )
     _check_tables(rs)
     return rs
@@ -250,9 +259,7 @@ def _check_tables(rs: RootSystemData) -> None:
     if theta2 != 2:
         raise InternalConsistencyError(
             f"highest root normalization broke: {theta2}")
-    g = 0
-    for x in rs.symmetrizers:
-        g = gcd(g, x)
+    g = gcd(*rs.symmetrizers)
     if g != 1:
         raise InternalConsistencyError(f"symmetrizers have gcd {g}")
     if len(rs.positive_roots) != (rs.dim_adjoint - rs.rank) // 2:
@@ -267,29 +274,48 @@ def _check_tables(rs: RootSystemData) -> None:
             f"positive roots sum to {two_rho}, not 2 rho")
 
 
+def _gram_vector(rs: RootSystemData, mu: Weight) -> tuple[int, ...]:
+    """The vector v = gram mu, so that D (lam, mu)' = lam . v for every lam."""
+    return tuple(sum(map(mul, row, mu)) for row in rs.gram)
+
+
+def _dot(a, b) -> int:
+    return sum(map(mul, a, b))
+
+
+def _form_num(rs: RootSystemData, lam: Weight, mu: Weight) -> int:
+    """D (lam, mu)', the primed form as an integer over rs.denominator."""
+    return _dot(lam, _gram_vector(rs, mu))
+
+
+def _coroot_pairing(rs: RootSystemData, lam: Weight, alpha: Weight) -> int:
+    """<lam, alpha^vee> for a weight lam and a root alpha, an integer."""
+    q, r = divmod(2 * _form_num(rs, lam, alpha), _form_num(rs, alpha, alpha))
+    if r:
+        raise InternalConsistencyError(
+            f"<{lam}, {alpha}^vee> = {pairing(rs, lam, alpha)} not integral")
+    return q
+
+
 def form(rs: RootSystemData, lam: Weight, mu: Weight,
          variant: str = "normalized") -> Fraction:
     """Invariant bilinear form (lam, mu); primed = lacing * normalized."""
     if len(lam) != rs.rank or len(mu) != rs.rank:
         raise ValueError(f"rank mismatch: expected {rs.rank} coordinates")
-    acc = Fraction(0)
-    for i, li in enumerate(lam):
-        if li:
-            row = rs.gram_primed[i]
-            acc += li * sum(row[j] * mu[j] for j in range(rs.rank) if mu[j])
-    if variant == "primed":
-        return acc
-    if variant == "normalized":
-        return acc / rs.lacing
-    raise ValueError(f"unknown form variant {variant!r}")
+    if variant not in ("primed", "normalized"):
+        raise ValueError(f"unknown form variant {variant!r}")
+    scale = rs.lacing if variant == "normalized" else 1
+    return Fraction(_form_num(rs, lam, mu), rs.denominator * scale)
 
 
 def pairing(rs: RootSystemData, lam: Weight, alpha: Weight) -> Fraction:
     """<lam, alpha^vee> = 2 (lam, alpha) / (alpha, alpha) for a root alpha."""
-    alpha2 = form(rs, alpha, alpha)
+    if len(lam) != rs.rank or len(alpha) != rs.rank:
+        raise ValueError(f"rank mismatch: expected {rs.rank} coordinates")
+    alpha2 = _form_num(rs, alpha, alpha)
     if alpha2 == 0:
         raise ValueError("pairing against the zero vector")
-    return 2 * form(rs, lam, alpha) / alpha2
+    return Fraction(2 * _form_num(rs, lam, alpha), alpha2)
 
 
 def theta_pairing(rs: RootSystemData, lam: Weight) -> Fraction:
@@ -322,28 +348,6 @@ def root_alpha_coords(rs: RootSystemData, w: Weight) -> tuple[Fraction, ...]:
     inv = inverse_cartan(rs)
     return tuple(sum(inv[i][j] * w[j] for j in range(rs.rank))
                  for i in range(rs.rank))
-
-
-def _int_det(mat: list[list[int]]) -> int:
-    n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    if det.denominator != 1:
-        raise InternalConsistencyError(f"integer matrix with determinant {det}")
-    return int(det)
 
 
 def smith_diagonal(mat: list[list[int]]) -> list[int]:

@@ -17,8 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .chardata import alternating_sum, quantum_dim, weyl_denominator_value
-from .lie import (RootSystemData, Weight, form, lattice_index, wadd, wscale)
+from .chardata import (_eps_order, alternating_sum, quantum_dim,
+                       weyl_denominator_value)
+from .lie import (RootSystemData, Weight, _form_num, form, lattice_index, wadd,
+                  wscale)
 from .numeric import CycNum, approx_eq, default_tolerance, epsilon_power
 from .report import VerificationReport, mismatches
 from .weyl import enumerate_alcove, star_positions
@@ -51,8 +53,8 @@ class ModularData:
 
 def twist(rs: RootSystemData, kappa: int, lam: Weight) -> CycNum:
     """theta_lam = eps^((lam, lam + 2 rho)')."""
-    exp = form(rs, lam, wadd(lam, wscale(2, rs.rho)), "primed")
-    return epsilon_power(exp, rs.lacing, kappa)
+    exp = _form_num(rs, lam, wadd(lam, wscale(2, rs.rho)))
+    return CycNum.root_of_unity(_eps_order(rs, kappa), exp)
 
 
 def s_entry_extended(rs: RootSystemData, kappa: int, lam: Weight,

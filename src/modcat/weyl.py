@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from .lie import (RootSystemData, Weight, pairing, theta_pairing,
-                  wadd, wneg, wscale, wsub)
+from .lie import (RootSystemData, Weight, _coroot_pairing, _dot, wadd, wneg,
+                  wscale, wsub)
 from .numeric import InternalConsistencyError
 
 DEFAULT_WEYL_CAP = 10 ** 6
@@ -127,16 +127,15 @@ def star_positions(rs: RootSystemData,
 
 def _theta_bounded_dominant(rs: RootSystemData, bound) -> list[Weight]:
     """Dominant weights with <lam, theta^vee> at most the bound."""
-    comarks = [theta_pairing(rs, w) for w in rs.fundamental_weights]
+    comarks = rs.comarks
     out: list[Weight] = []
 
-    def rec(prefix: list[int], left):
+    def rec(prefix: list[int], left: int):
         if len(prefix) == rs.rank:
             out.append(tuple(prefix))
             return
         c = comarks[len(prefix)]
-        top = int(left / c)
-        for v in range(top + 1):
+        for v in range(left // c + 1):
             rec(prefix + [v], left - v * c)
 
     rec([], bound)
@@ -164,7 +163,7 @@ def enumerate_ck(rs: RootSystemData, bound: int) -> tuple[Weight, ...]:
     kappa = bound + rs.dual_coxeter
     for lam in out:
         shifted = wadd(lam, rs.rho)
-        if not all(pairing(rs, shifted, alpha) < kappa
+        if not all(_coroot_pairing(rs, shifted, alpha) < kappa
                    for alpha in rs.positive_roots):
             raise InternalConsistencyError(
                 f"sub-alcove weight {lam} fails <lam+rho, alpha> < {kappa}")
@@ -178,18 +177,18 @@ def fold_to_alcove(rs: RootSystemData, kappa: int,
         raise ValueError(
             f"kappa = {kappa} below the dual Coxeter number "
             f"{rs.dual_coxeter} of {rs.series}{rs.rank}")
-    theta = rs.highest_root
+    theta, comarks = rs.highest_root, rs.comarks
     nu, parity = make_dominant(rs, wadd(lam, rs.rho))
-    height = theta_pairing(rs, nu)
+    height = _dot(comarks, nu)
     while height > kappa:
         # reflect across the affine wall <x, theta^vee> = kappa
         excess = height - kappa
         if excess.denominator != 1:
             raise InternalConsistencyError(
                 f"affine reflection step {excess} is not integral")
-        nu, flips = make_dominant(rs, wsub(nu, wscale(int(excess), theta)))
+        nu, flips = make_dominant(rs, wsub(nu, wscale(excess, theta)))
         parity = -parity * flips
-        height = theta_pairing(rs, nu)
+        height = _dot(comarks, nu)
     on_wall = not all(nu) or height == kappa
     return AffineFoldResult(representative=wsub(nu, rs.rho),
                             sign=0 if on_wall else parity)

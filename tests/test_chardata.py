@@ -1,15 +1,18 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from modcat.chardata import (char_value, quantum_dim, vanishing_criterion,
-                             weight_multiplicities, weyl_denominator_value,
-                             weyl_dimension)
+from modcat.chardata import (alternating_sum, char_value, quantum_dim,
+                             vanishing_criterion, weight_multiplicities,
+                             weyl_denominator_value, weyl_dimension)
 from modcat.lie import build_root_system, form, wadd, wscale
-from modcat.numeric import CycNum
-from modcat.weyl import enumerate_alcove, fold_to_alcove, star
+from modcat.modular import twist
+from modcat.numeric import CycNum, epsilon_power
+from modcat.weyl import (enumerate_alcove, fold_to_alcove, make_dominant,
+                         star, weyl_orbit)
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
@@ -177,3 +180,99 @@ def test_vanishing_criterion_matches_dimension(rs, kappa):
     for lam in itertools.product(range(4), repeat=rs.rank):
         assert (vanishing_criterion(rs, kappa, lam)
                 == quantum_dim(rs, kappa, lam).is_zero())
+
+
+# The Fraction-exponent formulas the integer Gram matrix replaced, kept as
+# the reference: every exponent is a Fraction from gram_primed, and every
+# root of unity goes through epsilon_power.
+
+def fraction_form(rs, lam, mu):
+    return sum(lam[i] * rs.gram_primed[i][j] * mu[j]
+               for i in range(rs.rank) for j in range(rs.rank))
+
+
+def fraction_denominator(rs, kappa, point):
+    acc = CycNum.one()
+    for alpha in rs.positive_roots:
+        half = fraction_form(rs, alpha, point) / 2
+        acc = acc * (epsilon_power(half, rs.lacing, kappa)
+                     - epsilon_power(-half, rs.lacing, kappa))
+        if acc.is_zero():
+            return acc
+    return acc
+
+
+def fraction_alternating_sum(rs, kappa, xi, point):
+    dom, parity = make_dominant(rs, xi)
+    acc = CycNum.zero()
+    if not all(dom):
+        return acc
+    for image, sign in weyl_orbit(rs, dom):
+        term = epsilon_power(fraction_form(rs, image, point), rs.lacing,
+                             kappa)
+        acc = acc + (term if sign == parity else -term)
+    return acc
+
+
+def fraction_char_value(rs, kappa, lam, point):
+    den = fraction_denominator(rs, kappa, point)
+    if not den.is_zero():
+        return fraction_alternating_sum(rs, kappa, wadd(lam, rs.rho),
+                                        point) / den
+    acc = CycNum.zero()
+    for mu, mult in sorted(weight_multiplicities(rs, lam).mults.items()):
+        acc = acc + epsilon_power(fraction_form(rs, mu, point), rs.lacing,
+                                  kappa) * mult
+    return acc
+
+
+def fraction_weyl_dimension(rs, lam):
+    num = Fraction(1)
+    for alpha in rs.positive_roots:
+        num *= (fraction_form(rs, wadd(lam, rs.rho), alpha)
+                / fraction_form(rs, rs.rho, alpha))
+    return num
+
+
+def exact(x):
+    # the representation, not just the value, so an order drift shows
+    return x.order, x.num, x.den
+
+
+@pytest.mark.parametrize("series,rank,kappa", [
+    ("A", 2, 5), ("B", 2, 4), ("G", 2, 5), ("B", 3, 6), ("C", 3, 5),
+    ("D", 4, 7), ("F", 4, 10)])
+def test_integer_exponents_match_fraction_formulas(series, rank, kappa):
+    rs = build_root_system(series, rank)
+    rng = random.Random(f"{series}{rank}")
+
+    def weight(lo, hi):
+        return tuple(rng.randrange(lo, hi) for _ in range(rank))
+
+    # random points, points of the s-matrix (-2 rho is regular), and points
+    # where the Weyl denominator vanishes (zero and multiples of 2 m kappa),
+    # so that char_value takes both branches
+    points = ([weight(-4, 5) for _ in range(4)] + [wscale(-2, rs.rho)]
+              + [wscale(-2, wadd(weight(0, 2), rs.rho)) for _ in range(2)]
+              + [rs.zero, wscale(2 * rs.lacing * kappa, weight(-1, 2))])
+    branches = set()
+    for point in points:
+        den = weyl_denominator_value(rs, kappa, point)
+        assert exact(den) == exact(fraction_denominator(rs, kappa, point))
+        branches.add(den.is_zero())
+        xi = weight(-3, 4)
+        assert (exact(alternating_sum(rs, kappa, xi, point))
+                == exact(fraction_alternating_sum(rs, kappa, xi, point)))
+        lam = weight(0, 2)
+        assert (exact(char_value(rs, kappa, lam, point))
+                == exact(fraction_char_value(rs, kappa, lam, point)))
+    assert branches == {True, False}
+    for lam in [rs.zero, rs.rho, rs.highest_root, weight(0, 3)]:
+        assert weyl_dimension(rs, lam) == fraction_weyl_dimension(rs, lam)
+        shifted = wadd(lam, rs.rho)
+        assert vanishing_criterion(rs, kappa, lam) == any(
+            (fraction_form(rs, shifted, alpha) / (rs.lacing * kappa))
+            .denominator == 1 for alpha in rs.positive_roots)
+        assert exact(twist(rs, kappa, lam)) == exact(epsilon_power(
+            fraction_form(rs, lam, wadd(lam, wscale(2, rs.rho))),
+            rs.lacing, kappa))

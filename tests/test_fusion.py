@@ -198,6 +198,22 @@ def test_non_associative_table_fails_associativity():
     assert assoc.witness == "N_(1,) N_(1,) entry (2,2) at (2,), (2,): 4 vs 1"
 
 
+def test_asymmetric_table_fails_symmetry_and_diagonalization():
+    # build_fusion_table mirrors (i, j) into (j, i), so only a hand-made
+    # table can have N_{sp}^s = 0 while N_{ps}^s = 1; the diagonalization
+    # check catches it on its own, as its right side is symmetric in i, j
+    md = build_modular_data(A1, 4)
+    table = build_fusion_table(A1, 4, md.alcove)
+    bad = with_entries(table, {(1, 2, 1): 0})
+    checks = statuses(verify_fusion(md, bad))
+    sym = checks["index symmetries of N"]
+    assert sym.status == "fail"
+    assert sym.witness == "N_(1,) entry (2,1) at (2,), (1,): 0 vs 1"
+    diag = checks["folded coefficients = s-matrix diagonalization"]
+    assert diag.status == "fail"
+    assert diag.witness.startswith("N_(1,) s entry (2,0) at (2,), (0,): ")
+
+
 def test_ising_fusion_table():
     table = build_fusion_table(A1, 4, enumerate_alcove(A1, 4))
     sigma, psi = (1,), (2,)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -8,6 +9,12 @@ from modcat.lie import (build_root_system, form, lattice_index, pairing,
 
 ALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3),
              ("D", 4), ("E", 6), ("F", 4), ("G", 2)]
+
+# every supported type up to rank 8
+SUPPORTED = [(series, rank) for series, ranks in [
+    ("A", range(1, 9)), ("B", range(2, 9)), ("C", range(2, 9)),
+    ("D", range(4, 9)), ("E", range(6, 9)), ("F", [4]), ("G", [2])]
+    for rank in ranks]
 
 
 def brute_det(mat):
@@ -180,3 +187,66 @@ def test_smith_diagonal_known_cases():
     assert smith_diagonal([[2, -1], [-1, 2]]) == [1, 3]
     assert smith_diagonal([[4, 0], [0, 6]]) == [2, 12]
     assert smith_diagonal([[1, 0], [0, 0]]) == [1, 0]
+
+
+def fraction_inverse(mat):
+    # Gauss-Jordan over Fractions, the test's own route to A^-1
+    n = len(mat)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j))
+                                         for j in range(n)]
+           for i, row in enumerate(mat)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def reference_gram(rs):
+    """(omega_i, omega_j)' = d_i (A^-1)_ij as Fractions."""
+    d = rs.symmetrizers
+    for i in range(rs.rank):
+        for j in range(rs.rank):
+            assert d[i] * rs.cartan[i][j] == d[j] * rs.cartan[j][i]
+    inv = fraction_inverse(rs.cartan)
+    return [[d[i] * inv[i][j] for j in range(rs.rank)]
+            for i in range(rs.rank)]
+
+
+@pytest.mark.parametrize("series,rank", SUPPORTED)
+def test_integer_gram_over_least_denominator(series, rank):
+    rs = build_root_system(series, rank)
+    ref = reference_gram(rs)
+    g = rs.denominator
+    for i, row in enumerate(rs.gram):
+        for j, x in enumerate(row):
+            assert type(x) is int
+            assert Fraction(x, rs.denominator) == ref[i][j]
+            assert rs.gram_primed[i][j] == ref[i][j]
+            g = gcd(g, x)
+    assert g == 1
+
+
+@pytest.mark.parametrize("series,rank", SUPPORTED)
+def test_form_and_pairings_against_fraction_reference(series, rank):
+    rs = build_root_system(series, rank)
+    ref = reference_gram(rs)
+    rng = random.Random(f"{series}{rank}")
+    for _ in range(20):
+        lam = tuple(rng.randrange(-5, 6) for _ in range(rank))
+        mu = tuple(rng.randrange(-5, 6) for _ in range(rank))
+        primed = sum(lam[i] * ref[i][j] * mu[j]
+                     for i in range(rank) for j in range(rank))
+        assert form(rs, lam, mu, "primed") == primed
+        assert form(rs, lam, mu) == primed / rs.lacing
+    for i in range(rank):
+        for j, alpha in enumerate(rs.simple_roots):
+            assert pairing(rs, alpha, rs.simple_roots[i]) == rs.cartan[i][j]
+    assert len(rs.comarks) == rank
+    for c, omega in zip(rs.comarks, rs.fundamental_weights):
+        assert type(c) is int and c > 0
+        assert c == theta_pairing(rs, omega)

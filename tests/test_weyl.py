@@ -1,9 +1,11 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from modcat.lie import build_root_system, form, theta_pairing, wadd, wneg
+from modcat.numeric import InternalConsistencyError
 from modcat.weyl import (enumerate_alcove, enumerate_ck, fold_to_alcove,
                          make_dominant, reflect, star, weyl_orbit, weyl_order)
 
@@ -243,6 +245,14 @@ def test_fold_sign_composition_with_generators():
         moved = fold_to_alcove(a2, kappa, wadd(img, wneg(a2.rho)))
         assert moved.representative == base.representative
         assert moved.sign == -base.sign
+
+
+def test_fold_refuses_non_integral_affine_step():
+    # integer comarks make every step integral for weights; a half-integral
+    # input still raises instead of folding by a fractional multiple of theta
+    a1 = build_root_system("A", 1)
+    with pytest.raises(InternalConsistencyError, match="9/2 is not integral"):
+        fold_to_alcove(a1, 3, (Fraction(13, 2),))
 
 
 def test_alcove_members_regular():
