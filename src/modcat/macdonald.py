@@ -2,9 +2,15 @@
 
 The polynomials are built at generic q by Gram-Schmidt over the monomial
 symmetric sums in dominance order, with the constant-term inner product
-whose density is the paired product delta_k bar(delta_k).  Everything is
-exact: rational functions of v = q^(1/2) at generic q, cyclotomic numbers
-after specialization.  The modular matrices on the intertwiner basis are
+whose density is the paired product delta_k bar(delta_k).  The pairing is
+a constant-term sum over matching weights: each term of f meets each term
+of bar(g) whose weight sum is minus a weight of the density.  Its sums run
+over integer Laurent numerators, one running sum per pair of coefficient
+denominators, and each pair is normalised to a QRatFn once.  The density
+is likewise multiplied out in integers, and the closed-form norm as one
+q-number quotient, before they are normalised.  Everything is exact:
+rational functions of v = q^(1/2) at generic q, cyclotomic numbers after
+specialization.  The modular matrices on the intertwiner basis are
 assembled from special values of the specialized polynomials and checked
 against all the symmetry, conjugation and modular-group identities they
 satisfy.
@@ -13,6 +19,7 @@ satisfy.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -23,15 +30,20 @@ from .chardata import (dominant_weights_below, is_dominant, quantum_dim,
 from .lie import (RootSystemData, Weight, build_root_system, form,
                   lattice_index, root_alpha_coords, theta_pairing, wadd,
                   wneg, wscale)
-from .numeric import (CycNum, InternalConsistencyError, PoleAtEpsilonError,
-                      QRatFn, approx_eq, default_tolerance, epsilon_power,
-                      q_number, sqrt_of_int)
+from .numeric import (CycNum, InternalConsistencyError, LaurentPoly,
+                      PoleAtEpsilonError, QRatFn, _clear_denominators, _pmul,
+                      approx_eq, default_tolerance, epsilon_power, q_number,
+                      sqrt_of_int)
 from .report import VerificationReport, mismatches
 from .weyl import (enumerate_ck, make_dominant, reflect, star,
                    star_positions, weyl_orbit, weyl_order)
 
 from .modular import (CycMatrix, int_to_cyc_matrix, mat_conj_transpose,
                       mat_identity, mat_mul, mat_scale, permutation_matrix)
+
+
+_ZERO = Fraction(0)
+_ONE = LaurentPoly.constant(1)
 
 
 def dominance_leq(rs: RootSystemData, lam: Weight, mu: Weight) -> bool:
@@ -146,25 +158,66 @@ def monomial_sum(rs: RootSystemData, lam: Weight) -> WPoly:
     return WPoly({w: QRatFn.one() for w, _ in weyl_orbit(rs, lam)})
 
 
+def _add_product(acc: dict[int, int], a: dict[int, int],
+                 b: dict[int, int]) -> None:
+    """acc += a * b for integer Laurent polynomials {exponent of v: coeff}."""
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            acc[e] = acc.get(e, 0) + c1 * c2
+
+
+def _laurent(coeffs: dict[int, int]) -> LaurentPoly:
+    """The LaurentPoly (Fraction coefficients) of an integer map."""
+    if not coeffs:
+        return LaurentPoly()
+    low = min(coeffs)
+    return LaurentPoly(low, tuple(
+        Fraction(coeffs[e]) if e in coeffs else _ZERO
+        for e in range(low, max(coeffs) + 1)))
+
+
+def _cleared(c: QRatFn) -> tuple[dict[int, int], tuple[int, ...]]:
+    """(N, D) with c = N / D: c's numerator as an integer map and the
+    coefficients of c's denominator from v^0 up, both scaled by the least
+    common denominator of their coefficients."""
+    num, den = c.num.coeffs, c.den.coeffs
+    ints, _ = _clear_denominators(num + den)
+    top = len(num)
+    return ({c.num.low + i: x for i, x in enumerate(ints[:top]) if x},
+            tuple(ints[top:]))
+
+
 def delta_k_product(rs: RootSystemData, k: int) -> WPoly:
     """The paired density: prod over i < k and positive alpha of
-    (e^alpha - (q^2i + q^-2i) + e^-alpha), which is weight-integral."""
+    (e^alpha - (q^2i + q^-2i) + e^-alpha), which is weight-integral.
+
+    The factors are multiplied out with integer Laurent coefficients; each
+    coefficient becomes a QRatFn once, at the end."""
     if k < 1:
         raise ValueError("the density needs k >= 1")
-    out = WPoly.one(rs.rank)
     zero = rs.zero
+    out = {zero: {0: 1}}
     for i in range(k):
-        gap = QRatFn.monomial(4 * i) + QRatFn.monomial(-4 * i)
+        # -(q^2i + q^-2i) = -(v^4i + v^-4i)
+        middle = {0: -2} if i == 0 else {4 * i: -1, -4 * i: -1}
         for alpha in rs.positive_roots:
-            factor = WPoly({alpha: QRatFn.one(), zero: -gap,
-                            wneg(alpha): QRatFn.one()})
-            out = out * factor
-    return out
+            nxt: dict[Weight, dict[int, int]] = {}
+            factor = {alpha: {0: 1}, zero: middle, wneg(alpha): {0: 1}}
+            for w, c in out.items():
+                for shift, x in factor.items():
+                    _add_product(nxt.setdefault(wadd(w, shift), {}), c, x)
+            out = nxt
+    return WPoly({w: QRatFn(_laurent(c), _ONE) for w, c in out.items()})
 
 
 def norm_formula(rs: RootSystemData, k: int, lam: Weight) -> QRatFn:
-    """Closed product of q-number ratios for the squared norm of P_lam."""
-    out = QRatFn.one()
+    """Closed product of q-number ratios for the squared norm of P_lam.
+
+    Equal q-numbers of the numerator [x + i] and the denominator [x - i]
+    cancel first; the rest are multiplied out as one numerator and one
+    denominator product, and the ratio is normalised once."""
+    count: Counter[int] = Counter()
     shifted = wadd(lam, wscale(k, rs.rho))
     for alpha in rs.positive_roots:
         x = form(rs, alpha, shifted)
@@ -173,8 +226,17 @@ def norm_formula(rs: RootSystemData, k: int, lam: Weight) -> QRatFn:
                 f"(alpha, lam + k rho) = {x} is not integral for {alpha}")
         x = int(x)
         for i in range(1, k):
-            out = out * q_number(x + i) / q_number(x - i)
-    return out
+            if x == i:
+                raise ZeroDivisionError(
+                    "division by the zero rational function")
+            count[x + i] += 1
+            count[x - i] -= 1
+    num = den = _ONE
+    for m in (+count).elements():
+        num = num * q_number(m).num
+    for m in (-count).elements():
+        den = den * q_number(m).num
+    return QRatFn(num, den)
 
 
 @dataclass
@@ -190,6 +252,8 @@ class MacdonaldContext:
     sigma: int
     delta: WPoly
     group_order: int
+    # delta's coefficients as integer maps {exponent of v: coefficient}
+    _delta_coeffs: dict[Weight, dict[int, int]] = field(default_factory=dict)
     _polys: dict[Weight, WPoly] = field(default_factory=dict)
     _norms: dict[Weight, QRatFn] = field(default_factory=dict)
     _specialized: dict[Weight, WPoly] = field(default_factory=dict)
@@ -215,24 +279,51 @@ def build_context(n: int, k: int, level: int) -> MacdonaldContext:
     elif raw == -want:
         sigma = -1
     else:
-        raise RuntimeError(
+        raise InternalConsistencyError(
             "inner-product sign calibration failed: constant term "
             f"{raw!r} is not +- the closed-form norm {want!r}")
     return MacdonaldContext(
         n=n, k=k, level=level, kappa=kappa, rs=rs,
         alcove=enumerate_ck(rs, level), sigma=sigma, delta=delta,
-        group_order=order)
+        group_order=order,
+        _delta_coeffs={w: _cleared(c)[0] for w, c in delta.terms.items()})
 
 
 def inner_product_k(ctx: MacdonaldContext, f: WPoly, g: WPoly) -> QRatFn:
-    """Hermitian constant-term pairing with the calibrated sign."""
-    h = f * g.bar(ctx.rs)
-    acc = QRatFn.zero()
-    for w, c in h.terms.items():
-        d = ctx.delta.terms.get(wneg(w))
-        if d is not None:
-            acc = acc + c * d
-    return acc * Fraction(ctx.sigma, ctx.group_order)
+    """Hermitian constant-term pairing with the calibrated sign.
+
+    The constant term of f bar(g) delta is a sum over the terms a of f and
+    b* of bar(g) whose weights match a delta term at -(a + b*).  With each
+    coefficient written as an integer numerator over an integer
+    denominator, the numerator products are summed in integers per pair of
+    denominators, and each pair's sum becomes a QRatFn once."""
+    rs, delta = ctx.rs, ctx._delta_coeffs
+    g_bar = []
+    for w, c in g.terms.items():
+        num, den = _cleared(c)
+        g_bar.append((star(rs, w), {-e: x for e, x in num.items()}, den))
+    # (denominator of f's term, of g's term) -> weight -w -> numerator sum
+    groups: dict[tuple, dict[Weight, dict[int, int]]] = {}
+    for wa, c in f.terms.items():
+        num_a, den_a = _cleared(c)
+        for wb, num_b, den_b in g_bar:
+            w = tuple(-x - y for x, y in zip(wa, wb))
+            if w in delta:
+                by_weight = groups.setdefault((den_a, den_b), {})
+                _add_product(by_weight.setdefault(w, {}), num_a, num_b)
+    parts = []
+    for (den_a, den_b), by_weight in groups.items():
+        total: dict[int, int] = {}
+        for w, num in by_weight.items():
+            _add_product(total, num, delta[w])
+        num = _laurent(total)
+        if num:
+            den = LaurentPoly(1 - len(den_b), tuple(
+                Fraction(x) for x in _pmul(den_a, den_b[::-1])))
+            parts.append(QRatFn(num, den))
+    if not parts:
+        return QRatFn.zero()
+    return sum(parts[1:], parts[0]) * Fraction(ctx.sigma, ctx.group_order)
 
 
 def _dominance_chain(rs: RootSystemData, lam: Weight) -> list[Weight]:

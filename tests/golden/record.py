@@ -51,6 +51,16 @@ COMMANDS = {
                               "--K", "2"],
     "verify-all-B2-k4": ["verify", "--suite", "all", "--algebra", "B2",
                          "--kappa", "4", "--n", "3", "--k", "2", "--K", "1"],
+    # generic-q pairings whose coefficients carry several distinct
+    # q-number denominators, and the section-5 suite on its own
+    "macdonald-poly-n3-k2-l21": ["macdonald", "poly", "--n", "3", "--k", "2",
+                                 "--lambda", "2,1"],
+    "macdonald-poly-n3-k3-l11": ["macdonald", "poly", "--n", "3", "--k", "3",
+                                 "--lambda", "1,1"],
+    "macdonald-poly-n4-k2-l101": ["macdonald", "poly", "--n", "4", "--k", "2",
+                                  "--lambda", "1,0,1"],
+    "verify-section5-n3-k2-K2": ["verify", "--suite", "section5", "--n", "3",
+                                 "--k", "2", "--K", "2"],
 }
 
 

@@ -229,6 +229,21 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert code == 3 and "internal consistency" in err
 
 
+def test_calibration_failure_exit_code(capsys, monkeypatch):
+    import modcat.macdonald as macdonald
+    from modcat.numeric import QRatFn
+
+    # a closed-form norm that is not +- the constant term of the density
+    monkeypatch.setattr(macdonald, "norm_formula",
+                        lambda rs, k, lam: QRatFn.from_rational(7))
+    code, out, err = run_cli(capsys, "macdonald", "poly", "--n", "2",
+                             "--k", "2", "--lambda", "2")
+    assert code == 3 and out == ""
+    assert "internal consistency" in err
+    assert "inner-product sign calibration failed" in err
+    assert "Traceback" not in err
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "table.json"
     code, out, _ = run_cli(capsys, "modular", "--algebra", "A1", "--kappa",

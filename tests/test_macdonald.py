@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 from modcat.chardata import weight_multiplicities
-from modcat.lie import build_root_system, form, wadd, wscale
+from modcat.lie import build_root_system, form, wadd, wneg, wscale
 from modcat.macdonald import (WPoly, build_context, build_su_data,
                               d_coefficient, delta_k_product, dominance_leq,
                               inner_product_k, macdonald_norm,
                               macdonald_polynomial, monomial_sum,
                               norm_formula, specialize, verify_section5)
-from modcat.numeric import QRatFn, q_number
+from modcat.numeric import LaurentPoly, QRatFn, q_number
 from modcat.weyl import enumerate_ck, star
 
 A1 = build_root_system("A", 1)
@@ -234,3 +234,111 @@ def test_wpoly_invariance_checker():
     assert sym.is_w_invariant(A2)
     broken = WPoly({(1, 1): QRatFn.one()})
     assert not broken.is_w_invariant(A2)
+
+
+# -- the QRatFn-per-step routes, as independent checkers ----------------------
+#
+# delta_k_product, inner_product_k and norm_formula sum in integer Laurent
+# coefficients and normalise once per result (per denominator pair in the
+# pairing).  These copies normalise after every step instead: the density as
+# a WPoly product of its factors, the pairing as the full product f bar(g)
+# matched against delta, and the norm as a running q-number quotient.
+
+def stepwise_delta(rs, k):
+    out = WPoly.one(rs.rank)
+    for i in range(k):
+        gap = QRatFn.monomial(4 * i) + QRatFn.monomial(-4 * i)
+        for alpha in rs.positive_roots:
+            out = out * WPoly({alpha: QRatFn.one(), rs.zero: -gap,
+                               wneg(alpha): QRatFn.one()})
+    return out
+
+
+def full_product_pairing(ctx, f, g):
+    h = f * g.bar(ctx.rs)
+    acc = QRatFn.zero()
+    for w, c in h.terms.items():
+        d = ctx.delta.terms.get(wneg(w))
+        if d is not None:
+            acc = acc + c * d
+    return acc * Fraction(ctx.sigma, ctx.group_order)
+
+
+def stepwise_norm(rs, k, lam):
+    out = QRatFn.one()
+    shifted = wadd(lam, wscale(k, rs.rho))
+    for alpha in rs.positive_roots:
+        x = int(form(rs, alpha, shifted))
+        for i in range(1, k):
+            out = out * q_number(x + i) / q_number(x - i)
+    return out
+
+
+# A1-A3 with k = 1-3, except A3 at k = 3, whose stepwise density alone
+# takes ~18 s (2-vCPU Xeon, Python 3.11); the pairing and norm comparisons
+# cover that case
+@pytest.mark.parametrize("n,k", [(n, k) for n in (2, 3, 4) for k in (1, 2, 3)
+                                 if (n, k) != (4, 3)])
+def test_delta_matches_stepwise_product(n, k):
+    rs = build_root_system("A", n - 1)
+    assert delta_k_product(rs, k) == stepwise_delta(rs, k)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_norm_formula_matches_stepwise_quotient(n, k):
+    rs = build_root_system("A", n - 1)
+    for lam in enumerate_ck(rs, 3 - n + k):
+        assert norm_formula(rs, k, lam) == stepwise_norm(rs, k, lam)
+
+
+def _denominators(p):
+    return {c.den.coeffs for c in p.terms.values() if not c.is_polynomial()}
+
+
+@pytest.mark.parametrize("n,bound", [(2, 4), (3, 2), (4, 1)])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_pairing_matches_full_product_on_polynomials(n, k, bound):
+    ctx = build_context(n, k, bound)
+    polys = [macdonald_polynomial(ctx, lam)
+             for lam in enumerate_ck(ctx.rs, bound)]
+    # a sum of two polynomials whose coefficients carry different
+    # non-trivial denominators, so that one pairing sums several groups
+    mixed = [p + q.scale(q_number(2)) for p in polys for q in polys
+             if _denominators(p) and _denominators(q)
+             and _denominators(p) != _denominators(q)][:1]
+    if k > 1 and n < 4:
+        assert mixed
+    for f in polys + mixed:
+        for g in polys + mixed:
+            assert (inner_product_k(ctx, f, g)
+                    == full_product_pairing(ctx, f, g))
+
+
+def _random_coefficient(rng):
+    dens = [LaurentPoly.constant(1), q_number(2).num, q_number(3).num,
+            LaurentPoly(0, (Fraction(1, 3), Fraction(0), Fraction(1))),
+            LaurentPoly(-2, (Fraction(2), Fraction(-1, 2), Fraction(5)))]
+    num = LaurentPoly(rng.randrange(-6, 6), tuple(
+        Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+        for _ in range(rng.randrange(1, 5))))
+    return QRatFn(num if num else LaurentPoly.constant(1), rng.choice(dens))
+
+
+@pytest.mark.parametrize("n,k", [(2, 2), (3, 1), (3, 2), (4, 2)])
+def test_pairing_matches_full_product_on_random_polys(n, k):
+    rng = random.Random(100 * n + k)
+    ctx = build_context(n, k, 1)
+    rank = ctx.rs.rank
+
+    def random_poly():
+        return WPoly({tuple(rng.randrange(-2, 3) for _ in range(rank)):
+                      _random_coefficient(rng) for _ in range(4)})
+
+    nonzero = 0
+    for _ in range(4):
+        f, g = random_poly(), random_poly()
+        got = inner_product_k(ctx, f, g)
+        assert got == full_product_pairing(ctx, f, g)
+        nonzero += not got.is_zero()
+    assert nonzero
