@@ -61,6 +61,12 @@ COMMANDS = {
                                   "--lambda", "1,0,1"],
     "verify-section5-n3-k2-K2": ["verify", "--suite", "section5", "--n", "3",
                                  "--k", "2", "--K", "2"],
+    # every modular, fusion and Grothendieck verdict on larger fields
+    # whose entries mix several orders
+    "verify-all-A1-k18": ["verify", "--suite", "all", "--algebra", "A1",
+                          "--kappa", "18"],
+    "verify-all-G2-k9": ["verify", "--suite", "all", "--algebra", "G2",
+                         "--kappa", "9"],
 }
 
 
