@@ -10,6 +10,7 @@ precondition error, 3 internal consistency error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -40,10 +41,7 @@ def _parse_algebra(text: str):
     series, rank = text[0].upper(), text[1:]
     if not rank.isdigit():
         raise UsageError(f"bad algebra name {text!r}; expected e.g. A2, B2, G2")
-    try:
-        return build_root_system(series, int(rank))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return build_root_system(series, int(rank))
 
 
 def _parse_weight(text: str, rank: int):
@@ -195,11 +193,7 @@ def _modular_json(md: ModularData, mode: str):
 
 
 def _cmd_modular(args) -> int:
-    rs = _parse_algebra(args.algebra)
-    try:
-        md = build_modular_data(rs, args.kappa)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    md = build_modular_data(_parse_algebra(args.algebra), args.kappa)
     if args.format == "csv":
         lines = []
         for label, mat in (("s", md.smatrix), ("t", md.tmatrix)):
@@ -221,12 +215,15 @@ def _cmd_modular(args) -> int:
     return 0
 
 
+def _product_json(lam, mu, prod):
+    return {"lambda": list(lam), "mu": list(mu),
+            "result": [{"nu": list(nu), "mult": prod[nu]}
+                       for nu in sorted(prod)]}
+
+
 def _cmd_fusion(args) -> int:
     rs = _parse_algebra(args.algebra)
-    try:
-        alcove = enumerate_alcove(rs, args.kappa)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    alcove = enumerate_alcove(rs, args.kappa)
     if (args.lhs is None) != (args.rhs is None):
         raise UsageError("--lhs and --rhs go together")
     if args.lhs is not None:
@@ -235,21 +232,12 @@ def _cmd_fusion(args) -> int:
         if lam not in alcove or mu not in alcove:
             raise UsageError(f"weights must lie in the alcove {list(alcove)}")
         prod = fusion_coefficients(rs, args.kappa, lam, mu)
-        obj = {"algebra": f"{rs.series}{rs.rank}", "kappa": args.kappa,
-               "lambda": list(lam), "mu": list(mu),
-               "result": [{"nu": list(nu), "mult": prod[nu]}
-                          for nu in sorted(prod)]}
-        _emit_json(args, obj)
+        _emit_json(args, {"algebra": f"{rs.series}{rs.rank}",
+                          "kappa": args.kappa, **_product_json(lam, mu, prod)})
         return 0
     table = build_fusion_table(rs, args.kappa, alcove)
-    products = []
-    for lam in alcove:
-        for mu in alcove:
-            prod = table.product(lam, mu)
-            products.append({
-                "lambda": list(lam), "mu": list(mu),
-                "result": [{"nu": list(nu), "mult": prod[nu]}
-                           for nu in sorted(prod)]})
+    products = [_product_json(lam, mu, table.product(lam, mu))
+                for lam in alcove for mu in alcove]
     obj = {"algebra": f"{rs.series}{rs.rank}", "kappa": args.kappa,
            "alcove": [list(w) for w in alcove], "products": products}
     _emit_json(args, obj)
@@ -304,10 +292,7 @@ def _cmd_verify(args) -> int:
 
     if wants_cat and have_cat:
         rs = _parse_algebra(args.algebra)
-        try:
-            md = build_modular_data(rs, args.kappa)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        md = build_modular_data(rs, args.kappa)
         if args.suite in ("modular", "all"):
             reports.append(verify_modular_relations(md, tol))
         if args.suite in ("fusion", "all"):
@@ -342,7 +327,9 @@ def _add_output(p, formats=(), mode=False):
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="modcat",
         description="Exact modular data of quantum-group fusion categories "
@@ -421,10 +408,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (FusionConsistencyError, InternalConsistencyError) as exc:

@@ -444,20 +444,9 @@ def lattice_index(rs: RootSystemData, numerator: str, denominator: str) -> int:
     inv_nb = _fraction_matrix_inverse(nb)
     change = [[sum(inv_nb[i][k] * db[k][j] for k in range(rs.rank))
                for j in range(rs.rank)] for i in range(rs.rank)]
-    int_change = []
-    for row in change:
-        irow = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError(
-                    f"{denominator} is not a sublattice of {numerator}")
-            irow.append(int(x))
-        int_change.append(irow)
-    diag = smith_diagonal(int_change)
-    index = 1
-    for x in diag:
-        if x == 0:
-            raise ValueError(
-                f"{denominator} has infinite index in {numerator}")
-        index *= x
-    return index
+    if any(x.denominator != 1 for row in change for x in row):
+        raise ValueError(f"{denominator} is not a sublattice of {numerator}")
+    diag = smith_diagonal([[int(x) for x in row] for row in change])
+    if 0 in diag:
+        raise ValueError(f"{denominator} has infinite index in {numerator}")
+    return prod(diag)

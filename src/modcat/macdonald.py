@@ -32,14 +32,13 @@ from .lie import (RootSystemData, Weight, build_root_system, form,
                   wneg, wscale)
 from .numeric import (CycNum, InternalConsistencyError, LaurentPoly,
                       PoleAtEpsilonError, QRatFn, _clear_denominators, _pmul,
-                      approx_eq, default_tolerance, epsilon_power, q_number,
-                      sqrt_of_int)
+                      approx_eq, default_tolerance, epsilon_power,
+                      matrix_product, q_number, sqrt_of_int)
 from .report import VerificationReport, mismatches
 from .weyl import (enumerate_ck, make_dominant, reflect, star,
                    star_positions, weyl_orbit, weyl_order)
 
-from .modular import (CycMatrix, int_to_cyc_matrix, mat_conj_transpose,
-                      mat_identity, mat_mul, mat_scale, permutation_matrix)
+from .modular import CycMatrix, dagger, monomial_matrix
 
 
 _ZERO = Fraction(0)
@@ -326,16 +325,6 @@ def inner_product_k(ctx: MacdonaldContext, f: WPoly, g: WPoly) -> QRatFn:
     return sum(parts[1:], parts[0]) * Fraction(ctx.sigma, ctx.group_order)
 
 
-def _dominance_chain(rs: RootSystemData, lam: Weight) -> list[Weight]:
-    below = dominant_weights_below(rs, lam)
-
-    def depth(mu: Weight):
-        return (sum(root_alpha_coords(rs, wadd(lam, wneg(mu)))), mu)
-
-    below.sort(key=depth)
-    return below
-
-
 def macdonald_polynomial(ctx: MacdonaldContext, lam: Weight) -> WPoly:
     """P_lam at generic q: unit leading coefficient, orthogonal to all
     dominance-lower polynomials."""
@@ -344,8 +333,11 @@ def macdonald_polynomial(ctx: MacdonaldContext, lam: Weight) -> WPoly:
     cached = ctx._polys.get(lam)
     if cached is not None:
         return cached
-    poly = monomial_sum(ctx.rs, lam)
-    for mu in _dominance_chain(ctx.rs, lam):
+    rs = ctx.rs
+    poly = monomial_sum(rs, lam)
+    # dominant weights below lam, by depth
+    for mu in sorted(dominant_weights_below(rs, lam), key=lambda mu: (
+            sum(root_alpha_coords(rs, wadd(lam, wneg(mu)))), mu)):
         if mu == lam:
             continue
         p_mu = macdonald_polynomial(ctx, mu)
@@ -443,9 +435,7 @@ def build_su_data(ctx: MacdonaldContext) -> SUData:
         shifted = wadd(lam, wscale(k, rho))
         exp = form(rs, shifted, shifted) - Fraction(kappa, n) * rho_norm
         tmat_diag.append(_eps(ctx, exp))
-    zero = CycNum.zero()
-    tmat = tuple(tuple(tmat_diag[i] if i == j else zero
-                       for j in range(size)) for i in range(size))
+    tmat = tuple(map(tuple, monomial_matrix(tmat_diag, range(size))))
 
     half = (n * (n - 1) * k * (k - 1)) // 2
     sign = (-1) ** (((k - 1) * n * (n - 1) // 2) % 2)
@@ -499,10 +489,9 @@ def verify_section5(ctx: MacdonaldContext,
         ((x.conjugate() for x in row) for row in s),
         ((thm55_scalar * x for x in s[p]) for p in sp), alcove))
 
-    s2 = mat_mul(s, s)
+    s2 = matrix_product(s, s)
     rep.check("S^2 = conjugation permutation with phase", mismatches(
-        s2, mat_scale(su.conj_scalar,
-                      int_to_cyc_matrix(permutation_matrix(sp))), alcove))
+        s2, monomial_matrix([su.conj_scalar] * size, sp), alcove))
 
     product = su.conj_scalar * thm55_scalar
     rep.record("conjugation scalars of S^2 and the dual basis map are inverse",
@@ -514,15 +503,18 @@ def verify_section5(ctx: MacdonaldContext,
                f"{square!r} vs {inv_twist!r}")
 
     rep.check("S^4 = Id / twist_u", mismatches(
-        mat_mul(s2, s2), mat_scale(inv_twist, mat_identity(size)), alcove))
+        matrix_product(s2, s2), monomial_matrix([inv_twist] * size, idx),
+        alcove))
 
-    st = mat_mul(s, su.tmatrix)
-    st3 = mat_mul(mat_mul(st, st), st)
+    # T is diagonal: S T scales the columns of S by the twists
+    theta = [row[i] for i, row in enumerate(su.tmatrix)]
+    st = [[x * th for x, th in zip(row, theta)] for row in s]
+    st3 = matrix_product(matrix_product(st, st), st)
     rep.check("(ST)^3 = S^2", mismatches(st3, s2, alcove))
 
     weighted = [[x * norms[i] for x in row] for i, row in enumerate(s)]
-    rep.check("norm-weighted symmetry S_{lm} n_l = S_{ml} n_m", mismatches(
-        weighted, ((weighted[j][i] for j in idx) for i in idx), alcove))
+    rep.check("norm-weighted symmetry S_{lm} n_l = S_{ml} n_m",
+              mismatches(weighted, zip(*weighted), alcove))
 
     # the same identity written out through the polynomial values
     points = [wscale(-2, wadd(lam, wscale(k, rs.rho))) for lam in alcove]
@@ -530,18 +522,14 @@ def verify_section5(ctx: MacdonaldContext,
     explicit = [[specialize(ctx, lam).value_at(rs, kappa, points[j])
                  * norms[j] * dvals[j] for j in idx] for lam in alcove]
     rep.check("explicit symmetry through polynomial special values",
-              mismatches(explicit,
-                         ((explicit[j][i] for j in idx) for i in idx),
-                         alcove))
+              mismatches(explicit, zip(*explicit), alcove))
 
     # unitarity for the weighted inner product: S^dagger diag(n) S = diag(n)
-    weighted_dagger = tuple(tuple(x * nv for x, nv in zip(row, norms))
-                            for row in mat_conj_transpose(s))
-    zero = CycNum.zero()
+    weighted_dagger = [[x * nv for x, nv in zip(row, norms)]
+                       for row in dagger(s)]
     rep.check("norm-weighted unitarity S^dagger diag(n) S = diag(n)",
-              mismatches(mat_mul(weighted_dagger, s),
-                         ((nv if i == j else zero for j in idx)
-                          for i, nv in enumerate(norms)), alcove))
+              mismatches(matrix_product(weighted_dagger, s),
+                         monomial_matrix(norms, idx), alcove))
 
     # vanishing criterion for the norm at the root of unity: the closed-form
     # norm is nonzero exactly on the sub-alcove, over the whole region where

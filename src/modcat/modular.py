@@ -6,6 +6,12 @@ charge conjugation permutation.  The quantities that would need square
 roots (the total dimension D and the sixth root zeta of p+/p-) never
 appear as exact objects; every exact identity is phrased against D^2, p+
 and p-, and zeta is constructed directly from its closed form.
+
+The checks multiply matrices only by numeric.matrix_product, once over
+one field: s [s | s^dagger], (st)^2 and (st)^3.  t enters as its diagonal
+(s t scales columns), and multiples such as D^2 Id are compared entrywise
+without being formed.  det s != 0 follows from s s^dagger = D^2 Id, as
+|det s|^2 = (D^2)^n; elimination runs only when that identity fails.
 """
 
 from __future__ import annotations
@@ -21,7 +27,8 @@ from .chardata import (_eps_order, alternating_sum, quantum_dim,
                        weyl_denominator_value)
 from .lie import (RootSystemData, Weight, _form_num, form, lattice_index, wadd,
                   wscale)
-from .numeric import CycNum, approx_eq, default_tolerance, epsilon_power
+from .numeric import (CycNum, approx_eq, default_tolerance, epsilon_power,
+                      matrix_product)
 from .report import VerificationReport, mismatches
 from .weyl import enumerate_alcove, star_positions
 
@@ -82,9 +89,9 @@ def build_modular_data(rs: RootSystemData, kappa: int) -> ModularData:
             smat[a][b] = smat[b][a] = num * den_inv
 
     tdiag = [twist(rs, kappa, lam) for lam in alcove]
-    tmat = tuple(tuple(tdiag[i] if i == j else CycNum.zero()
-                       for j in range(n)) for i in range(n))
-    cmat = permutation_matrix(star_positions(rs, alcove))
+    tmat = tuple(map(tuple, monomial_matrix(tdiag, range(n))))
+    cmat = tuple(tuple(int(j == p) for j in range(n))
+                 for p in star_positions(rs, alcove))
 
     dims = tuple(quantum_dim(rs, kappa, lam) for lam in alcove)
     p_plus = CycNum.zero()
@@ -111,37 +118,6 @@ def build_modular_data(rs: RootSystemData, kappa: int) -> ModularData:
 
 # -- exact matrix helpers ----------------------------------------------------
 
-def mat_mul(a, b) -> CycMatrix:
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = CycNum.zero()
-            for k in range(n):
-                x = a[i][k]
-                y = b[k][j]
-                if not (x.is_zero() or y.is_zero()):
-                    acc = acc + x * y
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def mat_scale(c: CycNum, a) -> CycMatrix:
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def mat_identity(n: int) -> CycMatrix:
-    return int_to_cyc_matrix(permutation_matrix(range(n)))
-
-
-def mat_conj_transpose(a) -> CycMatrix:
-    n = len(a)
-    return tuple(tuple(a[j][i].conjugate() for j in range(n))
-                 for i in range(n))
-
-
 def mat_det_is_nonzero(a) -> bool:
     """Exact nondegeneracy test by Gaussian elimination over the field."""
     n = len(a)
@@ -160,14 +136,28 @@ def mat_det_is_nonzero(a) -> bool:
     return True
 
 
-def int_to_cyc_matrix(mat) -> CycMatrix:
-    return tuple(tuple(CycNum.from_rational(x) for x in row) for row in mat)
+def dagger(a) -> list[list[CycNum]]:
+    """The conjugate transpose."""
+    return [[x.conjugate() for x in col] for col in zip(*a)]
 
 
-def permutation_matrix(perm) -> tuple[tuple[int, ...], ...]:
-    """The 0/1 matrix with a one at (i, perm[i])."""
-    n = len(perm)
-    return tuple(tuple(int(j == p) for j in range(n)) for p in perm)
+def monomial_matrix(entries, perm):
+    """Lazy rows of the matrix with entries[i] at (i, perm[i]), 0 elsewhere."""
+    zero = CycNum.zero()
+    return ((x if j == p else zero for j in range(len(perm)))
+            for x, p in zip(entries, perm))
+
+
+def det_s_is_nonzero(md: ModularData, unitary: bool | None = None) -> bool:
+    """det s != 0.  If s s^dagger = D^2 Id (unitary, checked here unless
+    given) and D^2 != 0, then |det s|^2 = (D^2)^n != 0; elimination
+    decides only when that identity fails."""
+    s, n = md.smatrix, md.size
+    if unitary is None:
+        unitary = not any(mismatches(matrix_product(s, dagger(s)),
+                                     monomial_matrix([md.d_squared] * n,
+                                                     range(n))))
+    return (unitary and not md.d_squared.is_zero()) or mat_det_is_nonzero(s)
 
 
 # -- the verification suite -----------------------------------------------------
@@ -184,11 +174,14 @@ def verify_modular_relations(md: ModularData,
     labels = md.alcove
     s = md.smatrix
     t = md.tmatrix
-    c = int_to_cyc_matrix(md.cmatrix)
+    theta = [row[i] for i, row in enumerate(t)]
 
-    s2 = mat_mul(s, s)
-    rep.check("s^2 = D^2 c", mismatches(s2, mat_scale(md.d_squared, c),
-                                        labels))
+    # s^2 and s s^dagger as one product: s times the block row [s | s^dagger]
+    both = matrix_product(s, [list(row) + col
+                              for row, col in zip(s, dagger(s))])
+    s2 = [row[:n] for row in both]
+    rep.check("s^2 = D^2 c", mismatches(
+        s2, ((md.d_squared * x for x in row) for row in md.cmatrix), labels))
 
     index = lattice_index(rs, "P", f"{kappa}Qv")
     den = weyl_denominator_value(rs, kappa, wscale(-2, rs.rho))
@@ -202,19 +195,22 @@ def verify_modular_relations(md: ModularData,
     rep.record("D^2 = sum of squared quantum dimensions",
                md.d_squared == squares, f"{md.d_squared!r} vs {squares!r}")
 
-    st = mat_mul(s, t)
-    st3 = mat_mul(mat_mul(st, st), st)
-    rep.check("(st)^3 = p+ s^2", mismatches(st3, mat_scale(md.p_plus, s2),
-                                            labels))
+    # t is diagonal: s t scales the columns of s by the twists
+    st = [[x * th for x, th in zip(row, theta)] for row in s]
+    st3 = matrix_product(matrix_product(st, st), st)
+    rep.check("(st)^3 = p+ s^2", mismatches(
+        st3, ((md.p_plus * x for x in row) for row in s2), labels))
 
-    rep.check("s^2 t = t s^2",
-              mismatches(mat_mul(s2, t), mat_mul(t, s2), labels))
+    rep.check("s^2 t = t s^2", mismatches(
+        ((x * th for x, th in zip(row, theta)) for row in s2),
+        ((th * x for x in row) for th, row in zip(theta, s2)), labels))
 
-    rep.check("s s^dagger = D^2 Id",
-              mismatches(mat_mul(s, mat_conj_transpose(s)),
-                         mat_scale(md.d_squared, mat_identity(n)), labels))
+    unitary = rep.check("s s^dagger = D^2 Id", mismatches(
+        [row[n:] for row in both],
+        monomial_matrix([md.d_squared] * n, range(n)), labels))
 
-    rep.record("det s != 0", mat_det_is_nonzero(s), "singular s-matrix")
+    rep.record("det s != 0", det_s_is_nonzero(md, unitary),
+               "singular s-matrix")
 
     zeta6_pm = md.zeta ** 6 * md.p_minus
     rep.record("zeta^6 p- = p+", zeta6_pm == md.p_plus,
@@ -225,8 +221,7 @@ def verify_modular_relations(md: ModularData,
 
     # symmetry bundle on the stored matrix, with lazy rows
     sp = star_positions(rs, md.alcove)
-    rep.check("s symmetric", mismatches(
-        s, ((s[j][i] for j in range(n)) for i in range(n)), labels))
+    rep.check("s symmetric", mismatches(s, zip(*s), labels))
     rep.check("conj(s_{lm}) = s_{l m*}", mismatches(
         ((x.conjugate() for x in row) for row in s),
         ((row[q] for q in sp) for row in s), labels))
@@ -240,7 +235,7 @@ def verify_modular_relations(md: ModularData,
     t_inverse = ((x.inverse() if i == j else zero for j, x in enumerate(row))
                  for i, row in enumerate(t))
     rep.check("twists unitary and star-invariant, theta_0 = 1", chain(
-        mismatches(mat_conj_transpose(t), t_inverse, labels),
+        mismatches(dagger(t), t_inverse, labels),
         mismatches(t, ((t[p][q] for q in sp) for p in sp), labels),
         mismatches((t[0][:1],), ((CycNum.one(),),), labels)))
 

@@ -10,6 +10,8 @@ One polynomial kernel over ascending coefficient lists of ``int`` or
   of value coincides with equality of the canonical form, so the zero test
   is exact.  Arithmetic between different orders lifts both operands to
   the least common multiple of the orders; inverses run Euclid modulo Phi_L.
+  ``matrix_product`` multiplies CycNum matrices over one field: it lifts
+  and packs each entry into one int once, and reduces each result once.
 
 * ``QRatFn`` -- a ratio of Laurent polynomials over Q in a formal variable
   v standing for a square root of q, kept reduced by Euclid's gcd with a
@@ -29,7 +31,8 @@ import cmath
 import os
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isfinite
+from math import gcd, isfinite, lcm
+from operator import mul
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -403,6 +406,52 @@ def _poly_modular_inverse(poly: list, mod) -> list[Fraction]:
     return [Fraction(c, r1[0]) for c in s1]
 
 
+def matrix_product(a, b) -> list[list[CycNum]]:
+    """The exact product of two CycNum matrices, given as rows.
+
+    Each entry is lifted once to Q(zeta_L), L the lcm of all orders, over
+    one denominator per factor, and its coordinates are packed as the
+    base-2^w digits of one int (Kronecker substitution).  An entry of a b
+    is then a sum of n int products whose 2 phi(L) - 1 digits are its
+    coordinates before one reduction mod Phi_L.  No digit exceeds
+    n phi(L) max|a| max|b| in size; w covers that and a sign bit.
+    """
+    cols = list(zip(*b))
+    L = lcm(*(x.order for m in (a, cols) for row in m for x in row))
+    digits = 2 * _phi(L) - 1
+    nums_a, den_a, top_a = _lift(a, L)
+    nums_b, den_b, top_b = _lift(cols, L)
+    w = (len(b) * _phi(L) * top_a * top_b).bit_length() + 1
+    packed_b = [[_pack(v, w) for v in col] for col in nums_b]
+    # half a digit added to every digit makes each one read off by a mask
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    bias = _pack([half] * digits, w)
+    shifts = range(0, digits * w, w)
+    out = []
+    for nums in nums_a:
+        row = [_pack(v, w) for v in nums]
+        sums = (sum(map(mul, row, col)) + bias for col in packed_b)
+        out.append([CycNum(L, tuple(_reduce_exponents(L, enumerate(
+            [((v >> s) & mask) - half for s in shifts]))), den_a * den_b)
+            for v in sums])
+    return out
+
+
+def _lift(rows, order: int) -> tuple[list, int, int]:
+    """(nums, den, top): each entry's integer coordinates in Q(zeta_order)
+    times den, the lcm of the denominators, and the largest |coordinate|."""
+    den = lcm(*(x.den for row in rows for x in row))
+    nums = [[[c * (den // x.den) for c in x._lift_num(order)] for x in row]
+            for row in rows]
+    return nums, den, max((abs(c) for row in nums for v in row for c in v),
+                          default=0)
+
+
+def _pack(vec, w: int) -> int:
+    """sum vec[e] 2^(w e): the coordinates as the digits of one int."""
+    return sum(c << (w * e) for e, c in enumerate(vec) if c)
+
+
 def epsilon_power(a, lacing: int, kappa: int) -> CycNum:
     """eps^a for eps = exp(pi i / (lacing * kappa)), a any exact rational."""
     f = Fraction(a)
@@ -588,10 +637,12 @@ class QRatFn:
         # shift all v-powers of the denominator into the numerator
         num = LaurentPoly(num.low - den.low, num.coeffs)
         den = LaurentPoly(0, den.coeffs)
-        g = _poly_gcd(num.coeffs, den.coeffs)
-        if len(g) > 1:
-            num = LaurentPoly(num.low, tuple(_pdivexact(num.coeffs, g)))
-            den = LaurentPoly(0, tuple(_pdivexact(den.coeffs, g)))
+        # a constant denominator has no factor to cancel
+        if len(den.coeffs) > 1:
+            g = _poly_gcd(num.coeffs, den.coeffs)
+            if len(g) > 1:
+                num = LaurentPoly(num.low, tuple(_pdivexact(num.coeffs, g)))
+                den = LaurentPoly(0, tuple(_pdivexact(den.coeffs, g)))
         lead = den.coeffs[-1]
         if lead != 1:
             num = num.scale(Fraction(1, lead))
@@ -684,14 +735,6 @@ class QRatFn:
         if other is NotImplemented:
             return NotImplemented
         return other / self
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            return (QRatFn.one() / self) ** (-exponent)
-        out = QRatFn.one()
-        for _ in range(exponent):
-            out = out * self
-        return out
 
     def __eq__(self, other):
         other = QRatFn._coerce(other)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 @dataclass
 class CheckResult:
     name: str                  # the identity being checked, e.g. "s^2 = D^2 c"
-    status: str                # "pass" | "fail" | "skipped"
+    status: str                # "pass" | "fail"
     witness: str | None = None
 
     def to_json_obj(self):
@@ -47,13 +47,6 @@ class VerificationReport:
         self.record(name, witness is None, witness)
         return witness is None
 
-    def skip(self, name: str, reason: str) -> None:
-        self.checks.append(CheckResult(name, "skipped", reason))
-
-    def extend(self, other: "VerificationReport") -> None:
-        self.checks.extend(other.checks)
-        self.duration_seconds += other.duration_seconds
-
     def to_json_obj(self):
         # wall-clock time stays out of the canonical output so that
         # exact-mode runs are byte-identical
@@ -66,7 +59,7 @@ class VerificationReport:
     def pretty_lines(self) -> list[str]:
         lines = [f"suite {self.suite}"]
         for c in self.checks:
-            mark = {"pass": "ok  ", "fail": "FAIL", "skipped": "skip"}[c.status]
+            mark = {"pass": "ok  ", "fail": "FAIL"}[c.status]
             line = f"  [{mark}] {c.name}"
             if c.witness:
                 line += f"  ({c.witness})"

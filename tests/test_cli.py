@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import time
 
 import pytest
@@ -215,6 +216,25 @@ def test_exact_mode_byte_determinism(capsys):
         _, first, _ = run_cli(capsys, *cmd)
         _, second, _ = run_cli(capsys, *cmd)
         assert first == second, cmd
+
+
+def test_parser_reused_after_usage_errors(capsys):
+    # one parser serves the whole process, so a command after failed ones
+    # must still print its golden bytes
+    import modcat.cli as cli
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["modular", "--algebra", "A1", "--kappa", "3", "--lhs", "0"])
+    assert exc.value.code == 2
+    code, _, err = run_cli(capsys, "fusion", "--algebra", "A1", "--kappa",
+                           "4", "--lhs", "9")
+    assert code == 2 and "error" in err
+    code, out, _ = run_cli(capsys, "fusion", "--algebra", "B2", "--kappa",
+                           "4", "--lhs", "0,1", "--rhs", "0,1")
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "golden", "fusion-B2-k4-point.out")
+    with open(golden, "rb") as fh:
+        assert code == 0 and out.encode("utf-8") == fh.read()
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

@@ -8,6 +8,7 @@ from modcat.fusion import (build_fusion_table, classical_tensor,
                            fusion_coefficients, verify_fusion,
                            verify_grothendieck)
 from modcat.lie import build_root_system
+from modcat import modular
 from modcat.modular import build_modular_data
 from modcat.numeric import CycNum, QRatFn
 from modcat.weyl import enumerate_alcove, star
@@ -183,6 +184,42 @@ def test_perturbed_last_column_fails_diagonalization():
     assert diag.status == "fail"
     assert f",{last}) at " in diag.witness
     assert diag.witness.split(": ")[0].endswith(str(md.alcove[last]))
+
+
+def with_row(md, i, row):
+    s = list(md.smatrix)
+    s[i] = tuple(row)
+    return dataclasses.replace(md, smatrix=tuple(s))
+
+
+def test_singular_s_fails_evaluation_matrix_check():
+    # A1 kappa 4 with row 0 copied over row 1: F = s diag(dims)^-1 is
+    # singular with s
+    md = build_modular_data(A1, 4)
+    table = build_fusion_table(A1, 4, md.alcove)
+    checks = statuses(verify_grothendieck(
+        with_row(md, 1, md.smatrix[0]), table))
+    singular = checks["character evaluation matrix non-singular"]
+    assert singular.status == "fail"
+    assert singular.witness == "singular evaluation matrix"
+
+
+def test_non_unitary_s_passes_evaluation_matrix_check(monkeypatch):
+    # row 1 scaled by 2 keeps det s != 0; elimination decides it
+    md = build_modular_data(A1, 4)
+    table = build_fusion_table(A1, 4, md.alcove)
+    bad = with_row(md, 1, (x * 2 for x in md.smatrix[1]))
+    calls = []
+    real = modular.mat_det_is_nonzero
+    monkeypatch.setattr(modular, "mat_det_is_nonzero",
+                        lambda a: calls.append(a) or real(a))
+    checks = statuses(verify_grothendieck(bad, table))
+    assert checks["character evaluation matrix non-singular"].status == "pass"
+    assert calls == [bad.smatrix]
+    calls.clear()
+    assert statuses(verify_grothendieck(md, table))[
+        "character evaluation matrix non-singular"].status == "pass"
+    assert calls == []
 
 
 def test_non_associative_table_fails_associativity():

@@ -6,10 +6,10 @@ import pytest
 
 from modcat.chardata import quantum_dim
 from modcat.lie import build_root_system
+from modcat import modular
 from modcat.modular import (build_modular_data, mat_det_is_nonzero,
-                            mat_mul, s_entry_extended, twist,
-                            verify_modular_relations)
-from modcat.numeric import CycNum
+                            s_entry_extended, twist, verify_modular_relations)
+from modcat.numeric import CycNum, matrix_product
 from modcat.weyl import fold_to_alcove
 
 A1 = build_root_system("A", 1)
@@ -162,9 +162,53 @@ def test_det_nonzero_helper():
     assert not mat_det_is_nonzero(((one, one), (one, one)))
 
 
+def with_row(md, i, row):
+    s = list(md.smatrix)
+    s[i] = tuple(row)
+    return dataclasses.replace(md, smatrix=tuple(s))
+
+
+def count_eliminations(monkeypatch):
+    calls = []
+    real = modular.mat_det_is_nonzero
+    monkeypatch.setattr(modular, "mat_det_is_nonzero",
+                        lambda a: calls.append(a) or real(a))
+    return calls
+
+
+def test_det_s_from_unitarity_without_elimination(monkeypatch):
+    calls = count_eliminations(monkeypatch)
+    for rs, kappa in [(A1, 4), (A2, 5), (B2, 4), (G2, 5)]:
+        rep = verify_modular_relations(build_modular_data(rs, kappa))
+        assert rep.passed
+    assert calls == []
+
+
+def test_singular_s_fails_det_check():
+    # A1 kappa 4 with row 0 copied over row 1
+    md = build_modular_data(A1, 4)
+    checks = {c.name: c for c in verify_modular_relations(
+        with_row(md, 1, md.smatrix[0])).checks}
+    assert checks["s s^dagger = D^2 Id"].status == "fail"
+    assert checks["det s != 0"].status == "fail"
+    assert checks["det s != 0"].witness == "singular s-matrix"
+
+
+def test_non_unitary_s_passes_det_check_by_elimination(monkeypatch):
+    # row 1 scaled by 2: s s^dagger != D^2 Id, yet det s != 0
+    md = build_modular_data(A1, 4)
+    bad = with_row(md, 1, (x * 2 for x in md.smatrix[1]))
+    calls = count_eliminations(monkeypatch)
+    checks = {c.name: c.status
+              for c in verify_modular_relations(bad).checks}
+    assert checks["s s^dagger = D^2 Id"] == "fail"
+    assert checks["det s != 0"] == "pass"
+    assert calls == [bad.smatrix]
+
+
 def test_matrix_multiply_against_float():
     md = build_modular_data(B2, 5)
-    s2 = mat_mul(md.smatrix, md.smatrix)
+    s2 = matrix_product(md.smatrix, md.smatrix)
     sf = [[x.to_complex() for x in row] for row in md.smatrix]
     n = md.size
     for i in range(n):

@@ -11,9 +11,9 @@ from fractions import Fraction
 import pytest
 
 from modcat.numeric import (CycNum, LaurentPoly, PoleAtEpsilonError, QRatFn,
-                            _pdivexact, _pdivmod, _pmul, _strip, approx_eq,
-                            cyclotomic_polynomial, epsilon_power, q_number,
-                            sqrt_of_int)
+                            _pdivexact, _pdivmod, _phi, _pmul, _strip,
+                            approx_eq, cyclotomic_polynomial, epsilon_power,
+                            matrix_product, q_number, sqrt_of_int)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
@@ -150,6 +150,66 @@ def test_field_axioms_randomized():
             assert a * a.inverse() == CycNum.one()
 
 
+def schoolbook_product(a, b):
+    """Reference product entry by entry in CycNum arithmetic, each term
+    lifted to the orders of its two factors (the former modular.mat_mul,
+    for rectangular shapes)."""
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            acc = CycNum.zero()
+            for k, x in enumerate(row):
+                y = b[k][j]
+                if not (x.is_zero() or y.is_zero()):
+                    acc = acc + x * y
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def _random_entry(rng, orders):
+    order = rng.choice(orders)
+    big = rng.random() < 0.3
+    coeffs = tuple(rng.randrange(-2 ** 70, 2 ** 70) if big
+                   else rng.randrange(-9, 10) for _ in range(_phi(order)))
+    return CycNum(order, coeffs, rng.choice((1, 2, 3, 7, 12, 2 ** 65 + 1)))
+
+
+def _random_matrix(rng, rows, cols, orders):
+    mat = [[_random_entry(rng, orders) for _ in range(cols)]
+           for _ in range(rows)]
+    if rows > 1 and rng.random() < 0.5:
+        mat[rng.randrange(rows)] = [CycNum.zero()] * cols
+    return mat
+
+
+def test_matrix_product_matches_schoolbook():
+    rng = random.Random(4096)
+    order_sets = ((1,), (4,), (1, 4, 8), (12, 24), (1, 4, 8, 12, 24, 60),
+                  (60, 8))
+    for trial in range(60):
+        orders = order_sets[trial % len(order_sets)]
+        m, n, p = (rng.randrange(1, 5) for _ in range(3))
+        a = _random_matrix(rng, m, n, orders)
+        b = _random_matrix(rng, n, p, orders)
+        got = matrix_product(a, b)
+        assert len(got) == m and all(len(row) == p for row in got)
+        assert got == schoolbook_product(a, b), (trial, orders)
+
+
+def test_matrix_product_at_its_digit_bound():
+    # all coordinates equal and of one sign: the middle digit of every
+    # entry reaches n phi max|a| max|b|, the bound the packing width covers
+    for order, big, n in ((8, 1, 1), (12, 5, 3), (60, 2 ** 64 + 7, 4),
+                          (24, 2 ** 31 - 1, 2)):
+        phi = _phi(order)
+        for sa, sb in ((1, 1), (-1, 1), (-1, -1)):
+            a = [[CycNum(order, (sa * big,) * phi, 1)] * n] * 2
+            b = [[CycNum(order, (sb * big,) * phi, 1)] * 3] * n
+            assert matrix_product(a, b) == schoolbook_product(a, b)
+
+
 def test_inverse_of_zero_rejected():
     with pytest.raises(ZeroDivisionError):
         CycNum.zero().inverse()
@@ -273,12 +333,22 @@ def test_qratfn_field_ops():
         num = LaurentPoly(rng.randrange(-3, 1),
                           tuple(Fraction(rng.randrange(-4, 5))
                                 for _ in range(4)))
+        if rng.random() < 0.4:
+            # one term: a non-unit coefficient times a power of v
+            c = Fraction(rng.choice((-3, -1, 2, 5)), rng.randrange(1, 4))
+            e = rng.randrange(-3, 4)
+            f = QRatFn(num, LaurentPoly(e, (c,)))
+            if not num.is_zero():
+                assert f.den == LaurentPoly.constant(1)
+                assert f.num == LaurentPoly(num.low - e,
+                                            num.coeffs).scale(1 / c)
+            return f
         den = LaurentPoly(0, (Fraction(rng.randrange(1, 5)),
                               Fraction(rng.randrange(0, 3)),
                               Fraction(1)))
         return QRatFn(num, den)
 
-    for _ in range(30):
+    for _ in range(40):
         f, g, h = rand_fn(), rand_fn(), rand_fn()
         assert (f + g) * h == f * h + g * h
         assert f - f == QRatFn.zero()
