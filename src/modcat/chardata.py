@@ -205,7 +205,12 @@ def quantum_dim(rs: RootSystemData, kappa: int, lam: Weight) -> CycNum:
     if not is_dominant(lam):
         raise ValueError(f"quantum dimension needs a dominant weight, got {lam}")
     return (weyl_denominator_value(rs, kappa, wscale(2, wadd(lam, rs.rho)))
-            / weyl_denominator_value(rs, kappa, wscale(2, rs.rho)))
+            * _rho_denominator_inverse(rs, kappa))
+
+
+@lru_cache(maxsize=None)
+def _rho_denominator_inverse(rs: RootSystemData, kappa: int) -> CycNum:
+    return weyl_denominator_value(rs, kappa, wscale(2, rs.rho)).inverse()
 
 
 def vanishing_criterion(rs: RootSystemData, kappa: int, lam: Weight) -> bool:

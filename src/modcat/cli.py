@@ -92,8 +92,12 @@ def _emit(args, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(
+                f"cannot write {args.out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 

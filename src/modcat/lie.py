@@ -7,17 +7,23 @@ length 2, the "primed" form gives short roots squared length 2.  The primed
 form is an integer Gram matrix over its least common denominator D, so a
 form value is an integer dot product over D: an exact Fraction from the
 public functions, the integer numerator on the hot paths.
+
+The Cartan matrix A is inverted once, by numeric.solve, which also gives
+|det A| = |P/Q|; the Gram matrix is D d_i (A^-1)_ij, so simple-root
+coordinates are read off it.  Lattice indices are |det| of the change of
+basis, by the same routine.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import mul
 
-from .numeric import InternalConsistencyError
+from .numeric import InternalConsistencyError, solve
 
 Weight = tuple[int, ...]
 
@@ -145,24 +151,7 @@ def _symmetrizers(cartan: list[list[int]]) -> list[int]:
     return [x // g for x in ints]
 
 
-def _fraction_matrix_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(mat)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def _positive_roots(cartan: list[list[int]],
-                    inv_cartan: list[list[Fraction]]) -> list[Weight]:
+def _positive_roots(cartan: list[list[int]], alpha_coords) -> list[Weight]:
     rank = len(cartan)
     simple = [tuple(cartan[i][j] for i in range(rank)) for j in range(rank)]
 
@@ -180,10 +169,6 @@ def _positive_roots(cartan: list[list[int]],
                     roots.add(r)
                     nxt.append(r)
         frontier = nxt
-
-    def alpha_coords(w: Weight) -> list[Fraction]:
-        return [sum(inv_cartan[i][j] * w[j] for j in range(rank))
-                for i in range(rank)]
 
     positive = [w for w in roots if all(c >= 0 for c in alpha_coords(w))]
     positive.sort(key=lambda w: (sum(alpha_coords(w)), w))
@@ -207,8 +192,11 @@ def build_root_system(series: str, rank: int) -> RootSystemData:
     cartan = _cartan_matrix(series, rank)
     d = _symmetrizers(cartan)
     m = max(d)
-    inv_cartan = _fraction_matrix_inverse(
-        [[Fraction(x) for x in row] for row in cartan])
+    det, inv_cartan = solve([[Fraction(x) for x in row] for row in cartan],
+                            [[int(i == j) for j in range(rank)]
+                             for i in range(rank)])
+    if inv_cartan is None:
+        raise InternalConsistencyError(f"singular Cartan matrix {cartan}")
     # (omega_i, omega_j)' = d_i * (A^{-1})_{ij}
     gram_primed = tuple(
         tuple(d[i] * inv_cartan[i][j] for j in range(rank))
@@ -217,7 +205,8 @@ def build_root_system(series: str, rank: int) -> RootSystemData:
     gram = tuple(tuple(int(x * denominator) for x in row)
                  for row in gram_primed)
 
-    positive = _positive_roots(cartan, inv_cartan)
+    positive = _positive_roots(
+        cartan, lambda w: _alpha_coords(gram, denominator, d, w))
     # highest root: the unique root of greatest height, last in that order
     theta = positive[-1]
     rho = (1,) * rank
@@ -244,7 +233,7 @@ def build_root_system(series: str, rank: int) -> RootSystemData:
         dual_coxeter=int(hvee),
         lacing=m,
         symmetrizers=tuple(d),
-        cartan_index=prod(smith_diagonal(cartan)),
+        cartan_index=int(abs(det)),
         dim_adjoint=rank + 2 * len(positive),
         gram_primed=gram_primed,
         gram=gram,
@@ -336,117 +325,42 @@ def simple_coroots(rs: RootSystemData) -> tuple[Weight, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def inverse_cartan(rs: RootSystemData) -> tuple[tuple[Fraction, ...], ...]:
-    inv = _fraction_matrix_inverse(
-        [[Fraction(x) for x in row] for row in rs.cartan])
-    return tuple(tuple(row) for row in inv)
+def _alpha_coords(gram, denominator: int, d, w: Weight) -> tuple[Fraction, ...]:
+    # gram_ij = D (omega_i, omega_j)' = D d_i (A^-1)_ij
+    return tuple(Fraction(_dot(row, w), denominator * di)
+                 for row, di in zip(gram, d))
 
 
 def root_alpha_coords(rs: RootSystemData, w: Weight) -> tuple[Fraction, ...]:
-    """Coordinates of w in the simple-root basis (exact, possibly fractional)."""
-    inv = inverse_cartan(rs)
-    return tuple(sum(inv[i][j] * w[j] for j in range(rs.rank))
-                 for i in range(rs.rank))
-
-
-def smith_diagonal(mat: list[list[int]]) -> list[int]:
-    """Diagonal of the Smith normal form of an integer matrix."""
-    a = [row[:] for row in mat]
-    rows, cols = len(a), len(a[0]) if a else 0
-    diag = []
-    top = 0
-    while top < min(rows, cols):
-        # find smallest nonzero entry in the remaining block
-        best = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                if a[i][j] != 0 and (best is None
-                                     or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        a[top], a[bi] = a[bi], a[top]
-        for row in a:
-            row[top], row[bj] = row[bj], row[top]
-        p = a[top][top]
-        dirty = False
-        for i in range(top + 1, rows):
-            q = a[i][top] // p
-            if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[top])]
-            if a[i][top]:
-                dirty = True
-        for j in range(top + 1, cols):
-            q = a[top][j] // p
-            if q:
-                for row in a:
-                    row[j] -= q * row[top]
-            if a[top][j]:
-                dirty = True
-        if dirty:
-            continue
-        diag.append(abs(p))
-        top += 1
-    while len(diag) < min(rows, cols):
-        diag.append(0)
-    # enforce the divisibility chain d1 | d2 | ...
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            a_i, a_j = diag[i], diag[i + 1]
-            if a_i and a_j and a_j % a_i != 0:
-                g = gcd(a_i, a_j)
-                diag[i], diag[i + 1] = g, a_i * a_j // g
-                changed = True
-    nonzero = sorted(d for d in diag if d)
-    return nonzero + [0] * (len(diag) - len(nonzero))
-
-
-_LATTICE_NAMES = ("P", "Q", "Qv")
+    """Coordinates of w in the simple-root basis (exact, possibly
+    fractional), (A^-1 w)_i = (gram w)_i / (D d_i)."""
+    return _alpha_coords(rs.gram, rs.denominator, rs.symmetrizers, w)
 
 
 def _lattice_basis(rs: RootSystemData, label: str) -> list[list[Fraction]]:
     """Column basis of a lattice label like "P", "Q", "Qv", "3Qv" in omega coords."""
     label = label.strip()
-    mult = 1
-    name = label
-    for prefix_len in range(len(label), 0, -1):
-        head, tail = label[:prefix_len], label[prefix_len:]
-        if head.isdigit() and tail in _LATTICE_NAMES:
-            mult, name = int(head), tail
-            break
-    if name not in _LATTICE_NAMES:
+    match = re.fullmatch(r"(\d*)(P|Q|Qv)", label)
+    if not match:
         raise ValueError(
             f"unknown lattice label {label!r}; use P, Q, Qv with an optional "
             "positive integer multiplier, e.g. 3Qv")
+    mult = int(match[1] or 1)
     if mult < 1:
         raise ValueError(f"lattice multiplier must be positive in {label!r}")
-    if name == "P":
-        cols = [[Fraction(int(i == j)) for j in range(rs.rank)]
-                for i in range(rs.rank)]
-    elif name == "Q":
-        cols = [[Fraction(rs.cartan[i][j]) for j in range(rs.rank)]
-                for i in range(rs.rank)]
-    else:
-        cr = simple_coroots(rs)
-        cols = [[Fraction(cr[j][i]) for j in range(rs.rank)]
-                for i in range(rs.rank)]
-    return [[mult * x for x in row] for row in cols]
+    name = match[2]
+    vectors = (rs.fundamental_weights if name == "P" else
+               rs.simple_roots if name == "Q" else simple_coroots(rs))
+    return [[Fraction(mult * x) for x in row] for row in zip(*vectors)]
 
 
 def lattice_index(rs: RootSystemData, numerator: str, denominator: str) -> int:
     """Index of one lattice in another, e.g. lattice_index(rs, "P", "3Qv")."""
     nb = _lattice_basis(rs, numerator)
     db = _lattice_basis(rs, denominator)
-    inv_nb = _fraction_matrix_inverse(nb)
-    change = [[sum(inv_nb[i][k] * db[k][j] for k in range(rs.rank))
-               for j in range(rs.rank)] for i in range(rs.rank)]
+    _, change = solve(nb, db)   # the columns of db in the basis nb
+    if change is None:
+        raise InternalConsistencyError(f"singular basis for {numerator}")
     if any(x.denominator != 1 for row in change for x in row):
         raise ValueError(f"{denominator} is not a sublattice of {numerator}")
-    diag = smith_diagonal([[int(x) for x in row] for row in change])
-    if 0 in diag:
-        raise ValueError(f"{denominator} has infinite index in {numerator}")
-    return prod(diag)
+    return int(abs(solve(change)[0]))

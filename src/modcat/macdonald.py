@@ -22,7 +22,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain
 
 from .chardata import (dominant_weights_below, is_dominant, quantum_dim,
@@ -395,17 +395,17 @@ def _eps(ctx: MacdonaldContext, a) -> CycNum:
     return epsilon_power(a, 1, ctx.kappa)
 
 
-def d_prefactor(ctx: MacdonaldContext) -> CycNum:
+@lru_cache(maxsize=None)
+def d_prefactor(n: int, kappa: int) -> CycNum:
     """i^(n(n-1)/2) / sqrt(n kappa^(n-1)), exact."""
-    n = ctx.n
     phase = CycNum.root_of_unity(4, (n * (n - 1) // 2) % 4)
-    return phase * sqrt_of_int(n * ctx.kappa ** (n - 1)).inverse()
+    return phase * sqrt_of_int(n * kappa ** (n - 1)).inverse()
 
 
 def d_coefficient(ctx: MacdonaldContext, lam: Weight) -> CycNum:
     """The row normalization d_lam of the S-matrix."""
     shifted = wadd(lam, wscale(ctx.k, ctx.rs.rho))
-    acc = d_prefactor(ctx)
+    acc = d_prefactor(ctx.n, ctx.kappa)
     for alpha in ctx.rs.positive_roots:
         x = form(ctx.rs, alpha, shifted)
         for i in range(ctx.k):

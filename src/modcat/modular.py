@@ -8,10 +8,12 @@ appear as exact objects; every exact identity is phrased against D^2, p+
 and p-, and zeta is constructed directly from its closed form.
 
 The checks multiply matrices only by numeric.matrix_product, once over
-one field: s [s | s^dagger], (st)^2 and (st)^3.  t enters as its diagonal
-(s t scales columns), and multiples such as D^2 Id are compared entrywise
-without being formed.  det s != 0 follows from s s^dagger = D^2 Id, as
-|det s|^2 = (D^2)^n; elimination runs only when that identity fails.
+one field: s s, (st)^2, (st)^3, and s s^dagger, which is formed once per
+ModularData (unitarity_witness) and shared with the Grothendieck suite.
+t enters as its diagonal (s t scales columns), and multiples such as
+D^2 Id are compared entrywise without being formed.  det s != 0 follows
+from s s^dagger = D^2 Id, as |det s|^2 = (D^2)^n; numeric.solve
+eliminates only when that identity fails.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 
 from .chardata import (_eps_order, alternating_sum, quantum_dim,
@@ -28,7 +31,7 @@ from .chardata import (_eps_order, alternating_sum, quantum_dim,
 from .lie import (RootSystemData, Weight, _form_num, form, lattice_index, wadd,
                   wscale)
 from .numeric import (CycNum, approx_eq, default_tolerance, epsilon_power,
-                      matrix_product)
+                      matrix_product, solve)
 from .report import VerificationReport, mismatches
 from .weyl import enumerate_alcove, star_positions
 
@@ -56,6 +59,15 @@ class ModularData:
 
     def index_of(self, lam: Weight) -> int:
         return self.alcove.index(lam)
+
+    @cached_property
+    def unitarity_witness(self) -> str | None:
+        """The first witness against s s^dagger = D^2 Id, None if it holds."""
+        s, n = self.smatrix, self.size
+        return next(mismatches(
+            matrix_product(s, dagger(s)),
+            monomial_matrix([self.d_squared] * n, range(n)), self.alcove),
+            None)
 
 
 def twist(rs: RootSystemData, kappa: int, lam: Weight) -> CycNum:
@@ -118,24 +130,6 @@ def build_modular_data(rs: RootSystemData, kappa: int) -> ModularData:
 
 # -- exact matrix helpers ----------------------------------------------------
 
-def mat_det_is_nonzero(a) -> bool:
-    """Exact nondegeneracy test by Gaussian elimination over the field."""
-    n = len(a)
-    m = [list(row) for row in a]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not m[r][col].is_zero()),
-                     None)
-        if pivot is None:
-            return False
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = m[col][col].inverse()
-        for r in range(col + 1, n):
-            if not m[r][col].is_zero():
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return True
-
-
 def dagger(a) -> list[list[CycNum]]:
     """The conjugate transpose."""
     return [[x.conjugate() for x in col] for col in zip(*a)]
@@ -148,16 +142,11 @@ def monomial_matrix(entries, perm):
             for x, p in zip(entries, perm))
 
 
-def det_s_is_nonzero(md: ModularData, unitary: bool | None = None) -> bool:
-    """det s != 0.  If s s^dagger = D^2 Id (unitary, checked here unless
-    given) and D^2 != 0, then |det s|^2 = (D^2)^n != 0; elimination
-    decides only when that identity fails."""
-    s, n = md.smatrix, md.size
-    if unitary is None:
-        unitary = not any(mismatches(matrix_product(s, dagger(s)),
-                                     monomial_matrix([md.d_squared] * n,
-                                                     range(n))))
-    return (unitary and not md.d_squared.is_zero()) or mat_det_is_nonzero(s)
+def det_s_is_nonzero(md: ModularData) -> bool:
+    """det s != 0.  If s s^dagger = D^2 Id and D^2 != 0, then
+    |det s|^2 = (D^2)^n != 0; elimination decides only when that fails."""
+    return ((md.unitarity_witness is None and not md.d_squared.is_zero())
+            or bool(solve(md.smatrix)[0]))
 
 
 # -- the verification suite -----------------------------------------------------
@@ -170,16 +159,12 @@ def verify_modular_relations(md: ModularData,
     t0 = time.monotonic()
     rep = VerificationReport(suite="modular")
     rs, kappa = md.rs, md.kappa
-    n = md.size
     labels = md.alcove
     s = md.smatrix
     t = md.tmatrix
     theta = [row[i] for i, row in enumerate(t)]
 
-    # s^2 and s s^dagger as one product: s times the block row [s | s^dagger]
-    both = matrix_product(s, [list(row) + col
-                              for row, col in zip(s, dagger(s))])
-    s2 = [row[:n] for row in both]
+    s2 = matrix_product(s, s)
     rep.check("s^2 = D^2 c", mismatches(
         s2, ((md.d_squared * x for x in row) for row in md.cmatrix), labels))
 
@@ -205,12 +190,10 @@ def verify_modular_relations(md: ModularData,
         ((x * th for x, th in zip(row, theta)) for row in s2),
         ((th * x for x in row) for th, row in zip(theta, s2)), labels))
 
-    unitary = rep.check("s s^dagger = D^2 Id", mismatches(
-        [row[n:] for row in both],
-        monomial_matrix([md.d_squared] * n, range(n)), labels))
+    rep.record("s s^dagger = D^2 Id", md.unitarity_witness is None,
+               md.unitarity_witness)
 
-    rep.record("det s != 0", det_s_is_nonzero(md, unitary),
-               "singular s-matrix")
+    rep.record("det s != 0", det_s_is_nonzero(md), "singular s-matrix")
 
     zeta6_pm = md.zeta ** 6 * md.p_minus
     rep.record("zeta^6 p- = p+", zeta6_pm == md.p_plus,

@@ -22,6 +22,10 @@ One polynomial kernel over ascending coefficient lists of ``int`` or
   global default tolerance.  Floats never decide a pass/fail verdict when
   an exact route exists.
 
+``solve`` is the one Gaussian elimination, for Fraction or CycNum
+entries alike: it gives det a and the solution of a x = b, or only det a.
+Every determinant and inverse in the package comes from it.
+
 Broken invariants raise ``InternalConsistencyError``, also under -O.
 """
 
@@ -450,6 +454,40 @@ def _lift(rows, order: int) -> tuple[list, int, int]:
 def _pack(vec, w: int) -> int:
     """sum vec[e] 2^(w e): the coordinates as the digits of one int."""
     return sum(c << (w * e) for e, c in enumerate(vec) if c)
+
+
+def solve(a, b=None) -> tuple:
+    """(det a, x) with a x = b, by Gaussian elimination over an exact field.
+
+    The entries of a are Fractions or CycNums (b may hold ints); only
+    ``not``, ``1 / x``, ``*`` and ``-`` are used.  b and x are lists of
+    rows.  Without b only det a is computed, by the same row operations.
+    x is None when det a = 0.
+    """
+    n = len(a)
+    m = [list(row) + list(rhs) for row, rhs in zip(a, b or [()] * n)]
+    det, inverses = 1, []
+    for col in range(n):
+        p = next((r for r in range(col, n) if m[r][col]), None)
+        if p is None:
+            return 0, None
+        if p != col:
+            m[col], m[p] = m[p], m[col]
+            det = -det
+        det = det * m[col][col]
+        inverses.append(1 / m[col][col])
+        for r in range(col + 1, n):
+            if m[r][col]:
+                f = m[r][col] * inverses[col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    x = [None] * n
+    for i in reversed(range(n)):
+        acc = m[i][n:]
+        for j in range(i + 1, n):
+            if m[i][j]:
+                acc = [u - m[i][j] * v for u, v in zip(acc, x[j])]
+        x[i] = [u * inverses[i] for u in acc]
+    return det, x
 
 
 def epsilon_power(a, lacing: int, kappa: int) -> CycNum:

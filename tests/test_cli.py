@@ -273,6 +273,20 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert obj["kappa"] == 3
 
 
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "table.json"
+    code, out, err = run_cli(capsys, "modular", "--algebra", "A1", "--kappa",
+                             "3", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err == (f"error: cannot write {target}: "
+                   "No such file or directory\n")
+    code, _, err = run_cli(capsys, "verify", "--suite", "modular",
+                           "--algebra", "A1", "--kappa", "3",
+                           "--out", str(tmp_path))
+    assert code == 2 and err.startswith(f"error: cannot write {tmp_path}: ")
+    assert "Traceback" not in err
+
+
 def test_tolerance_env_override(capsys, monkeypatch):
     monkeypatch.setenv("MODCAT_TOLERANCE", "1e-3")
     from modcat.numeric import default_tolerance

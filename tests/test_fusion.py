@@ -9,7 +9,7 @@ from modcat.fusion import (build_fusion_table, classical_tensor,
                            verify_grothendieck)
 from modcat.lie import build_root_system
 from modcat import modular
-from modcat.modular import build_modular_data
+from modcat.modular import build_modular_data, verify_modular_relations
 from modcat.numeric import CycNum, QRatFn
 from modcat.weyl import enumerate_alcove, star
 
@@ -210,9 +210,9 @@ def test_non_unitary_s_passes_evaluation_matrix_check(monkeypatch):
     table = build_fusion_table(A1, 4, md.alcove)
     bad = with_row(md, 1, (x * 2 for x in md.smatrix[1]))
     calls = []
-    real = modular.mat_det_is_nonzero
-    monkeypatch.setattr(modular, "mat_det_is_nonzero",
-                        lambda a: calls.append(a) or real(a))
+    real = modular.solve
+    monkeypatch.setattr(modular, "solve",
+                        lambda a, b=None: calls.append(a) or real(a, b))
     checks = statuses(verify_grothendieck(bad, table))
     assert checks["character evaluation matrix non-singular"].status == "pass"
     assert calls == [bad.smatrix]
@@ -220,6 +220,22 @@ def test_non_unitary_s_passes_evaluation_matrix_check(monkeypatch):
     assert statuses(verify_grothendieck(md, table))[
         "character evaluation matrix non-singular"].status == "pass"
     assert calls == []
+
+
+def test_grothendieck_reuses_unitarity_of_modular_suite(monkeypatch):
+    # verify --suite all: s s^dagger is formed once, by the modular suite
+    md = build_modular_data(A2, 5)
+    table = build_fusion_table(A2, 5, md.alcove)
+    assert verify_modular_relations(md).passed
+    products = []
+    real = modular.matrix_product
+    monkeypatch.setattr(modular, "matrix_product",
+                        lambda a, b: products.append(a) or real(a, b))
+    assert verify_grothendieck(md, table).passed
+    assert products == []
+    # a fresh copy of the same data has to form it
+    assert verify_grothendieck(dataclasses.replace(md), table).passed
+    assert len(products) == 1
 
 
 def test_non_associative_table_fails_associativity():

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import pytest
 
 from modcat.lie import (build_root_system, form, lattice_index, pairing,
-                        smith_diagonal, theta_pairing, wadd, wscale)
+                        root_alpha_coords, theta_pairing, wadd, wscale)
+from modcat.numeric import solve
 
 ALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3),
              ("D", 4), ("E", 6), ("F", 4), ("G", 2)]
@@ -18,7 +20,7 @@ SUPPORTED = [(series, rank) for series, ranks in [
 
 
 def brute_det(mat):
-    # cofactor expansion, independent of the Smith-normal-form route
+    # cofactor expansion, independent of the elimination in numeric.solve
     n = len(mat)
     if n == 1:
         return mat[0][0]
@@ -167,6 +169,7 @@ def test_lattice_index_against_determinant_oracle():
         rs = build_root_system(series, rank)
         cartan = [list(row) for row in rs.cartan]
         assert lattice_index(rs, "P", "Q") == abs(brute_det(cartan))
+        assert rs.cartan_index == abs(brute_det(cartan))
 
 
 def test_lattice_index_rejects_non_sublattice():
@@ -183,10 +186,64 @@ def test_lattice_index_rejects_bad_spec():
         lattice_index(a2, "P", "0Qv")
 
 
-def test_smith_diagonal_known_cases():
-    assert smith_diagonal([[2, -1], [-1, 2]]) == [1, 3]
-    assert smith_diagonal([[4, 0], [0, 6]]) == [2, 12]
-    assert smith_diagonal([[1, 0], [0, 0]]) == [1, 0]
+def random_fraction_matrix(rng, rows, cols):
+    return [[Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
+             for _ in range(cols)] for _ in range(rows)]
+
+
+def test_solve_against_determinant_oracle():
+    rng = random.Random(8)
+    for trial in range(60):
+        n, k = rng.randrange(1, 6), rng.randrange(0, 3)
+        a = random_fraction_matrix(rng, n, n)
+        if trial % 3 == 0 and n > 1:
+            # singular: one row a combination of two others (or a copy)
+            i, j, l = rng.sample(range(n), 3) if n > 2 else (0, 1, 1)
+            c = Fraction(rng.randrange(-3, 4), 2)
+            a[i] = [x + c * y for x, y in zip(a[j], a[l])]
+        b = random_fraction_matrix(rng, n, k)
+        det, x = solve(a, b)
+        assert det == brute_det(a)
+        assert solve(a)[0] == det
+        if det == 0:
+            assert x is None
+        else:
+            assert [[sum(a[i][m] * x[m][j] for m in range(n))
+                     for j in range(k)] for i in range(n)] == b
+
+
+def test_solve_row_swap_and_singular_input():
+    # a zero pivot swaps rows and flips the sign of det
+    assert solve([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]],
+                 [[2], [3]]) == (-1, [[3], [2]])
+    # a singular input gives det 0, not a bare StopIteration
+    det, x = solve([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]],
+                   [[1], [1]])
+    assert det == 0 and x is None
+    assert solve([[Fraction(0)]]) == (0, None)
+
+
+@pytest.mark.parametrize("series,rank", SUPPORTED)
+def test_cartan_inverse_and_simple_root_coordinates(series, rank):
+    # root_alpha_coords reads A^-1 w off the Gram matrix; check it against
+    # the inverse Cartan matrix and against sum_i c_i alpha_i = w
+    rs = build_root_system(series, rank)
+    cartan = [[Fraction(x) for x in row] for row in rs.cartan]
+    ident = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    det, inv = solve(cartan, ident)
+    assert abs(det) == rs.cartan_index
+    assert [[sum(map(mul, row, col)) for col in zip(*inv)]
+            for row in cartan] == ident
+    rng = random.Random(rank)
+    for w in list(rs.positive_roots[:8]) + [
+            tuple(rng.randrange(-5, 6) for _ in range(rank))
+            for _ in range(5)]:
+        coords = root_alpha_coords(rs, w)
+        assert coords == tuple(sum(inv[i][j] * w[j] for j in range(rank))
+                               for i in range(rank))
+        # sum_i c_i alpha_i = w, alpha_i the i-th column of the Cartan matrix
+        assert tuple(sum(c * rs.cartan[k][i] for i, c in enumerate(coords))
+                     for k in range(rank)) == w
 
 
 def fraction_inverse(mat):

@@ -7,9 +7,9 @@ import pytest
 from modcat.chardata import quantum_dim
 from modcat.lie import build_root_system
 from modcat import modular
-from modcat.modular import (build_modular_data, mat_det_is_nonzero,
-                            s_entry_extended, twist, verify_modular_relations)
-from modcat.numeric import CycNum, matrix_product
+from modcat.modular import (build_modular_data, s_entry_extended, twist,
+                            verify_modular_relations)
+from modcat.numeric import CycNum, matrix_product, solve
 from modcat.weyl import fold_to_alcove
 
 A1 = build_root_system("A", 1)
@@ -156,10 +156,16 @@ def test_twists_and_zeta_are_roots_of_unity():
         assert md.zeta ** md.zeta.order == CycNum.one()
 
 
-def test_det_nonzero_helper():
+def test_solve_over_cyclotomic_entries():
     one, zero = CycNum.one(), CycNum.zero()
-    assert mat_det_is_nonzero(((one, zero), (zero, one)))
-    assert not mat_det_is_nonzero(((one, one), (one, one)))
+    assert solve(((one, zero), (zero, one)))[0] == one
+    assert solve(((one, one), (one, one))) == (0, None)
+    # a = [[1, i], [i, 2]]: det a = 3, and a x = b for b = a [[z8], [1]]
+    i, z8 = CycNum.root_of_unity(4, 1), CycNum.root_of_unity(8, 1)
+    a = ((one, i), (i, one * 2))
+    b = matrix_product(a, [[z8], [one]])
+    det, x = solve(a, b)
+    assert det == 3 and x == [[z8], [one]]
 
 
 def with_row(md, i, row):
@@ -170,9 +176,9 @@ def with_row(md, i, row):
 
 def count_eliminations(monkeypatch):
     calls = []
-    real = modular.mat_det_is_nonzero
-    monkeypatch.setattr(modular, "mat_det_is_nonzero",
-                        lambda a: calls.append(a) or real(a))
+    real = modular.solve
+    monkeypatch.setattr(modular, "solve",
+                        lambda a, b=None: calls.append(a) or real(a, b))
     return calls
 
 
