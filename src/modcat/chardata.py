@@ -6,13 +6,16 @@ everything stays inside one cyclotomic field: a group-ring element
 f = sum a_lam e^lam takes the value sum a_lam eps^((lam, mu)') there, each
 exponent an integer over the Gram denominator D.  Alternating sums run over
 the signed Weyl orbit of weyl.weyl_orbit, and quantum dimensions come from
-the q-Weyl product, which needs no orbit.
+the q-Weyl product, which needs no orbit.  Each such sum or product of
+powers of eps is tallied as integer counts per exponent and made into a
+CycNum once, by CycNum.from_tally.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .lie import (RootSystemData, Weight, _dot, _form_num, _gram_vector, wadd,
                   wscale, wsub)
@@ -142,14 +145,19 @@ def weyl_denominator_value(rs: RootSystemData, kappa: int,
     """prod over positive alpha of (eps^((alpha, point)'/2) - eps^(-...))."""
     order = 2 * _eps_order(rs, kappa)
     v = _gram_vector(rs, point)
-    acc = CycNum.one()
-    for alpha in rs.positive_roots:
-        e = _dot(alpha, v)
-        acc = acc * (CycNum.root_of_unity(order, e)
-                     - CycNum.root_of_unity(order, -e))
-        if acc.is_zero():
-            return acc
-    return acc
+    exps = [_dot(alpha, v) % order for alpha in rs.positive_roots]
+    # the binomials multiplied out over Z / order: at most order keys
+    prod = {0: 1}
+    for e in exps:
+        if 2 * e % order == 0:
+            return CycNum.zero()
+        nxt: dict[int, int] = {}
+        for k, c in prod.items():
+            up, down = (k + e) % order, (k - e) % order
+            nxt[up] = nxt.get(up, 0) + c
+            nxt[down] = nxt.get(down, 0) - c
+        prod = nxt
+    return CycNum.from_tally(order, prod, exponents=exps)
 
 
 def alternating_sum(rs: RootSystemData, kappa: int, xi: Weight,
@@ -161,15 +169,15 @@ def alternating_sum(rs: RootSystemData, kappa: int, xi: Weight,
     otherwise.
     """
     dom, parity = make_dominant(rs, xi)
-    acc = CycNum.zero()
     if not all(dom):
-        return acc
+        return CycNum.zero()
     order = _eps_order(rs, kappa)
     v = _gram_vector(rs, point)
+    tally: dict[int, int] = {}
     for image, sign in weyl_orbit(rs, dom):
-        term = CycNum.root_of_unity(order, _dot(image, v))
-        acc = acc + (term if sign == parity else -term)
-    return acc
+        e = sum(map(mul, image, v)) % order  # _dot, inlined in the hot loop
+        tally[e] = tally.get(e, 0) + sign * parity
+    return CycNum.from_tally(order, tally)
 
 
 def char_value(rs: RootSystemData, kappa: int, lam: Weight,
@@ -186,13 +194,13 @@ def char_value(rs: RootSystemData, kappa: int, lam: Weight,
         raise ValueError(
             f"character of non-dominant {lam} at a singular point: fold to "
             "the alcove first")
-    table = weight_multiplicities(rs, lam)
     order = _eps_order(rs, kappa)
     v = _gram_vector(rs, point)
-    acc = CycNum.zero()
-    for mu, mult in sorted(table.mults.items()):
-        acc = acc + CycNum.root_of_unity(order, _dot(mu, v)) * mult
-    return acc
+    tally: dict[int, int] = {}
+    for mu, mult in weight_multiplicities(rs, lam).mults.items():
+        e = _dot(mu, v) % order
+        tally[e] = tally.get(e, 0) + mult
+    return CycNum.from_tally(order, tally)
 
 
 def quantum_dim(rs: RootSystemData, kappa: int, lam: Weight) -> CycNum:

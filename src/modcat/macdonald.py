@@ -32,8 +32,8 @@ from .lie import (RootSystemData, Weight, build_root_system, form,
                   wneg, wscale)
 from .numeric import (CycNum, InternalConsistencyError, LaurentPoly,
                       PoleAtEpsilonError, QRatFn, _clear_denominators, _pmul,
-                      approx_eq, default_tolerance, epsilon_power,
-                      matrix_product, q_number, sqrt_of_int)
+                      approx_eq, cyclotomic_polynomial, default_tolerance,
+                      epsilon_power, matrix_product, sqrt_of_int)
 from .report import VerificationReport, mismatches
 from .weyl import (enumerate_ck, make_dominant, reflect, star,
                    star_positions, weyl_orbit, weyl_order)
@@ -214,8 +214,10 @@ def norm_formula(rs: RootSystemData, k: int, lam: Weight) -> QRatFn:
     """Closed product of q-number ratios for the squared norm of P_lam.
 
     Equal q-numbers of the numerator [x + i] and the denominator [x - i]
-    cancel first; the rest are multiplied out as one numerator and one
-    denominator product, and the ratio is normalised once."""
+    cancel first.  Each remaining [m] is v^(-2(m-1)) prod Phi_e(v) over
+    e | 4m, e not dividing 4, and [-m] = -[m]; cancelling the counts of
+    each cyclotomic factor Phi_e leaves two coprime sides, which are
+    multiplied out in integers into an already reduced ratio."""
     count: Counter[int] = Counter()
     shifted = wadd(lam, wscale(k, rs.rho))
     for alpha in rs.positive_roots:
@@ -230,12 +232,27 @@ def norm_formula(rs: RootSystemData, k: int, lam: Weight) -> QRatFn:
                     "division by the zero rational function")
             count[x + i] += 1
             count[x - i] -= 1
-    num = den = _ONE
-    for m in (+count).elements():
-        num = num * q_number(m).num
-    for m in (-count).elements():
-        den = den * q_number(m).num
-    return QRatFn(num, den)
+    if count[0] > 0:  # the numerator has the factor [0] = 0
+        return QRatFn.zero()
+    factors: Counter[int] = Counter()
+    shift, sign = 0, 1
+    for m, c in count.items():
+        if m < 0 and c % 2:
+            sign = -sign
+        m = abs(m)
+        shift -= 2 * (m - 1) * c
+        for e in range(3, 4 * m + 1):
+            if 4 * m % e == 0 and e != 4:
+                factors[e] += c
+    num, den = [sign], [1]
+    for e, c in factors.items():
+        for _ in range(abs(c)):
+            if c > 0:
+                num = _pmul(num, cyclotomic_polynomial(e))
+            else:
+                den = _pmul(den, cyclotomic_polynomial(e))
+    return QRatFn(LaurentPoly(shift, tuple(num)), LaurentPoly(0, tuple(den)),
+                  _reduced=True)
 
 
 @dataclass

@@ -10,6 +10,11 @@ One polynomial kernel over ascending coefficient lists of ``int`` or
   of value coincides with equality of the canonical form, so the zero test
   is exact.  Arithmetic between different orders lifts both operands to
   the least common multiple of the orders; inverses run Euclid modulo Phi_L.
+  Fast paths keep to that form: equal orders need no lift, a rational
+  operand scales the coordinates, and c zeta^e inverts to (1/c) zeta^-e.
+  ``CycNum.from_tally`` makes a sum or product of powers of one root of
+  unity from an integer tally {e mod M: c} with one reduction, at
+  M / gcd(M, every exponent tallied): the lcm of the term orders.
   ``matrix_product`` multiplies CycNum matrices over one field: it lifts
   and packs each entry into one int once, and reduces each result once.
 
@@ -152,20 +157,21 @@ def _phi(order: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _power_rows(order: int) -> tuple[tuple[int, ...], ...]:
-    """Row e = coordinates of zeta^e over the power basis, e < max(order, 2 phi - 1)."""
+def _power_rows(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row e = the nonzero coordinates (i, c) of zeta^e over the power basis,
+    e < max(order, 2 phi - 1)."""
     phi = _phi(order)
     top = max(order, 2 * phi - 1)
-    rows = [tuple(int(i == e) for i in range(phi)) for e in range(phi)]
+    dense = [int(i == phi - 1) for i in range(phi)]
+    rows = [((e, 1),) for e in range(phi)]
     # x^phi = -(lower part of the cyclotomic polynomial), which is monic
     head = tuple(-c for c in cyclotomic_polynomial(order)[:phi])
-    for e in range(phi, top):
-        prev = rows[e - 1]
-        carry = prev[phi - 1]
-        shifted = [0] + list(prev[:phi - 1])
+    for _ in range(phi, top):
+        carry = dense[phi - 1]
+        dense = [0] + dense[:phi - 1]
         if carry:
-            shifted = [s + carry * h for s, h in zip(shifted, head)]
-        rows.append(tuple(shifted))
+            dense = [s + carry * h for s, h in zip(dense, head)]
+        rows.append(tuple((i, c) for i, c in enumerate(dense) if c))
     return tuple(rows)
 
 
@@ -177,9 +183,12 @@ def _reduce_exponents(order: int, pairs) -> list[int]:
     for e, c in pairs:
         if not c:
             continue
-        row = rows[e % order] if e >= order or e < 0 else rows[e]
-        for i, r in enumerate(row):
-            if r:
+        if e >= order or e < 0:
+            e %= order
+        if e < phi:
+            out[e] += c
+        else:
+            for i, r in rows[e]:
                 out[i] += c * r
     return out
 
@@ -192,12 +201,13 @@ class CycNum:
     def __init__(self, order: int, num: tuple[int, ...], den: int,
                  _normalized: bool = False):
         if not _normalized:
-            g = gcd(den, *num)
-            if g > 1:
-                num = tuple(x // g for x in num)
-                den //= g
-            if all(x == 0 for x in num):
+            if not any(num):
                 order, num, den = 1, (0,), 1
+            elif den != 1:
+                g = gcd(den, *num)
+                if g > 1:
+                    num = tuple(x // g for x in num)
+                    den //= g
         self.order = order
         self.num = num
         self.den = den
@@ -220,13 +230,25 @@ class CycNum:
     @staticmethod
     def root_of_unity(order: int, exponent: int) -> "CycNum":
         """zeta_order^exponent, stored at the smallest sufficient order."""
-        exponent %= order
-        g = gcd(exponent, order)
+        return CycNum.from_tally(order, {exponent % order: 1})
+
+    @staticmethod
+    def from_tally(order: int, tally: dict[int, int], den: int = 1,
+                   exponents=()) -> "CycNum":
+        """sum c zeta_order^e / den over the integer tally {e: c}.
+
+        The value is stored at order / gcd(order, every key of tally and
+        every one of exponents): the lcm of the orders of the terms, which
+        is where adding or multiplying them one at a time ends up.  Keys
+        whose counts cancel still count; a product passes its factor
+        exponents, since the keys of a product can share a larger gcd.
+        """
+        g = gcd(order, *tally, *exponents)
+        pairs = tally.items()
         if g > 1:
             order //= g
-            exponent //= g
-        vec = _reduce_exponents(order, [(exponent, 1)])
-        return CycNum(order, tuple(vec), 1)
+            pairs = ((e // g, c) for e, c in pairs)
+        return CycNum(order, tuple(_reduce_exponents(order, pairs)), den)
 
     # -- canonical form helpers --------------------------------------------
 
@@ -238,20 +260,30 @@ class CycNum:
         return _reduce_exponents(
             order, ((e * step, c) for e, c in enumerate(self.num) if c))
 
-    def _common(self, other: "CycNum") -> tuple[int, list[int], list[int]]:
+    def _common(self, other: "CycNum") -> tuple:
+        """(L, a, b): both numerators over Q(zeta_L), L the lcm of orders."""
+        if self.order == other.order:
+            return self.order, self.num, other.num
+        # a rational lifts to its first coordinate
+        if other.order == 1:
+            pad = (0,) * (len(self.num) - 1)
+            return self.order, self.num, other.num + pad
+        if self.order == 1:
+            pad = (0,) * (len(other.num) - 1)
+            return other.order, self.num + pad, other.num
         L = self.order * other.order // gcd(self.order, other.order)
         return L, self._lift_num(L), other._lift_num(L)
 
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.num)
+        return not any(self.num)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def is_rational(self) -> bool:
-        return all(x == 0 for x in self.num[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -264,8 +296,11 @@ class CycNum:
     def _coerce(value):
         if isinstance(value, CycNum):
             return value
-        if isinstance(value, (int, Fraction)):
-            return CycNum.from_rational(value)
+        if isinstance(value, int):
+            return CycNum(1, (int(value),), 1, _normalized=True)
+        if isinstance(value, Fraction):
+            return CycNum(1, (value.numerator,), value.denominator,
+                          _normalized=True)
         return NotImplemented
 
     def __add__(self, other):
@@ -300,6 +335,11 @@ class CycNum:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return CycNum.zero()
+        # a rational factor scales the coordinates
+        if other.order == 1 or self.order == 1:
+            x, r = (self, other) if other.order == 1 else (other, self)
+            c = r.num[0]
+            return CycNum(x.order, tuple(v * c for v in x.num), x.den * r.den)
         L, a, b = self._common(other)
         nums = _reduce_exponents(L, enumerate(_pmul(a, b)))
         return CycNum(L, tuple(nums), self.den * other.den)
@@ -310,6 +350,13 @@ class CycNum:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         L = self.order
+        terms = [(e, c) for e, c in enumerate(self.num) if c]
+        if len(terms) == 1:
+            # (c / den) zeta^e has inverse (den / c) zeta^-e
+            (e, c), = terms
+            sign = 1 if c > 0 else -1
+            vec = _reduce_exponents(L, [(-e, sign * self.den)])
+            return CycNum(L, tuple(vec), abs(c))
         poly = [Fraction(x, self.den) for x in self.num]
         nums, den = _clear_denominators(
             _poly_modular_inverse(poly, cyclotomic_polynomial(L)))
@@ -370,9 +417,10 @@ class CycNum:
         return acc / self.den
 
     def to_json_obj(self):
+        den = self.den
         return {
             "order": self.order,
-            "coeffs": [[e, str(Fraction(c, self.den))]
+            "coeffs": [[e, str(c) if den == 1 else str(Fraction(c, den))]
                        for e, c in enumerate(self.num) if c],
         }
 
@@ -629,11 +677,16 @@ class LaurentPoly:
         return LaurentPoly(-self.high, tuple(reversed(self.coeffs)))
 
     def eval_eps_half(self, lacing: int, kappa: int) -> CycNum:
-        """Value at v = eps^(1/2)."""
-        acc = CycNum.zero()
-        for e, c in self.items():
-            acc = acc + epsilon_power(Fraction(e, 2), lacing, kappa) * c
-        return acc
+        """Value at v = eps^(1/2) = zeta_M, M = 4 lacing kappa: one tally of
+        the coefficients over their least common denominator."""
+        order = 4 * lacing * kappa
+        nums, den = _clear_denominators(self.coeffs)
+        tally: dict[int, int] = {}
+        for i, c in enumerate(nums):
+            if c:
+                e = (self.low + i) % order
+                tally[e] = tally.get(e, 0) + c
+        return CycNum.from_tally(order, tally, den)
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -665,9 +718,15 @@ class QRatFn:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: LaurentPoly, den: LaurentPoly):
+    def __init__(self, num: LaurentPoly, den: LaurentPoly,
+                 _reduced: bool = False):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
+        if _reduced:
+            # coprime, den monic with a nonzero constant term and low = 0
+            self.num = num
+            self.den = den
+            return
         if num.is_zero():
             self.num = LaurentPoly()
             self.den = LaurentPoly.constant(1)

@@ -67,6 +67,8 @@ COMMANDS = {
                           "--kappa", "18"],
     "verify-all-G2-k9": ["verify", "--suite", "all", "--algebra", "G2",
                          "--kappa", "9"],
+    # s-matrix numerators summed over a |W| = 51,840 signed orbit
+    "modular-E6-k13": ["modular", "--algebra", "E6", "--kappa", "13"],
 }
 
 

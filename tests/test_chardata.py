@@ -8,9 +8,9 @@ import pytest
 from modcat.chardata import (alternating_sum, char_value, quantum_dim,
                              vanishing_criterion, weight_multiplicities,
                              weyl_denominator_value, weyl_dimension)
-from modcat.lie import build_root_system, form, wadd, wscale
+from modcat.lie import _gram_vector, build_root_system, form, wadd, wscale
 from modcat.modular import twist
-from modcat.numeric import CycNum, epsilon_power
+from modcat.numeric import CycNum, LaurentPoly, epsilon_power
 from modcat.weyl import (enumerate_alcove, fold_to_alcove, make_dominant,
                          star, weyl_orbit)
 
@@ -276,3 +276,98 @@ def test_integer_exponents_match_fraction_formulas(series, rank, kappa):
         assert exact(twist(rs, kappa, lam)) == exact(epsilon_power(
             fraction_form(rs, lam, wadd(lam, wscale(2, rs.rho))),
             rs.lacing, kappa))
+
+
+# -- the tally callers against their former term-by-term loops
+
+def term_by_term(terms):
+    """(sum, order): the terms added one CycNum at a time, and the order a
+    tally stores the sum at: the lcm of the term orders, or 1 for zero.
+    The two orders differ only where the running sum passes through 0,
+    after which the loop restarts from order 1."""
+    acc, top, through_zero = CycNum.zero(), 1, False
+    for term in terms:
+        through_zero |= acc.is_zero() and top > 1
+        acc = acc + term
+        top = math.lcm(top, term.order)
+    if not through_zero:
+        assert acc.order == (1 if acc.is_zero() else top)
+    return acc, 1 if acc.is_zero() else top
+
+
+def loop_denominator(rs, kappa, point):
+    order = 4 * rs.lacing * kappa * rs.denominator
+    v = _gram_vector(rs, point)
+    acc = CycNum.one()
+    for alpha in rs.positive_roots:
+        e = sum(a * x for a, x in zip(alpha, v))
+        acc = acc * (CycNum.root_of_unity(order, e)
+                     - CycNum.root_of_unity(order, -e))
+        if acc.is_zero():
+            return acc
+    return acc
+
+
+def loop_alternating_sum(rs, kappa, xi, point):
+    dom, parity = make_dominant(rs, xi)
+    if not all(dom):
+        return CycNum.zero(), 1
+    order = 2 * rs.lacing * kappa * rs.denominator
+    v = _gram_vector(rs, point)
+    terms = []
+    for image, sign in weyl_orbit(rs, dom):
+        term = CycNum.root_of_unity(
+            order, sum(a * x for a, x in zip(image, v)))
+        terms.append(term if sign == parity else -term)
+    return term_by_term(terms)
+
+
+def loop_weight_sum(rs, kappa, lam, point):
+    order = 2 * rs.lacing * kappa * rs.denominator
+    v = _gram_vector(rs, point)
+    return term_by_term(
+        CycNum.root_of_unity(order, sum(a * x for a, x in zip(mu, v))) * mult
+        for mu, mult in sorted(weight_multiplicities(rs, lam).mults.items()))
+
+
+def loop_eval_eps_half(poly, lacing, kappa):
+    return term_by_term(epsilon_power(Fraction(e, 2), lacing, kappa) * c
+                        for e, c in poly.items())
+
+
+@pytest.mark.parametrize("series,rank,kappa", [
+    ("A", 1, 7), ("A", 2, 5), ("A", 3, 6), ("B", 2, 4), ("C", 3, 5),
+    ("G", 2, 5), ("D", 4, 7)])
+def test_tally_callers_match_term_by_term_loops(series, rank, kappa):
+    rs = build_root_system(series, rank)
+    rng = random.Random(f"tally {series}{rank}")
+
+    def weight(lo, hi):
+        return tuple(rng.randrange(lo, hi) for _ in range(rank))
+
+    points = ([weight(-4, 5) for _ in range(5)] + [wscale(-2, rs.rho)]
+              + [wscale(-2, wadd(weight(0, 3), rs.rho)) for _ in range(3)]
+              + [rs.zero, wscale(2 * rs.lacing * kappa, weight(-1, 2))])
+    singular = 0
+    for point in points:
+        den = weyl_denominator_value(rs, kappa, point)
+        assert exact(den) == exact(loop_denominator(rs, kappa, point))
+        for xi in [weight(-3, 4) for _ in range(3)] + [rs.rho]:
+            got = alternating_sum(rs, kappa, xi, point)
+            want, order = loop_alternating_sum(rs, kappa, xi, point)
+            assert got == want and got.order == order, (xi, point)
+        if den.is_zero():
+            singular += 1
+            for lam in (rs.zero, weight(0, 2), rs.highest_root):
+                got = char_value(rs, kappa, lam, point)
+                want, order = loop_weight_sum(rs, kappa, lam, point)
+                assert got == want and got.order == order, (lam, point)
+    assert singular >= 2
+    for _ in range(20):
+        low = rng.randrange(-12, 12)
+        poly = LaurentPoly(low, tuple(
+            Fraction(rng.randrange(-5, 6), rng.choice((1, 2, 3, 10)))
+            for _ in range(rng.randrange(0, 9))))
+        got = poly.eval_eps_half(rs.lacing, kappa)
+        want, order = loop_eval_eps_half(poly, rs.lacing, kappa)
+        assert got == want and got.order == order, poly

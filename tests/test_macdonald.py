@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -290,6 +291,29 @@ def test_norm_formula_matches_stepwise_quotient(n, k):
     rs = build_root_system("A", n - 1)
     for lam in enumerate_ck(rs, 3 - n + k):
         assert norm_formula(rs, k, lam) == stepwise_norm(rs, k, lam)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("k", [2, 3])
+def test_norm_formula_matches_stepwise_quotient_off_the_alcove(n, k):
+    # non-dominant weights: negative q-numbers [-m] = -[m], a factor
+    # [0] = 0 in the numerator, and [0] in the denominator, which raises
+    rs = build_root_system("A", n - 1)
+    seen = set()
+    for lam in itertools.product(range(-2 * k - 1, 2), repeat=n - 1):
+        try:
+            want = stepwise_norm(rs, k, lam)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                norm_formula(rs, k, lam)
+            seen.add("pole")
+            continue
+        got = norm_formula(rs, k, lam)
+        assert got == want, lam
+        assert (got.num.low, got.num.coeffs, got.den.coeffs) == (
+            want.num.low, want.num.coeffs, want.den.coeffs)
+        seen.add("zero" if got.is_zero() else "nonzero")
+    assert seen == {"pole", "zero", "nonzero"}
 
 
 def _denominators(p):

@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 
 from modcat.numeric import (CycNum, LaurentPoly, PoleAtEpsilonError, QRatFn,
-                            _pdivexact, _pdivmod, _phi, _pmul, _strip,
+                            _pdivexact, _pdivmod, _phi, _pmul,
+                            _poly_modular_inverse, _strip,
                             approx_eq, cyclotomic_polynomial, epsilon_power,
                             matrix_product, q_number, sqrt_of_int)
 
@@ -236,6 +237,133 @@ def test_cross_order_arithmetic():
     assert abs(v.to_complex()
                - (cmath.exp(1j * cmath.pi / 3) + 1j)) < 1e-12
     assert v - z4 == z6
+
+
+# -- the general route of the CycNum kernel, as a test-local reference:
+# lift both operands to the lcm of their orders by polynomial remainder
+# mod Phi_L, combine, and normalise by one gcd
+
+def ref_coords(order, pairs):
+    """Coordinates of sum c zeta_order^e, by remainder mod Phi_order."""
+    poly = [0] * order
+    for e, c in pairs:
+        poly[e % order] += c
+    _, rem = _pdivmod(poly, list(cyclotomic_polynomial(order)))
+    return rem + [0] * (_phi(order) - len(rem))
+
+
+def ref_make(order, nums, den):
+    g = math.gcd(den, *nums)
+    nums, den = [x // g for x in nums], den // g
+    if not any(nums):
+        return 1, (0,), 1
+    return order, tuple(nums), den
+
+
+def ref_lift(x, order):
+    step = order // x.order
+    return ref_coords(order, [(e * step, c) for e, c in enumerate(x.num)])
+
+
+def ref_add(x, y):
+    L = math.lcm(x.order, y.order)
+    nums = [a * y.den + b * x.den
+            for a, b in zip(ref_lift(x, L), ref_lift(y, L))]
+    return ref_make(L, nums, x.den * y.den)
+
+
+def ref_mul(x, y):
+    if x.is_zero() or y.is_zero():
+        return 1, (0,), 1
+    L = math.lcm(x.order, y.order)
+    prod = _pmul(ref_lift(x, L), ref_lift(y, L))
+    return ref_make(L, ref_coords(L, enumerate(prod)), x.den * y.den)
+
+
+def ref_inverse(x):
+    inv = _poly_modular_inverse([Fraction(c, x.den) for c in x.num],
+                                cyclotomic_polynomial(x.order))
+    den = math.lcm(*(f.denominator for f in inv))
+    nums = [f.numerator * (den // f.denominator) for f in inv]
+    return ref_make(x.order, nums + [0] * (_phi(x.order) - len(nums)), den)
+
+
+def ref_json(order, num, den):
+    return {"order": order,
+            "coeffs": [[e, str(Fraction(c, den))]
+                       for e, c in enumerate(num) if c]}
+
+
+def exact(x):
+    return x.order, x.num, x.den
+
+
+def kernel_pool(rng):
+    """Seeded values at every order of ORDERS: monomials c zeta^e (also
+    with gcd(e, L) > 1), rationals, zero, and general sums, with unit and
+    non-unit denominators, each stored at the order it is built at."""
+    pool = [CycNum.zero(), CycNum.one(), CycNum.from_rational(Fraction(-5, 6))]
+    for L in (1, 3, 4, 5, 8, 12, 15, 24, 40):
+        phi = _phi(L)
+        for den in (1, 6):
+            e = rng.randrange(L)
+            c = rng.choice((1, -1, 3, -4))
+            pool.append(CycNum(L, tuple(ref_coords(L, [(e, c)])), den))
+            pool.append(CycNum(L, tuple(ref_coords(L, [(0, c)])), den))
+            nums = [rng.randrange(-6, 7) for _ in range(phi)]
+            pool.append(CycNum(*ref_make(L, nums, den)))
+    return pool
+
+
+def test_kernel_fast_paths_match_general_route():
+    rng = random.Random(1)
+    pool = kernel_pool(rng)
+    assert {x.order for x in pool} == {1, 3, 4, 5, 8, 12, 15, 24, 40}
+    for x in pool:
+        assert x.to_json_obj() == ref_json(*exact(x))
+        for y in pool:
+            assert exact(x + y) == ref_add(x, y), (x, y)
+            assert exact(x * y) == ref_mul(x, y), (x, y)
+            assert (x == y) == (ref_add(x, -y) == (1, (0,), 1))
+        for r in (0, 3, -2, Fraction(-7, 4)):
+            q = CycNum.from_rational(r)
+            for got in (x + r, r + x):
+                assert exact(got) == ref_add(x, q)
+            for got in (x * r, r * x):
+                assert exact(got) == ref_mul(x, q)
+            assert exact(x - r) == ref_add(x, CycNum.from_rational(-r))
+        if not x.is_zero():
+            inv = x.inverse()
+            assert exact(inv) == ref_inverse(x), x
+            assert inv.to_json_obj() == ref_json(*ref_inverse(x))
+            assert x.inverse() * x == 1
+
+
+def test_from_tally_order_rule():
+    # a sum is stored at the lcm of the orders of its terms: zeta_12^3 = i
+    # has order 4 and zeta_12^4 order 3, so their sum lies at order 12
+    got = CycNum.from_tally(12, {3: 1, 4: 1})
+    assert got.order == 12
+    assert got == CycNum.root_of_unity(4, 1) + CycNum.root_of_unity(3, 1)
+    # keys whose counts cancel still count: i - i + zeta_3 is zeta_3 at
+    # order 12, where adding the terms one at a time passes through 0 and
+    # restarts from order 1, to end at order 3
+    running = CycNum.zero()
+    for term in (CycNum.root_of_unity(12, 3), -CycNum.root_of_unity(12, 3),
+                 CycNum.root_of_unity(12, 4)):
+        running = running + term
+    tally = CycNum.from_tally(12, {3: 0, 4: 1})
+    assert running == tally
+    assert (running.order, tally.order) == (3, 12)
+    # a product passes its factor exponents: (zeta_8 - zeta_8^-1)^2 = -2
+    # has keys {2, 0, 6} of gcd 2 with 8, but its factors have order 8
+    square = CycNum.from_tally(8, {2: 1, 0: -2, 6: 1}, exponents=(1, 7))
+    step = CycNum.root_of_unity(8, 1) - CycNum.root_of_unity(8, 7)
+    assert exact(square) == exact(step * step)
+    assert square.order == 8 and square == -2
+    # an empty tally is zero, a denominator is normalised
+    assert exact(CycNum.from_tally(24, {})) == (1, (0,), 1)
+    assert exact(CycNum.from_tally(4, {0: 2, 2: 4}, den=4)) == (2, (-1,), 2)
 
 
 def test_epsilon_power_examples():
