@@ -527,6 +527,96 @@ def test_qratfn_json_round_trip():
     assert json.dumps(g.to_json_obj()) == blob
 
 
+def _pinned_qratfns():
+    m, r = QRatFn.monomial, QRatFn.from_rational
+    f3 = (m(2, 3) - 1) / (m(1, 2) + Fraction(1, 3))
+    f6 = (m(-1, -4) + 1) / (m(2, Fraction(-3, 2)) + 5)
+    return {
+        "zero": QRatFn.zero(),
+        "rational": r(Fraction(-5, 3)),
+        "negative low": m(-3, Fraction(2, 7)),
+        "non-monic rational den": f3,
+        "negative leading den": f6,
+        "bar": f3.bar(),
+        "quotient": q_number(3) / q_number(2),
+        "mixed quotient": (f3 * f6) / (q_number(3) / q_number(2) + 1),
+        "bar of difference": (f6 - f3).bar(),
+        "scaled q-number": q_number(2, 2) * m(-5, Fraction(-1, 4)),
+        "reciprocal": r(Fraction(3, 4)) / (m(-2, Fraction(-2, 5)) + m(1, 7)),
+    }
+
+
+# JSON and repr print the denominator monic; no golden prints a non-integer
+# coefficient, so these strings pin the printed form
+PINNED_QRATFN = {
+    "zero": (
+        '{"num": [], "den": [[0, "1"]]}',
+        "QRatFn(0)"),
+    "rational": (
+        '{"num": [[0, "-5/3"]], "den": [[0, "1"]]}',
+        "QRatFn(-5/3)"),
+    "negative low": (
+        '{"num": [[-3, "2/7"]], "den": [[0, "1"]]}',
+        "QRatFn(2/7*v^-3)"),
+    "non-monic rational den": (
+        '{"num": [[0, "-1/2"], [2, "3/2"]], "den": [[0, "1/6"], [1, "1"]]}',
+        "QRatFn((-1/2 + 3/2*v^2) / (1/6 + 1*v^1))"),
+    "negative leading den": (
+        '{"num": [[-1, "8/3"], [0, "-2/3"]], '
+        '"den": [[0, "-10/3"], [2, "1"]]}',
+        "QRatFn((8/3*v^-1 + -2/3) / (-10/3 + 1*v^2))"),
+    "bar": (
+        '{"num": [[-1, "9"], [1, "-3"]], "den": [[0, "6"], [1, "1"]]}',
+        "QRatFn((9*v^-1 + -3*v^1) / (6 + 1*v^1))"),
+    "quotient": (
+        '{"num": [[-2, "1"], [2, "1"], [6, "1"]], '
+        '"den": [[0, "1"], [4, "1"]]}',
+        "QRatFn((1*v^-2 + 1*v^2 + 1*v^6) / (1 + 1*v^4))"),
+    "mixed quotient": (
+        '{"num": [[1, "-4/3"], [2, "1/3"], [3, "4"], [4, "-1"], '
+        '[5, "-4/3"], [6, "1/3"], [7, "4"], [8, "-1"]], '
+        '"den": [[0, "-5/9"], [1, "-10/3"], [2, "-7/18"], [3, "-7/3"], '
+        '[4, "-7/18"], [5, "-7/3"], [6, "-7/18"], [7, "-7/3"], '
+        '[8, "-7/18"], [9, "-7/3"], [10, "1/6"], [11, "1"]]}',
+        "QRatFn((-4/3*v^1 + 1/3*v^2 + 4*v^3 + -1*v^4 + -4/3*v^5 + 1/3*v^6 "
+        "+ 4*v^7 + -1*v^8) / (-5/9 + -10/3*v^1 + -7/18*v^2 + -7/3*v^3 "
+        "+ -7/18*v^4 + -7/3*v^5 + -7/18*v^6 + -7/3*v^7 + -7/18*v^8 "
+        "+ -7/3*v^9 + 1/6*v^10 + 1*v^11))"),
+    "bar of difference": (
+        '{"num": [[-1, "27/10"], [1, "-99/10"], [2, "6/5"], [3, "-8/5"], '
+        '[4, "-4/5"]], "den": [[0, "-9/5"], [1, "-3/10"], [2, "6"], '
+        '[3, "1"]]}',
+        "QRatFn((27/10*v^-1 + -99/10*v^1 + 6/5*v^2 + -8/5*v^3 + -4/5*v^4) "
+        "/ (-9/5 + -3/10*v^1 + 6*v^2 + 1*v^3))"),
+    "scaled q-number": (
+        '{"num": [[-9, "-1/4"], [-1, "-1/4"]], "den": [[0, "1"]]}',
+        "QRatFn(-1/4*v^-9 + -1/4*v^-1)"),
+    "reciprocal": (
+        '{"num": [[2, "3/28"]], "den": [[0, "-2/35"], [3, "1"]]}',
+        "QRatFn((3/28*v^2) / (-2/35 + 1*v^3))"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_QRATFN))
+def test_qratfn_printed_forms_pinned(name):
+    f = _pinned_qratfns()[name]
+    blob, text = PINNED_QRATFN[name]
+    assert json.dumps(f.to_json_obj()) == blob
+    assert repr(f) == text
+    assert QRatFn.from_json_obj(json.loads(blob)) == f
+
+
+def test_qratfn_pole_message_pinned():
+    m = QRatFn.monomial
+    # 1 / ((v^2 + 1)(2v + 1)) has a pole at v = i, that is kappa = 1
+    f = QRatFn.one() / ((m(2) + 1) * (m(1, 2) + 1))
+    with pytest.raises(PoleAtEpsilonError) as info:
+        f.eval_at_epsilon(1, 1)
+    assert str(info.value) == (
+        "pole at the root of unity (lacing 1, kappa 1): denominator "
+        "1/2 + 1*v^1 + 1/2*v^2 + 1*v^3 vanishes")
+
+
 def test_approx_eq_tolerance():
     assert approx_eq(1.0, 1.0 + 1e-12)
     assert not approx_eq(1.0, 1.1)
