@@ -4,9 +4,8 @@ with a type-A Macdonald polynomial engine and identity-verification suites.
 
 from .lie import (RootSystemData, Weight, build_root_system, form,
                   lattice_index, pairing, theta_pairing)
-from .numeric import (CycNum, LaurentPoly, PoleAtEpsilonError, QRatFn,
-                      approx_eq, default_tolerance, epsilon_power, q_number,
-                      sqrt_of_int)
+from .numeric import (CycNum, PoleAtEpsilonError, QRatFn, approx_eq,
+                      default_tolerance, epsilon_power, q_number, sqrt_of_int)
 from .weyl import (AffineFoldResult, enumerate_alcove, enumerate_ck,
                    fold_to_alcove, make_dominant, reflect, star,
                    star_positions, weyl_orbit)

@@ -5,10 +5,11 @@ symmetric sums in dominance order, with the constant-term inner product
 whose density is the paired product delta_k bar(delta_k).  The pairing is
 a constant-term sum over matching weights: each term of f meets each term
 of bar(g) whose weight sum is minus a weight of the density.  Its sums run
-over integer Laurent numerators, one running sum per pair of coefficient
-denominators, and each pair is normalised to a QRatFn once.  The density
-is likewise multiplied out in integers, and the closed-form norm as one
-q-number quotient, before they are normalised.  Everything is exact:
+over the integer numerators (QRatFn.low, QRatFn.num) of the coefficients,
+one running sum per pair of coefficient denominators QRatFn.den, and each
+pair is normalised to a QRatFn once.  The density is likewise multiplied
+out in integers, and the closed-form norm as one q-number quotient, before
+they are normalised.  Everything is exact:
 rational functions of v = q^(1/2) at generic q, cyclotomic numbers after
 specialization.  The modular matrices on the intertwiner basis are
 assembled from special values of the specialized polynomials and checked
@@ -30,19 +31,15 @@ from .chardata import (dominant_weights_below, is_dominant, quantum_dim,
 from .lie import (RootSystemData, Weight, build_root_system, form,
                   lattice_index, root_alpha_coords, theta_pairing, wadd,
                   wneg, wscale)
-from .numeric import (CycNum, InternalConsistencyError, LaurentPoly,
-                      PoleAtEpsilonError, QRatFn, _clear_denominators, _pmul,
-                      approx_eq, cyclotomic_polynomial, default_tolerance,
-                      epsilon_power, matrix_product, sqrt_of_int)
+from .numeric import (CycNum, InternalConsistencyError, PoleAtEpsilonError,
+                      QRatFn, _pmul, approx_eq, cyclotomic_polynomial,
+                      default_tolerance, epsilon_power, matrix_product,
+                      sqrt_of_int)
 from .report import VerificationReport, mismatches
 from .weyl import (enumerate_ck, make_dominant, reflect, star,
                    star_positions, weyl_orbit, weyl_order)
 
 from .modular import CycMatrix, dagger, monomial_matrix
-
-
-_ZERO = Fraction(0)
-_ONE = LaurentPoly.constant(1)
 
 
 def dominance_leq(rs: RootSystemData, lam: Weight, mu: Weight) -> bool:
@@ -130,9 +127,8 @@ class WPoly:
             try:
                 out[w] = c.eval_at_epsilon(1, kappa)
             except PoleAtEpsilonError as exc:
-                err = PoleAtEpsilonError(exc.denominator, 1, kappa)
-                err.args = (f"coefficient at weight {w}: {err.args[0]}",)
-                raise err from None
+                raise PoleAtEpsilonError(
+                    f"coefficient at weight {w}: {exc}") from None
         return WPoly(out)
 
     def value_at(self, rs: RootSystemData, kappa: int,
@@ -157,34 +153,27 @@ def monomial_sum(rs: RootSystemData, lam: Weight) -> WPoly:
     return WPoly({w: QRatFn.one() for w, _ in weyl_orbit(rs, lam)})
 
 
-def _add_product(acc: dict[int, int], a: dict[int, int],
-                 b: dict[int, int]) -> None:
-    """acc += a * b for integer Laurent polynomials {exponent of v: coeff}."""
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
+def _terms(c: QRatFn) -> list[tuple[int, int]]:
+    """The nonzero terms (exponent of v, coefficient) of c's numerator."""
+    return [(e, x) for e, x in enumerate(c.num, c.low) if x]
+
+
+def _add_product(acc: dict[int, int], a, b) -> None:
+    """acc += a * b for integer Laurent polynomials: acc maps exponents of
+    v to coefficients, a and b are (exponent, coefficient) items."""
+    for e1, c1 in a:
+        for e2, c2 in b:
             e = e1 + e2
             acc[e] = acc.get(e, 0) + c1 * c2
 
 
-def _laurent(coeffs: dict[int, int]) -> LaurentPoly:
-    """The LaurentPoly (Fraction coefficients) of an integer map."""
-    if not coeffs:
-        return LaurentPoly()
-    low = min(coeffs)
-    return LaurentPoly(low, tuple(
-        Fraction(coeffs[e]) if e in coeffs else _ZERO
-        for e in range(low, max(coeffs) + 1)))
-
-
-def _cleared(c: QRatFn) -> tuple[dict[int, int], tuple[int, ...]]:
-    """(N, D) with c = N / D: c's numerator as an integer map and the
-    coefficients of c's denominator from v^0 up, both scaled by the least
-    common denominator of their coefficients."""
-    num, den = c.num.coeffs, c.den.coeffs
-    ints, _ = _clear_denominators(num + den)
-    top = len(num)
-    return ({c.num.low + i: x for i, x in enumerate(ints[:top]) if x},
-            tuple(ints[top:]))
+def _ratio(acc: dict[int, int], den=(1,), shift: int = 0) -> QRatFn:
+    """v^shift (the sum of c v^e over acc) / den."""
+    low = min(acc)
+    coeffs = [0] * (max(acc) - low + 1)
+    for e, c in acc.items():
+        coeffs[e - low] = c
+    return QRatFn(coeffs, den, low + shift)
 
 
 def delta_k_product(rs: RootSystemData, k: int) -> WPoly:
@@ -199,15 +188,16 @@ def delta_k_product(rs: RootSystemData, k: int) -> WPoly:
     out = {zero: {0: 1}}
     for i in range(k):
         # -(q^2i + q^-2i) = -(v^4i + v^-4i)
-        middle = {0: -2} if i == 0 else {4 * i: -1, -4 * i: -1}
+        middle = [(0, -2)] if i == 0 else [(4 * i, -1), (-4 * i, -1)]
         for alpha in rs.positive_roots:
             nxt: dict[Weight, dict[int, int]] = {}
-            factor = {alpha: {0: 1}, zero: middle, wneg(alpha): {0: 1}}
+            factor = {alpha: [(0, 1)], zero: middle, wneg(alpha): [(0, 1)]}
             for w, c in out.items():
                 for shift, x in factor.items():
-                    _add_product(nxt.setdefault(wadd(w, shift), {}), c, x)
+                    _add_product(nxt.setdefault(wadd(w, shift), {}),
+                                 c.items(), x)
             out = nxt
-    return WPoly({w: QRatFn(_laurent(c), _ONE) for w, c in out.items()})
+    return WPoly({w: _ratio(c) for w, c in out.items()})
 
 
 def norm_formula(rs: RootSystemData, k: int, lam: Weight) -> QRatFn:
@@ -251,8 +241,7 @@ def norm_formula(rs: RootSystemData, k: int, lam: Weight) -> QRatFn:
                 num = _pmul(num, cyclotomic_polynomial(e))
             else:
                 den = _pmul(den, cyclotomic_polynomial(e))
-    return QRatFn(LaurentPoly(shift, tuple(num)), LaurentPoly(0, tuple(den)),
-                  _reduced=True)
+    return QRatFn(tuple(num), tuple(den), shift, _reduced=True)
 
 
 @dataclass
@@ -268,8 +257,6 @@ class MacdonaldContext:
     sigma: int
     delta: WPoly
     group_order: int
-    # delta's coefficients as integer maps {exponent of v: coefficient}
-    _delta_coeffs: dict[Weight, dict[int, int]] = field(default_factory=dict)
     _polys: dict[Weight, WPoly] = field(default_factory=dict)
     _norms: dict[Weight, QRatFn] = field(default_factory=dict)
     _specialized: dict[Weight, WPoly] = field(default_factory=dict)
@@ -301,45 +288,38 @@ def build_context(n: int, k: int, level: int) -> MacdonaldContext:
     return MacdonaldContext(
         n=n, k=k, level=level, kappa=kappa, rs=rs,
         alcove=enumerate_ck(rs, level), sigma=sigma, delta=delta,
-        group_order=order,
-        _delta_coeffs={w: _cleared(c)[0] for w, c in delta.terms.items()})
+        group_order=order)
 
 
 def inner_product_k(ctx: MacdonaldContext, f: WPoly, g: WPoly) -> QRatFn:
     """Hermitian constant-term pairing with the calibrated sign.
 
     The constant term of f bar(g) delta is a sum over the terms a of f and
-    b* of bar(g) whose weights match a delta term at -(a + b*).  With each
-    coefficient written as an integer numerator over an integer
-    denominator, the numerator products are summed in integers per pair of
-    denominators, and each pair's sum becomes a QRatFn once."""
-    rs, delta = ctx.rs, ctx._delta_coeffs
-    g_bar = []
-    for w, c in g.terms.items():
-        num, den = _cleared(c)
-        g_bar.append((star(rs, w), {-e: x for e, x in num.items()}, den))
+    b* of bar(g) whose weights match a delta term at -(a + b*).  The
+    integer numerators of the coefficients are multiplied and summed per
+    pair of their integer denominators, and each pair's sum becomes a
+    QRatFn once."""
+    rs, delta = ctx.rs, ctx.delta.terms
+    # bar on g's numerators here, on its denominators once per group below
+    g_bar = [(star(rs, w), [(-e, x) for e, x in _terms(c)], c.den)
+             for w, c in g.terms.items()]
     # (denominator of f's term, of g's term) -> weight -w -> numerator sum
     groups: dict[tuple, dict[Weight, dict[int, int]]] = {}
-    for wa, c in f.terms.items():
-        num_a, den_a = _cleared(c)
+    for wa, a in f.terms.items():
+        num_a = _terms(a)
         for wb, num_b, den_b in g_bar:
             w = tuple(-x - y for x, y in zip(wa, wb))
             if w in delta:
-                by_weight = groups.setdefault((den_a, den_b), {})
+                by_weight = groups.setdefault((a.den, den_b), {})
                 _add_product(by_weight.setdefault(w, {}), num_a, num_b)
-    parts = []
+    total = QRatFn.zero()
     for (den_a, den_b), by_weight in groups.items():
-        total: dict[int, int] = {}
+        acc: dict[int, int] = {}
         for w, num in by_weight.items():
-            _add_product(total, num, delta[w])
-        num = _laurent(total)
-        if num:
-            den = LaurentPoly(1 - len(den_b), tuple(
-                Fraction(x) for x in _pmul(den_a, den_b[::-1])))
-            parts.append(QRatFn(num, den))
-    if not parts:
-        return QRatFn.zero()
-    return sum(parts[1:], parts[0]) * Fraction(ctx.sigma, ctx.group_order)
+            _add_product(acc, num.items(), _terms(delta[w]))
+        # den_b(1/v) = v^(1 - len den_b) (den_b reversed)(v)
+        total = total + _ratio(acc, _pmul(den_a, den_b[::-1]), len(den_b) - 1)
+    return total * Fraction(ctx.sigma, ctx.group_order)
 
 
 def macdonald_polynomial(ctx: MacdonaldContext, lam: Weight) -> WPoly:
@@ -533,11 +513,14 @@ def verify_section5(ctx: MacdonaldContext,
     rep.check("norm-weighted symmetry S_{lm} n_l = S_{ml} n_m",
               mismatches(weighted, zip(*weighted), alcove))
 
-    # the same identity written out through the polynomial values
+    # Macdonald's evaluation symmetry P_l(x_m) P_m(x_0) = P_m(x_l) P_l(x_0)
+    # at x_m = eps^(-2(m + k rho)), from the polynomials alone: no d_l, no
+    # norms
     points = [wscale(-2, wadd(lam, wscale(k, rs.rho))) for lam in alcove]
-    dvals = [d_coefficient(ctx, lam) for lam in alcove]
-    explicit = [[specialize(ctx, lam).value_at(rs, kappa, points[j])
-                 * norms[j] * dvals[j] for j in idx] for lam in alcove]
+    values = [[specialize(ctx, lam).value_at(rs, kappa, x) for x in points]
+              for lam in alcove]
+    zero = alcove.index(rs.zero)
+    explicit = [[values[l][m] * values[m][zero] for m in idx] for l in idx]
     rep.check("explicit symmetry through polynomial special values",
               mismatches(explicit, zip(*explicit), alcove))
 
@@ -582,8 +565,9 @@ def verify_section5(ctx: MacdonaldContext,
     delta_val = weyl_denominator_value(rs, kappa, wscale(-2, rs.rho))
     d_total = (dsq / (delta_val * delta_val).to_complex()).real ** 0.5
 
+    # S_{l0} = d_l, since P_0 = 1
     def normalization_failures():
-        for lam, d in zip(alcove, dvals):
+        for lam, d in zip(alcove, (row[zero] for row in s)):
             lam_k = wadd(lam, wscale(k - 1, rs.rho))
             dim_val = quantum_dim(rs, kappa, lam_k).to_complex()
             phi0 = 1 + 0j

@@ -1,7 +1,7 @@
 """Exact arithmetic kernels.
 
 One polynomial kernel over ascending coefficient lists of ``int`` or
-``Fraction`` entries (``_strip``, ``_pmul``, ``_psub``, ``_pdivmod``,
+``Fraction`` entries (``_strip``, ``_pmul``, ``_padd``, ``_pdivmod``,
 ``_pdivexact`` and ``_clear_denominators``) carries three domains:
 
 * ``CycNum`` -- an element of the cyclotomic field Q(zeta_L), stored in
@@ -18,10 +18,13 @@ One polynomial kernel over ascending coefficient lists of ``int`` or
   ``matrix_product`` multiplies CycNum matrices over one field: it lifts
   and packs each entry into one int once, and reduces each result once.
 
-* ``QRatFn`` -- a ratio of Laurent polynomials over Q in a formal variable
-  v standing for a square root of q, kept reduced by Euclid's gcd with a
-  monic denominator that has a nonzero constant term.  The bar involution
-  sends v to 1/v.
+* ``QRatFn`` -- a rational function v^low num(v) / den(v) over Q in a
+  formal variable v standing for a square root of q, the one format of
+  every generic-q scalar.  num and den are integer coefficient tuples,
+  reduced by Euclid's gcd over Q and by the gcd of all their coefficients,
+  with nonzero constant terms and den[-1] > 0; so the form is unique.  The
+  bar involution sends v to 1/v; evaluation at v = eps^(1/2) is one
+  ``CycNum.from_tally`` each for num and den.
 
 * plain ``complex`` -- the float mode used for cross-checks only, with a
   global default tolerance.  Floats never decide a pass/fail verdict when
@@ -96,11 +99,11 @@ def _pmul(a, b) -> list:
     return out
 
 
-def _psub(a, b) -> list:
-    """a - b, stripped."""
+def _padd(a, b, sign: int = 1) -> list:
+    """a + sign b, stripped."""
     out = list(a) + [0] * (len(b) - len(a))
     for i, y in enumerate(b):
-        out[i] -= y
+        out[i] += sign * y
     return _strip(out)
 
 
@@ -134,9 +137,7 @@ def _pdivexact(a, b) -> list:
 
 def _clear_denominators(fracs) -> tuple[list[int], int]:
     """(nums, den) with fracs[i] = nums[i] / den over the least common den."""
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
+    den = lcm(*(f.denominator for f in fracs))
     return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
@@ -452,7 +453,7 @@ def _poly_modular_inverse(poly: list, mod) -> list[Fraction]:
         q, r = _pdivmod(r0, r1)
         if not r:
             break
-        r0, r1, s0, s1 = r1, r, s1, _psub(s0, _pmul(q, s1))
+        r0, r1, s0, s1 = r1, r, s1, _padd(s0, _pmul(q, s1), -1)
     if len(r1) != 1:
         raise ZeroDivisionError("element is a zero divisor (not invertible)")
     return [Fraction(c, r1[0]) for c in s1]
@@ -591,109 +592,7 @@ def _prime_factors(n: int) -> list[int]:
 
 
 # --------------------------------------------------------------------------
-# Laurent polynomials and rational functions in v = q^(1/2)
-
-class LaurentPoly:
-    """Laurent polynomial over Q in the formal variable v."""
-
-    __slots__ = ("low", "coeffs")
-
-    def __init__(self, low: int = 0, coeffs: tuple[Fraction, ...] = ()):
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        while coeffs and coeffs[0] == 0:
-            coeffs = coeffs[1:]
-            low += 1
-        if not coeffs:
-            low = 0
-        self.low = low
-        self.coeffs = coeffs
-
-    @staticmethod
-    def constant(value) -> "LaurentPoly":
-        f = Fraction(value)
-        return LaurentPoly(0, (f,)) if f else LaurentPoly()
-
-    @staticmethod
-    def monomial(exponent: int, value=1) -> "LaurentPoly":
-        f = Fraction(value)
-        return LaurentPoly(exponent, (f,)) if f else LaurentPoly()
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    @property
-    def high(self) -> int:
-        return self.low + len(self.coeffs) - 1
-
-    def items(self):
-        for i, c in enumerate(self.coeffs):
-            if c:
-                yield self.low + i, c
-
-    def __eq__(self, other):
-        return (isinstance(other, LaurentPoly)
-                and self.low == other.low and self.coeffs == other.coeffs)
-
-    __hash__ = None
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        low = min(self.low, other.low)
-        high = max(self.high, other.high)
-        out = [Fraction(0)] * (high - low + 1)
-        for e, c in self.items():
-            out[e - low] += c
-        for e, c in other.items():
-            out[e - low] += c
-        return LaurentPoly(low, tuple(out))
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.low, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if self.is_zero() or other.is_zero():
-            return LaurentPoly()
-        return LaurentPoly(self.low + other.low,
-                           tuple(_pmul(self.coeffs, other.coeffs)))
-
-    def scale(self, value) -> "LaurentPoly":
-        f = Fraction(value)
-        if not f:
-            return LaurentPoly()
-        return LaurentPoly(self.low, tuple(c * f for c in self.coeffs))
-
-    def bar(self) -> "LaurentPoly":
-        """v -> 1/v."""
-        return LaurentPoly(-self.high, tuple(reversed(self.coeffs)))
-
-    def eval_eps_half(self, lacing: int, kappa: int) -> CycNum:
-        """Value at v = eps^(1/2) = zeta_M, M = 4 lacing kappa: one tally of
-        the coefficients over their least common denominator."""
-        order = 4 * lacing * kappa
-        nums, den = _clear_denominators(self.coeffs)
-        tally: dict[int, int] = {}
-        for i, c in enumerate(nums):
-            if c:
-                e = (self.low + i) % order
-                tally[e] = tally.get(e, 0) + c
-        return CycNum.from_tally(order, tally, den)
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "0"
-        return " + ".join(f"{c}*v^{e}" if e else f"{c}"
-                          for e, c in self.items())
-
+# rational functions in v = q^(1/2)
 
 def _poly_gcd(a, b) -> list[Fraction]:
     """Monic gcd over Q by Euclid's algorithm; [] when both are zero."""
@@ -703,47 +602,58 @@ def _poly_gcd(a, b) -> list[Fraction]:
     return [Fraction(c, a[-1]) for c in a]
 
 
+def _printed(low: int, coeffs, lead: int) -> list[list]:
+    """[[e, str(c / lead)]] for each nonzero coefficient c of v^e."""
+    return [[e, str(Fraction(c, lead))]
+            for e, c in enumerate(coeffs, low) if c]
+
+
+def _poly_text(terms) -> str:
+    return " + ".join(f"{c}*v^{e}" if e else c for e, c in terms) or "0"
+
+
 class PoleAtEpsilonError(ArithmeticError):
     """A rational function was evaluated at a zero of its denominator."""
 
-    def __init__(self, denominator: "LaurentPoly", lacing: int, kappa: int):
-        self.denominator = denominator
-        super().__init__(
-            f"pole at the root of unity (lacing {lacing}, kappa {kappa}): "
-            f"denominator {denominator!r} vanishes")
-
 
 class QRatFn:
-    """Reduced ratio of Laurent polynomials in v over Q."""
+    """v^low num(v) / den(v), a rational function of v over Q.
 
-    __slots__ = ("num", "den")
+    num and den are tuples of integer coefficients from v^0 up.  Their
+    constant terms are nonzero, they are coprime over Q, all their
+    coefficients together have gcd 1, and den[-1] > 0.  This form is
+    unique, so equal values have equal (low, num, den); zero is
+    (0, (), (1,)).  JSON and repr print the coefficients over den[-1].
+    """
 
-    def __init__(self, num: LaurentPoly, den: LaurentPoly,
-                 _reduced: bool = False):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if _reduced:
-            # coprime, den monic with a nonzero constant term and low = 0
-            self.num = num
-            self.den = den
-            return
-        if num.is_zero():
-            self.num = LaurentPoly()
-            self.den = LaurentPoly.constant(1)
-            return
-        # shift all v-powers of the denominator into the numerator
-        num = LaurentPoly(num.low - den.low, num.coeffs)
-        den = LaurentPoly(0, den.coeffs)
-        # a constant denominator has no factor to cancel
-        if len(den.coeffs) > 1:
-            g = _poly_gcd(num.coeffs, den.coeffs)
-            if len(g) > 1:
-                num = LaurentPoly(num.low, tuple(_pdivexact(num.coeffs, g)))
-                den = LaurentPoly(0, tuple(_pdivexact(den.coeffs, g)))
-        lead = den.coeffs[-1]
-        if lead != 1:
-            num = num.scale(Fraction(1, lead))
-            den = den.scale(Fraction(1, lead))
+    __slots__ = ("low", "num", "den")
+
+    def __init__(self, num, den=(1,), low: int = 0, _reduced: bool = False):
+        """Reduce v^low num(v) / den(v), for ascending coefficient
+        sequences of ints or Fractions; _reduced takes them as they are."""
+        if not _reduced:
+            num, den = _strip(list(num)), _strip(list(den))
+            if not den:
+                raise ZeroDivisionError("zero denominator")
+            if not num:
+                low, den = 0, [1]
+            else:
+                # the powers of v dividing num or den go into low
+                i = next(i for i, c in enumerate(num) if c)
+                j = next(j for j, c in enumerate(den) if c)
+                low += i - j
+                num, den = num[i:], den[j:]
+                # a one-term denominator has no factor to cancel
+                if len(den) > 1:
+                    g = _poly_gcd(num, den)
+                    if len(g) > 1:
+                        num, den = _pdivexact(num, g), _pdivexact(den, g)
+            top = len(num)
+            ints, _ = _clear_denominators(num + den)
+            g = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
+            num = tuple(x // g for x in ints[:top])
+            den = tuple(x // g for x in ints[top:])
+        self.low = low
         self.num = num
         self.den = den
 
@@ -751,31 +661,31 @@ class QRatFn:
 
     @staticmethod
     def from_rational(value) -> "QRatFn":
-        return QRatFn(LaurentPoly.constant(value), LaurentPoly.constant(1))
+        return QRatFn.monomial(0, value)
 
     @staticmethod
     def zero() -> "QRatFn":
-        return QRatFn.from_rational(0)
+        return QRatFn((), (1,), 0, _reduced=True)
 
     @staticmethod
     def one() -> "QRatFn":
-        return QRatFn.from_rational(1)
+        return QRatFn((1,), (1,), 0, _reduced=True)
 
     @staticmethod
     def monomial(exponent: int, value=1) -> "QRatFn":
-        return QRatFn(LaurentPoly.monomial(exponent, value),
-                      LaurentPoly.constant(1))
+        f = Fraction(value)
+        return QRatFn((f.numerator,), (f.denominator,), exponent)
 
     # -- predicates ------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.num)
 
     def is_polynomial(self) -> bool:
-        return self.den == LaurentPoly.constant(1)
+        return len(self.den) == 1
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -791,16 +701,23 @@ class QRatFn:
         other = QRatFn._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return QRatFn(self.num * other.den + other.num * self.den,
-                      self.den * other.den)
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        low = min(self.low, other.low)
+        a = (0,) * (self.low - low) + self.num
+        b = (0,) * (other.low - low) + other.num
+        if self.den == other.den:
+            return QRatFn(_padd(a, b), self.den, low)
+        return QRatFn(_padd(_pmul(a, other.den), _pmul(b, self.den)),
+                      _pmul(self.den, other.den), low)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = QRatFn.__new__(QRatFn)
-        out.num = -self.num
-        out.den = self.den
-        return out
+        return QRatFn(tuple(-c for c in self.num), self.den, self.low,
+                      _reduced=True)
 
     def __sub__(self, other):
         other = QRatFn._coerce(other)
@@ -815,7 +732,8 @@ class QRatFn:
         other = QRatFn._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return QRatFn(self.num * other.num, self.den * other.den)
+        return QRatFn(_pmul(self.num, other.num), _pmul(self.den, other.den),
+                      self.low + other.low)
 
     __rmul__ = __mul__
 
@@ -823,9 +741,10 @@ class QRatFn:
         other = QRatFn._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_zero():
+        if not other.num:
             raise ZeroDivisionError("division by the zero rational function")
-        return QRatFn(self.num * other.den, self.den * other.num)
+        return QRatFn(_pmul(self.num, other.den), _pmul(self.den, other.num),
+                      self.low - other.low)
 
     def __rtruediv__(self, other):
         other = QRatFn._coerce(other)
@@ -837,52 +756,70 @@ class QRatFn:
         other = QRatFn._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return (self.low == other.low and self.num == other.num
+                and self.den == other.den)
 
     __hash__ = None
 
     def bar(self) -> "QRatFn":
         """The involution v -> 1/v with rational coefficients untouched."""
-        return QRatFn(self.num.bar(), self.den.bar())
+        return QRatFn(self.num[::-1], self.den[::-1],
+                      len(self.den) - len(self.num) - self.low)
 
     def eval_at_epsilon(self, lacing: int, kappa: int) -> CycNum:
-        """Value at v = eps^(1/2); raises PoleAtEpsilonError on a pole."""
-        den_val = self.den.eval_eps_half(lacing, kappa)
-        if den_val.is_zero():
-            raise PoleAtEpsilonError(self.den, lacing, kappa)
-        num_val = self.num.eval_eps_half(lacing, kappa)
-        return num_val / den_val
+        """Value at v = eps^(1/2) = zeta_M, M = 4 lacing kappa: num and den
+        are one tally each.  Raises PoleAtEpsilonError on a pole."""
+        order = 4 * lacing * kappa
 
-    def to_complex(self, v: complex) -> complex:
-        num = sum(complex(c) * v ** e for e, c in self.num.items())
-        den = sum(complex(c) * v ** e for e, c in self.den.items())
-        return num / den
+        def value(low, coeffs):
+            tally: dict[int, int] = {}
+            for e, c in enumerate(coeffs, low):
+                if c:
+                    e %= order
+                    tally[e] = tally.get(e, 0) + c
+            return CycNum.from_tally(order, tally)
+
+        den = value(0, self.den)
+        if den.is_zero():
+            raise PoleAtEpsilonError(
+                f"pole at the root of unity (lacing {lacing}, kappa {kappa}): "
+                f"denominator {_poly_text(self.to_json_obj()['den'])} "
+                "vanishes")
+        return value(self.low, self.num) / den
 
     def to_json_obj(self):
-        return {
-            "num": [[e, str(c)] for e, c in self.num.items()],
-            "den": [[e, str(c)] for e, c in self.den.items()],
-        }
+        lead = self.den[-1]
+        return {"num": _printed(self.low, self.num, lead),
+                "den": _printed(0, self.den, lead)}
 
     @staticmethod
     def from_json_obj(obj) -> "QRatFn":
-        def build(pairs):
-            return sum((LaurentPoly.monomial(e, s) for e, s in pairs),
-                       LaurentPoly())
+        def dense(pairs):
+            terms = [(e, Fraction(s)) for e, s in pairs]
+            low = min((e for e, _ in terms), default=0)
+            out = [0] * (max((e for e, _ in terms), default=0) - low + 1)
+            for e, c in terms:
+                out[e - low] += c
+            return low, out
 
-        return QRatFn(build(obj["num"]), build(obj["den"]))
+        (low_num, num), (low_den, den) = dense(obj["num"]), dense(obj["den"])
+        return QRatFn(num, den, low_num - low_den)
 
     def __repr__(self) -> str:
+        obj = self.to_json_obj()
+        num = _poly_text(obj["num"])
         if self.is_polynomial():
-            return f"QRatFn({self.num!r})"
-        return f"QRatFn(({self.num!r}) / ({self.den!r}))"
+            return f"QRatFn({num})"
+        return f"QRatFn(({num}) / ({_poly_text(obj['den'])}))"
 
 
 def q_number(n: int, d: int = 1) -> QRatFn:
-    """The q-number [n] with symmetrizer d: (q^(nd) - q^(-nd)) / (q^d - q^(-d))."""
+    """The q-number [n] with symmetrizer d: (q^(nd) - q^(-nd)) / (q^d - q^(-d)),
+    the sum of v^(2d(n-1-2j)) over 0 <= j < n."""
     if n < 0:
         return -q_number(-n, d)
-    acc = LaurentPoly()
-    for j in range(n):
-        acc = acc + LaurentPoly.monomial(2 * d * (n - 1 - 2 * j))
-    return QRatFn(acc, LaurentPoly.constant(1))
+    if not n:
+        return QRatFn.zero()
+    step = 4 * d
+    return QRatFn(tuple(int(i % step == 0) for i in range(step * (n - 1) + 1)),
+                  (1,), -2 * d * (n - 1), _reduced=True)

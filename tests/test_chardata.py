@@ -10,7 +10,7 @@ from modcat.chardata import (alternating_sum, char_value, quantum_dim,
                              weyl_denominator_value, weyl_dimension)
 from modcat.lie import _gram_vector, build_root_system, form, wadd, wscale
 from modcat.modular import twist
-from modcat.numeric import CycNum, LaurentPoly, epsilon_power
+from modcat.numeric import CycNum, QRatFn, epsilon_power
 from modcat.weyl import (enumerate_alcove, fold_to_alcove, make_dominant,
                          star, weyl_orbit)
 
@@ -330,9 +330,9 @@ def loop_weight_sum(rs, kappa, lam, point):
         for mu, mult in sorted(weight_multiplicities(rs, lam).mults.items()))
 
 
-def loop_eval_eps_half(poly, lacing, kappa):
+def loop_eval_eps_half(terms, lacing, kappa):
     return term_by_term(epsilon_power(Fraction(e, 2), lacing, kappa) * c
-                        for e, c in poly.items())
+                        for e, c in terms)
 
 
 @pytest.mark.parametrize("series,rank,kappa", [
@@ -365,9 +365,13 @@ def test_tally_callers_match_term_by_term_loops(series, rank, kappa):
     assert singular >= 2
     for _ in range(20):
         low = rng.randrange(-12, 12)
-        poly = LaurentPoly(low, tuple(
-            Fraction(rng.randrange(-5, 6), rng.choice((1, 2, 3, 10)))
-            for _ in range(rng.randrange(0, 9))))
-        got = poly.eval_eps_half(rs.lacing, kappa)
-        want, order = loop_eval_eps_half(poly, rs.lacing, kappa)
+        coeffs = [Fraction(rng.randrange(-5, 6), rng.choice((1, 2, 3, 10)))
+                  for _ in range(rng.randrange(0, 9))]
+        # a Laurent polynomial with rational coefficients: an integer
+        # numerator tally over a constant denominator
+        poly = QRatFn(coeffs, (1,), low)
+        got = poly.eval_at_epsilon(rs.lacing, kappa)
+        want, order = loop_eval_eps_half(
+            [(low + i, c) for i, c in enumerate(coeffs) if c],
+            rs.lacing, kappa)
         assert got == want and got.order == order, poly

@@ -11,7 +11,7 @@ from modcat.macdonald import (WPoly, build_context, build_su_data,
                               inner_product_k, macdonald_norm,
                               macdonald_polynomial, monomial_sum,
                               norm_formula, specialize, verify_section5)
-from modcat.numeric import LaurentPoly, QRatFn, q_number
+from modcat.numeric import CycNum, QRatFn, q_number
 from modcat.weyl import enumerate_ck, star
 
 A1 = build_root_system("A", 1)
@@ -211,6 +211,26 @@ def test_section5_reports_pass():
         assert rep.passed, [c.name for c in rep.checks if c.status == "fail"]
 
 
+EVALUATION_SYMMETRY = "explicit symmetry through polynomial special values"
+
+
+@pytest.mark.parametrize("n,k,K", [(2, 2, 2), (3, 2, 1), (3, 1, 2)])
+def test_perturbed_polynomial_fails_evaluation_symmetry(n, k, K):
+    ctx = build_context(n, k, K)
+    rep = verify_section5(ctx)
+    names = [c.name for c in rep.checks]
+    assert rep.passed and EVALUATION_SYMMETRY in names
+    # P_lam + 1 in place of one specialised P_lam, lam != 0
+    lam = ctx.alcove[-1]
+    assert lam != ctx.rs.zero
+    ctx._specialized[lam] = specialize(ctx, lam) + WPoly(
+        {ctx.rs.zero: CycNum.one()})
+    rep = verify_section5(ctx)
+    assert [c.name for c in rep.checks] == names
+    failed = {c.name: c.witness for c in rep.checks if c.status == "fail"}
+    assert failed[EVALUATION_SYMMETRY]
+
+
 def test_norm_criterion_detects_boundary():
     # k = 2, level 2: the norm vanishes at the first level beyond the
     # sub-alcove and the suite's box stops inside the theorem's domain
@@ -310,14 +330,13 @@ def test_norm_formula_matches_stepwise_quotient_off_the_alcove(n, k):
             continue
         got = norm_formula(rs, k, lam)
         assert got == want, lam
-        assert (got.num.low, got.num.coeffs, got.den.coeffs) == (
-            want.num.low, want.num.coeffs, want.den.coeffs)
+        assert (got.low, got.num, got.den) == (want.low, want.num, want.den)
         seen.add("zero" if got.is_zero() else "nonzero")
     assert seen == {"pole", "zero", "nonzero"}
 
 
 def _denominators(p):
-    return {c.den.coeffs for c in p.terms.values() if not c.is_polynomial()}
+    return {c.den for c in p.terms.values() if not c.is_polynomial()}
 
 
 @pytest.mark.parametrize("n,bound", [(2, 4), (3, 2), (4, 1)])
@@ -340,13 +359,18 @@ def test_pairing_matches_full_product_on_polynomials(n, k, bound):
 
 
 def _random_coefficient(rng):
-    dens = [LaurentPoly.constant(1), q_number(2).num, q_number(3).num,
-            LaurentPoly(0, (Fraction(1, 3), Fraction(0), Fraction(1))),
-            LaurentPoly(-2, (Fraction(2), Fraction(-1, 2), Fraction(5)))]
-    num = LaurentPoly(rng.randrange(-6, 6), tuple(
-        Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
-        for _ in range(rng.randrange(1, 5))))
-    return QRatFn(num if num else LaurentPoly.constant(1), rng.choice(dens))
+    # denominators as (low, coefficients from v^low up)
+    dens = [(0, (1,)), (q_number(2).low, q_number(2).num),
+            (q_number(3).low, q_number(3).num),
+            (0, (Fraction(1, 3), Fraction(0), Fraction(1))),
+            (-2, (Fraction(2), Fraction(-1, 2), Fraction(5)))]
+    low = rng.randrange(-6, 6)
+    num = [Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+           for _ in range(rng.randrange(1, 5))]
+    if not any(num):
+        low, num = 0, [1]
+    den_low, den = rng.choice(dens)
+    return QRatFn(num, den, low - den_low)
 
 
 @pytest.mark.parametrize("n,k", [(2, 2), (3, 1), (3, 2), (4, 2)])

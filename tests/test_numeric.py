@@ -10,8 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from modcat.numeric import (CycNum, LaurentPoly, PoleAtEpsilonError, QRatFn,
-                            _pdivexact, _pdivmod, _phi, _pmul,
+from modcat.numeric import (CycNum, PoleAtEpsilonError, QRatFn,
+                            _pdivexact, _pdivmod, _phi, _pmul, _poly_gcd,
                             _poly_modular_inverse, _strip,
                             approx_eq, cyclotomic_polynomial, epsilon_power,
                             matrix_product, q_number, sqrt_of_int)
@@ -458,23 +458,23 @@ def test_qratfn_field_ops():
     rng = random.Random(21)
 
     def rand_fn():
-        num = LaurentPoly(rng.randrange(-3, 1),
-                          tuple(Fraction(rng.randrange(-4, 5))
-                                for _ in range(4)))
+        low = rng.randrange(-3, 1)
+        num = [Fraction(rng.randrange(-4, 5)) for _ in range(4)]
         if rng.random() < 0.4:
             # one term: a non-unit coefficient times a power of v
             c = Fraction(rng.choice((-3, -1, 2, 5)), rng.randrange(1, 4))
             e = rng.randrange(-3, 4)
-            f = QRatFn(num, LaurentPoly(e, (c,)))
-            if not num.is_zero():
-                assert f.den == LaurentPoly.constant(1)
-                assert f.num == LaurentPoly(num.low - e,
-                                            num.coeffs).scale(1 / c)
+            f = QRatFn(num, (c,), low - e)
+            if any(num):
+                # a constant denominator, the numerator num v^(low-e) / c
+                lead = next(i for i, x in enumerate(num) if x)
+                assert f.is_polynomial() and f.low == low - e + lead
+                assert ([Fraction(x, f.den[0]) for x in f.num]
+                        == _strip([x / c for x in num[lead:]]))
             return f
-        den = LaurentPoly(0, (Fraction(rng.randrange(1, 5)),
-                              Fraction(rng.randrange(0, 3)),
-                              Fraction(1)))
-        return QRatFn(num, den)
+        den = (Fraction(rng.randrange(1, 5)), Fraction(rng.randrange(0, 3)),
+               Fraction(1))
+        return QRatFn(num, den, low)
 
     for _ in range(40):
         f, g, h = rand_fn(), rand_fn(), rand_fn()
@@ -488,14 +488,17 @@ def test_qratfn_field_ops():
 
 def test_qratfn_reduction_canonical():
     # (v^2 - 1)/(v - 1) reduces to v + 1
-    num = LaurentPoly(0, (Fraction(-1), Fraction(0), Fraction(1)))
-    den = LaurentPoly(0, (Fraction(-1), Fraction(1)))
-    f = QRatFn(num, den)
+    f = QRatFn((-1, 0, 1), (-1, 1))
     assert f == QRatFn.monomial(1) + QRatFn.one()
-    # denominator is monic with nonzero constant term
-    g = QRatFn(LaurentPoly.constant(3), LaurentPoly(1, (Fraction(2),)))
-    assert g.den == LaurentPoly.constant(1)
-    assert g.num == LaurentPoly(-1, (Fraction(3, 2),))
+    assert (f.low, f.num, f.den) == (0, (1, 1), (1,))
+    # the power of v in the denominator goes into low, and 3 / 2 is
+    # integers over a positive denominator
+    g = QRatFn((3,), (0, Fraction(2)))
+    assert (g.low, g.num, g.den) == (-1, (3,), (2,))
+    assert g.is_polynomial() and repr(g) == "QRatFn(3/2*v^-1)"
+    # a negative leading coefficient of the denominator changes both signs
+    h = QRatFn((Fraction(1, 2), 0, -1), (Fraction(-4, 3), 0, -2), 3)
+    assert (h.low, h.num, h.den) == (3, (-3, 0, 6), (8, 0, 12))
 
 
 def test_qratfn_eval_and_pole():
@@ -525,6 +528,64 @@ def test_qratfn_json_round_trip():
     g = QRatFn.from_json_obj(json.loads(blob))
     assert g == f
     assert json.dumps(g.to_json_obj()) == blob
+
+
+def _random_qratfn(rng):
+    """v^low n / d for random n, d with rational coefficients, some of
+    them sharing a factor, some with zero end coefficients."""
+    def poly():
+        return [Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+                for _ in range(rng.randrange(1, 5))]
+
+    num, den = poly(), poly()
+    if not any(den):
+        den = [Fraction(rng.randrange(1, 5), rng.randrange(1, 3))]
+    if rng.random() < 0.5:
+        common = poly()
+        if any(common):
+            num, den = _pmul(num, common), _pmul(den, common)
+    return QRatFn(num, den, rng.randrange(-4, 5))
+
+
+def _assert_canonical(f):
+    if f.is_zero():
+        assert (f.low, f.num, f.den) == (0, (), (1,))
+        return
+    assert all(type(c) is int for c in f.num + f.den)
+    assert f.num[0] and f.den[0] and f.den[-1] > 0
+    assert math.gcd(*f.num, *f.den) == 1
+    assert len(_poly_gcd(f.num, f.den)) == 1
+
+
+def test_qratfn_canonical_form_is_unique():
+    # equal values built in different orders have one (low, num, den)
+    rng = random.Random(31)
+    for _ in range(60):
+        f, g, h = (_random_qratfn(rng) for _ in range(3))
+        k = rng.choice((1, 2, 3))
+        routes = [
+            [(f + g) * h, f * h + g * h, h * g + (h * f - QRatFn.zero())],
+            [f - g, -(g - f), f + (-g), (f.bar() - g.bar()).bar()],
+            [f * q_number(k), q_number(k) * f, (f.bar() * q_number(k)).bar()],
+        ]
+        if not g.is_zero():
+            routes.append([f, (f / g) * g, (f * g) / g, f / (g / g)])
+        for values in routes:
+            blobs = {json.dumps(x.to_json_obj()) for x in values}
+            forms = {(x.low, x.num, x.den) for x in values}
+            assert len(blobs) == 1 and len(forms) == 1, values
+            for x in values:
+                _assert_canonical(x)
+
+
+def test_qratfn_json_round_trip_random():
+    rng = random.Random(32)
+    for _ in range(200):
+        f = _random_qratfn(rng)
+        obj = json.loads(json.dumps(f.to_json_obj()))
+        g = QRatFn.from_json_obj(obj)
+        assert g == f and (g.low, g.num, g.den) == (f.low, f.num, f.den)
+        assert g.to_json_obj() == obj
 
 
 def _pinned_qratfns():
