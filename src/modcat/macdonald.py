@@ -32,7 +32,7 @@ from .lie import (RootSystemData, Weight, build_root_system, form,
                   lattice_index, root_alpha_coords, theta_pairing, wadd,
                   wneg, wscale)
 from .numeric import (CycNum, InternalConsistencyError, PoleAtEpsilonError,
-                      QRatFn, _pmul, approx_eq, cyclotomic_polynomial,
+                      QRatFn, _dense, _pmul, approx_eq, cyclotomic_polynomial,
                       default_tolerance, epsilon_power, matrix_product,
                       sqrt_of_int)
 from .report import VerificationReport, mismatches
@@ -169,10 +169,7 @@ def _add_product(acc: dict[int, int], a, b) -> None:
 
 def _ratio(acc: dict[int, int], den=(1,), shift: int = 0) -> QRatFn:
     """v^shift (the sum of c v^e over acc) / den."""
-    low = min(acc)
-    coeffs = [0] * (max(acc) - low + 1)
-    for e, c in acc.items():
-        coeffs[e - low] = c
+    low, coeffs = _dense(acc.items())
     return QRatFn(coeffs, den, low + shift)
 
 

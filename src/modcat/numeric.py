@@ -602,6 +602,17 @@ def _poly_gcd(a, b) -> list[Fraction]:
     return [Fraction(c, a[-1]) for c in a]
 
 
+def _dense(terms) -> tuple[int, list]:
+    """(low, coefficients from v^low up) of the sum of c v^e over the
+    terms (e, c)."""
+    terms = list(terms)
+    low = min((e for e, _ in terms), default=0)
+    out = [0] * (max((e for e, _ in terms), default=low) - low + 1)
+    for e, c in terms:
+        out[e - low] += c
+    return low, out
+
+
 def _printed(low: int, coeffs, lead: int) -> list[list]:
     """[[e, str(c / lead)]] for each nonzero coefficient c of v^e."""
     return [[e, str(Fraction(c, lead))]
@@ -794,15 +805,8 @@ class QRatFn:
 
     @staticmethod
     def from_json_obj(obj) -> "QRatFn":
-        def dense(pairs):
-            terms = [(e, Fraction(s)) for e, s in pairs]
-            low = min((e for e, _ in terms), default=0)
-            out = [0] * (max((e for e, _ in terms), default=0) - low + 1)
-            for e, c in terms:
-                out[e - low] += c
-            return low, out
-
-        (low_num, num), (low_den, den) = dense(obj["num"]), dense(obj["den"])
+        low_num, num = _dense((e, Fraction(s)) for e, s in obj["num"])
+        low_den, den = _dense((e, Fraction(s)) for e, s in obj["den"])
         return QRatFn(num, den, low_num - low_den)
 
     def __repr__(self) -> str:
