@@ -719,8 +719,6 @@ class QRatFn:
         low = min(self.low, other.low)
         a = (0,) * (self.low - low) + self.num
         b = (0,) * (other.low - low) + other.num
-        if self.den == other.den:
-            return QRatFn(_padd(a, b), self.den, low)
         return QRatFn(_padd(_pmul(a, other.den), _pmul(b, self.den)),
                       _pmul(self.den, other.den), low)
 
