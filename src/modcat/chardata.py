@@ -5,20 +5,24 @@ Evaluation points are always weights mu standing for the point eps^mu, so
 everything stays inside one cyclotomic field: a group-ring element
 f = sum a_lam e^lam takes the value sum a_lam eps^((lam, mu)') there, each
 exponent an integer over the Gram denominator D.  Alternating sums run over
-the signed Weyl orbit of weyl.weyl_orbit, and quantum dimensions come from
-the q-Weyl product, which needs no orbit.  Each such sum or product of
-powers of eps is tallied as integer counts per exponent and made into a
-CycNum once, by CycNum.from_tally.
+the signed Weyl orbit of weyl.weyl_orbit; products of binomials
+prod (zeta^a - zeta^b) (the Weyl denominator, macdonald's d_lam) share one
+kernel; quantum dimensions are delta(-2(lam + rho)) / delta(-2 rho), with
+no orbit.  Each such sum or product of powers of eps is tallied as integer
+counts per exponent and made into a CycNum once, by CycNum.from_tally.
+dominant_weights_below lists weights in depth order, as Freudenthal's
+recursion and Gram-Schmidt need.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from operator import mul
 
 from .lie import (RootSystemData, Weight, _dot, _form_num, _gram_vector, wadd,
-                  wscale, wsub)
+                  wscale)
 from .numeric import CycNum, InternalConsistencyError
 from .weyl import make_dominant, weyl_orbit
 
@@ -64,25 +68,27 @@ def _root_floor(rs: RootSystemData, w: Weight) -> list[int]:
 
 
 def dominant_weights_below(rs: RootSystemData, lam: Weight) -> list[Weight]:
-    """Dominant mu with lam - mu a non-negative integer root sum.
+    """Dominant mu with lam - mu a non-negative integer root sum, ordered by
+    depth (the sum of the root coordinates of lam - mu), then by mu, so that
+    each mu + j alpha (j > 0) comes before mu.
 
     These are exactly the dominant weights of the irreducible V_lam.
     """
     bounds = _root_floor(rs, lam)
     out = []
 
-    def rec(i: int, partial: Weight):
+    def rec(i: int, partial: Weight, depth: int):
         if i == rs.rank:
             if is_dominant(partial):
-                out.append(partial)
+                out.append((depth, partial))
             return
         cur = partial
         for c in range(bounds[i] + 1):
-            rec(i + 1, cur)
+            rec(i + 1, cur, depth + c)
             cur = tuple(cur[k] - rs.cartan[k][i] for k in range(rs.rank))
 
-    rec(0, lam)
-    return out
+    rec(0, lam, 0)
+    return [mu for _, mu in sorted(out)]
 
 
 @lru_cache(maxsize=None)
@@ -91,9 +97,6 @@ def weight_multiplicities(rs: RootSystemData, lam: Weight) -> CharacterTable:
     if not is_dominant(lam):
         raise ValueError(f"highest weight {lam} is not dominant")
     doms = dominant_weights_below(rs, lam)
-
-    # sort by depth so that every mu + j alpha is ready before mu
-    doms.sort(key=lambda mu: (sum(_root_floor(rs, wsub(lam, mu))), mu))
     dom_set = set(doms)
     dom_mult: dict[Weight, int] = {lam: 1}
     # D times the primed forms, so that D cancels in the Freudenthal ratio
@@ -140,24 +143,29 @@ def _eps_order(rs: RootSystemData, kappa: int) -> int:
     return 2 * rs.lacing * kappa * rs.denominator
 
 
-def weyl_denominator_value(rs: RootSystemData, kappa: int,
-                           point: Weight) -> CycNum:
-    """prod over positive alpha of (eps^((alpha, point)'/2) - eps^(-...))."""
-    order = 2 * _eps_order(rs, kappa)
-    v = _gram_vector(rs, point)
-    exps = [_dot(alpha, v) % order for alpha in rs.positive_roots]
-    # the binomials multiplied out over Z / order: at most order keys
+def _binomial_product(order: int, pairs) -> CycNum:
+    """prod (zeta^a - zeta^b) over integer pairs (a, b), zeta = zeta_order,
+    multiplied out as an int map over Z / order and reduced once."""
+    pairs = [(a % order, b % order) for a, b in pairs]
     prod = {0: 1}
-    for e in exps:
-        if 2 * e % order == 0:
+    for a, b in pairs:
+        if a == b:
             return CycNum.zero()
         nxt: dict[int, int] = {}
-        for k, c in prod.items():
-            up, down = (k + e) % order, (k - e) % order
+        for e, c in prod.items():
+            up, down = (e + a) % order, (e + b) % order
             nxt[up] = nxt.get(up, 0) + c
             nxt[down] = nxt.get(down, 0) - c
         prod = nxt
-    return CycNum.from_tally(order, prod, exponents=exps)
+    return CycNum.from_tally(order, prod, exponents=chain(*pairs))
+
+
+def weyl_denominator_value(rs: RootSystemData, kappa: int,
+                           point: Weight) -> CycNum:
+    """prod over positive alpha of (eps^((alpha, point)'/2) - eps^(-...))."""
+    v = _gram_vector(rs, point)
+    exps = [_dot(alpha, v) for alpha in rs.positive_roots]
+    return _binomial_product(2 * _eps_order(rs, kappa), [(e, -e) for e in exps])
 
 
 def alternating_sum(rs: RootSystemData, kappa: int, xi: Weight,
@@ -208,17 +216,19 @@ def quantum_dim(rs: RootSystemData, kappa: int, lam: Weight) -> CycNum:
 
     By the Weyl denominator identity this is the q-Weyl product
     prod [(lam + rho, alpha)] / [(rho, alpha)]: the denominator at
-    2 (lam + rho) over the denominator at 2 rho, O(|R+|) and no orbit.
+    -2 (lam + rho) over the denominator at -2 rho (the signs (-1)^|R+| of
+    the two cancel), O(|R+|) and no orbit.
     """
     if not is_dominant(lam):
         raise ValueError(f"quantum dimension needs a dominant weight, got {lam}")
-    return (weyl_denominator_value(rs, kappa, wscale(2, wadd(lam, rs.rho)))
+    return (weyl_denominator_value(rs, kappa, wscale(-2, wadd(lam, rs.rho)))
             * _rho_denominator_inverse(rs, kappa))
 
 
 @lru_cache(maxsize=None)
 def _rho_denominator_inverse(rs: RootSystemData, kappa: int) -> CycNum:
-    return weyl_denominator_value(rs, kappa, wscale(2, rs.rho)).inverse()
+    """1 / delta(-2 rho), the Weyl denominator at the s-matrix points."""
+    return weyl_denominator_value(rs, kappa, wscale(-2, rs.rho)).inverse()
 
 
 def vanishing_criterion(rs: RootSystemData, kappa: int, lam: Weight) -> bool:

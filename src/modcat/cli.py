@@ -134,12 +134,13 @@ def _cmd_lie_info(args) -> int:
 
 
 def _cmd_alcove(args) -> int:
-    if args.algebra and args.kappa is not None:
+    cat, mac = (args.algebra, args.kappa), (args.n, args.level)
+    if None not in cat and mac == (None, None):
         rs = _parse_algebra(args.algebra)
         weights = enumerate_alcove(rs, args.kappa)
         obj = {"algebra": f"{rs.series}{rs.rank}", "kappa": args.kappa,
                "weights": [list(w) for w in weights]}
-    elif args.n is not None and args.level is not None:
+    elif None not in mac and cat == (None, None):
         rs = build_root_system("A", args.n - 1)
         weights = enumerate_ck(rs, args.level)
         obj = {"n": args.n, "K": args.level,
@@ -282,19 +283,20 @@ def _cmd_macdonald(args) -> int:
 def _cmd_verify(args) -> int:
     tol = args.tolerance if args.tolerance is not None else default_tolerance()
     reports = []
-    wants_cat = args.suite in ("modular", "fusion", "all")
-    wants_mac = args.suite in ("section5", "all")
-    have_cat = args.algebra is not None and args.kappa is not None
-    have_mac = (args.n is not None and args.k is not None
-                and args.level is not None)
-    if args.suite in ("modular", "fusion") and not have_cat:
-        raise UsageError(f"suite {args.suite} needs --algebra and --kappa")
-    if args.suite == "section5" and not have_mac:
-        raise UsageError("suite section5 needs --n, --k and --K")
-    if args.suite == "all" and not (have_cat or have_mac):
-        raise UsageError("suite all needs --algebra/--kappa or --n/--k/--K")
+    sets = {"--algebra and --kappa": (args.algebra, args.kappa),
+            "--n, --k and --K": (args.n, args.k, args.level)}
+    given = [any(x is not None for x in values) for values in sets.values()]
+    uses = {"modular": [True, False], "fusion": [True, False],
+            "section5": [False, True]}.get(args.suite, given)
+    for (flags, values), used, seen in zip(sets.items(), uses, given):
+        if (None in values) if used else seen:
+            raise UsageError(f"suite {args.suite} "
+                             f"{'needs' if used else 'does not take'} {flags}")
+    if not any(uses):
+        raise UsageError("suite all needs " + " or ".join(sets))
 
-    if wants_cat and have_cat:
+    # from here on a set of flags is given exactly when its suites run
+    if args.algebra is not None:
         rs = _parse_algebra(args.algebra)
         md = build_modular_data(rs, args.kappa)
         if args.suite in ("modular", "all"):
@@ -303,7 +305,7 @@ def _cmd_verify(args) -> int:
             table = build_fusion_table(rs, args.kappa, md.alcove)
             reports.append(verify_fusion(md, table))
             reports.append(verify_grothendieck(md, table))
-    if wants_mac and have_mac:
+    if args.n is not None:
         ctx = build_context(args.n, args.k, args.level)
         reports.append(verify_section5(ctx, tol))
 

@@ -9,12 +9,13 @@ over the integer numerators (QRatFn.low, QRatFn.num) of the coefficients,
 one running sum per pair of coefficient denominators QRatFn.den, and each
 pair is normalised to a QRatFn once.  The density is likewise multiplied
 out in integers, and the closed-form norm as one q-number quotient, before
-they are normalised.  Everything is exact:
-rational functions of v = q^(1/2) at generic q, cyclotomic numbers after
-specialization.  The modular matrices on the intertwiner basis are
-assembled from special values of the specialized polynomials and checked
-against all the symmetry, conjugation and modular-group identities they
-satisfy.
+they are normalised.  Everything is exact: rational functions of
+v = q^(1/2) at generic q, cyclotomic numbers after specialization.  The
+modular matrices on the intertwiner basis are assembled from special
+values P_lam(x_mu) of the specialized polynomials, evaluated once on
+integer forms (SUData.values), and from d_lam, one binomial product of
+chardata; they are checked against all the symmetry, conjugation and
+modular-group identities they satisfy.
 """
 
 from __future__ import annotations
@@ -26,11 +27,12 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain
 
-from .chardata import (dominant_weights_below, is_dominant, quantum_dim,
-                       weight_multiplicities, weyl_denominator_value)
-from .lie import (RootSystemData, Weight, build_root_system, form,
-                  lattice_index, root_alpha_coords, theta_pairing, wadd,
-                  wneg, wscale)
+from .chardata import (_binomial_product, _eps_order, _rho_denominator_inverse,
+                       dominant_weights_below, is_dominant, quantum_dim,
+                       weight_multiplicities)
+from .lie import (RootSystemData, Weight, _coroot_pairing, _dot, _gram_vector,
+                  build_root_system, form, lattice_index, root_alpha_coords,
+                  theta_pairing, wadd, wneg, wscale)
 from .numeric import (CycNum, InternalConsistencyError, PoleAtEpsilonError,
                       QRatFn, _dense, _pmul, approx_eq, cyclotomic_polynomial,
                       default_tolerance, epsilon_power, matrix_product,
@@ -134,10 +136,11 @@ class WPoly:
     def value_at(self, rs: RootSystemData, kappa: int,
                  point: Weight) -> CycNum:
         """Value of a specialized element at eps^point."""
+        order = _eps_order(rs, kappa)
+        v = _gram_vector(rs, point)
         acc = CycNum.zero()
         for w, c in self.terms.items():
-            acc = acc + c * epsilon_power(form(rs, w, point, "primed"),
-                                          rs.lacing, kappa)
+            acc = acc + c * CycNum.root_of_unity(order, _dot(w, v))
         return acc
 
     def sorted_terms(self):
@@ -208,11 +211,7 @@ def norm_formula(rs: RootSystemData, k: int, lam: Weight) -> QRatFn:
     count: Counter[int] = Counter()
     shifted = wadd(lam, wscale(k, rs.rho))
     for alpha in rs.positive_roots:
-        x = form(rs, alpha, shifted)
-        if x.denominator != 1:
-            raise InternalConsistencyError(
-                f"(alpha, lam + k rho) = {x} is not integral for {alpha}")
-        x = int(x)
+        x = _coroot_pairing(rs, shifted, alpha)
         for i in range(1, k):
             if x == i:
                 raise ZeroDivisionError(
@@ -329,9 +328,7 @@ def macdonald_polynomial(ctx: MacdonaldContext, lam: Weight) -> WPoly:
         return cached
     rs = ctx.rs
     poly = monomial_sum(rs, lam)
-    # dominant weights below lam, by depth
-    for mu in sorted(dominant_weights_below(rs, lam), key=lambda mu: (
-            sum(root_alpha_coords(rs, wadd(lam, wneg(mu)))), mu)):
+    for mu in dominant_weights_below(rs, lam):
         if mu == lam:
             continue
         p_mu = macdonald_polynomial(ctx, mu)
@@ -383,10 +380,9 @@ class SUData:
     conj_scalar: CycNum
     twist_u: CycNum
     norms_eps: tuple[CycNum, ...]
-
-
-def _eps(ctx: MacdonaldContext, a) -> CycNum:
-    return epsilon_power(a, 1, ctx.kappa)
+    values: CycMatrix
+    """values[l][m] = P_l(x_m), the specialized polynomial of the l-th
+    alcove weight at x_m = eps^(-2(m + k rho)); S_lm = d_l values[m][l]."""
 
 
 @lru_cache(maxsize=None)
@@ -396,15 +392,20 @@ def d_prefactor(n: int, kappa: int) -> CycNum:
     return phase * sqrt_of_int(n * kappa ** (n - 1)).inverse()
 
 
+def _d_pairs(ctx: MacdonaldContext, lam: Weight, first: int = 0):
+    """Exponent pairs (-x, x - 2i) of the factors eps^-x - eps^(x-2i) of
+    d_lam, x = <lam + k rho, alpha^vee>, alpha > 0, first <= i < k."""
+    shifted = wadd(lam, wscale(ctx.k, ctx.rs.rho))
+    for alpha in ctx.rs.positive_roots:
+        x = _coroot_pairing(ctx.rs, shifted, alpha)
+        for i in range(first, ctx.k):
+            yield -x, x - 2 * i
+
+
 def d_coefficient(ctx: MacdonaldContext, lam: Weight) -> CycNum:
     """The row normalization d_lam of the S-matrix."""
-    shifted = wadd(lam, wscale(ctx.k, ctx.rs.rho))
-    acc = d_prefactor(ctx.n, ctx.kappa)
-    for alpha in ctx.rs.positive_roots:
-        x = form(ctx.rs, alpha, shifted)
-        for i in range(ctx.k):
-            acc = acc * (_eps(ctx, -x) - _eps(ctx, x - 2 * i))
-    return acc
+    return d_prefactor(ctx.n, ctx.kappa) * _binomial_product(
+        2 * ctx.kappa, _d_pairs(ctx, lam))
 
 
 def build_su_data(ctx: MacdonaldContext) -> SUData:
@@ -415,33 +416,31 @@ def build_su_data(ctx: MacdonaldContext) -> SUData:
     rho = rs.rho
 
     points = [wscale(-2, wadd(lam, wscale(k, rho))) for lam in alcove]
-    specialized = [specialize(ctx, mu) for mu in alcove]
     dvals = [d_coefficient(ctx, lam) for lam in alcove]
-
-    smat = tuple(
-        tuple(dvals[a] * specialized[b].value_at(rs, kappa, points[a])
-              for b in range(size))
-        for a in range(size))
+    values = tuple(tuple(p.value_at(rs, kappa, x) for x in points)
+                   for p in map(partial(specialize, ctx), alcove))
+    smat = tuple(tuple(d * values[b][a] for b in range(size))
+                 for a, d in enumerate(dvals))
 
     rho_norm = form(rs, rho, rho)
     tmat_diag = []
     for lam in alcove:
         shifted = wadd(lam, wscale(k, rho))
         exp = form(rs, shifted, shifted) - Fraction(kappa, n) * rho_norm
-        tmat_diag.append(_eps(ctx, exp))
+        tmat_diag.append(epsilon_power(exp, 1, kappa))
     tmat = tuple(map(tuple, monomial_matrix(tmat_diag, range(size))))
 
     half = (n * (n - 1) * k * (k - 1)) // 2
     sign = (-1) ** (((k - 1) * n * (n - 1) // 2) % 2)
-    conj_scalar = _eps(ctx, -half) * sign
-    twist_u = _eps(ctx, 2 * half)
+    conj_scalar = epsilon_power(-half, 1, kappa) * sign
+    twist_u = epsilon_power(2 * half, 1, kappa)
 
     norms_eps = tuple(
         norm_formula(rs, k, lam).eval_at_epsilon(1, kappa) for lam in alcove)
 
     return SUData(n=n, k=k, level=ctx.level, kappa=kappa, alcove=alcove,
                   smatrix=smat, tmatrix=tmat, conj_scalar=conj_scalar,
-                  twist_u=twist_u, norms_eps=norms_eps)
+                  twist_u=twist_u, norms_eps=norms_eps, values=values)
 
 
 def verify_section5(ctx: MacdonaldContext,
@@ -513,9 +512,7 @@ def verify_section5(ctx: MacdonaldContext,
     # Macdonald's evaluation symmetry P_l(x_m) P_m(x_0) = P_m(x_l) P_l(x_0)
     # at x_m = eps^(-2(m + k rho)), from the polynomials alone: no d_l, no
     # norms
-    points = [wscale(-2, wadd(lam, wscale(k, rs.rho))) for lam in alcove]
-    values = [[specialize(ctx, lam).value_at(rs, kappa, x) for x in points]
-              for lam in alcove]
+    values = su.values
     zero = alcove.index(rs.zero)
     explicit = [[values[l][m] * values[m][zero] for m in idx] for l in idx]
     rep.check("explicit symmetry through polynomial special values",
@@ -559,21 +556,16 @@ def verify_section5(ctx: MacdonaldContext,
     # float cross-checks against the category data
     index = lattice_index(rs, "P", f"{kappa}Qv")
     dsq = index * (-1) ** rplus
-    delta_val = weyl_denominator_value(rs, kappa, wscale(-2, rs.rho))
-    d_total = (dsq / (delta_val * delta_val).to_complex()).real ** 0.5
+    delta_inv = _rho_denominator_inverse(rs, kappa)
+    d_total = (dsq * (delta_inv * delta_inv).to_complex()).real ** 0.5
 
     # S_{l0} = d_l, since P_0 = 1
     def normalization_failures():
         for lam, d in zip(alcove, (row[zero] for row in s)):
             lam_k = wadd(lam, wscale(k - 1, rs.rho))
             dim_val = quantum_dim(rs, kappa, lam_k).to_complex()
-            phi0 = 1 + 0j
-            shifted = wadd(lam, wscale(k, rs.rho))
-            for alpha in rs.positive_roots:
-                x = form(rs, alpha, shifted)
-                for i in range(1, k):
-                    phi0 *= (_eps(ctx, -x) - _eps(ctx, x - 2 * i)).to_complex()
-            want = dim_val / d_total * phi0
+            phi0 = _binomial_product(2 * kappa, _d_pairs(ctx, lam, 1))
+            want = dim_val / d_total * phi0.to_complex()
             if not approx_eq(d.to_complex(), want, tol):
                 yield f"{lam}: {d.to_complex()} vs {want}"
 

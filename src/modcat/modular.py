@@ -26,8 +26,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 
-from .chardata import (_eps_order, alternating_sum, quantum_dim,
-                       weyl_denominator_value)
+from .chardata import (_eps_order, _rho_denominator_inverse, alternating_sum,
+                       quantum_dim)
 from .lie import (RootSystemData, Weight, _form_num, form, lattice_index, wadd,
                   wscale)
 from .numeric import (CycNum, approx_eq, default_tolerance, epsilon_power,
@@ -79,16 +79,15 @@ def twist(rs: RootSystemData, kappa: int, lam: Weight) -> CycNum:
 def s_entry_extended(rs: RootSystemData, kappa: int, lam: Weight,
                      mu: Weight) -> CycNum:
     """The s-matrix formula extended to arbitrary weight pairs."""
-    den = weyl_denominator_value(rs, kappa, wscale(-2, rs.rho))
-    return alternating_sum(rs, kappa, wadd(lam, rs.rho),
-                           wscale(-2, wadd(mu, rs.rho))) / den
+    return (alternating_sum(rs, kappa, wadd(lam, rs.rho),
+                            wscale(-2, wadd(mu, rs.rho)))
+            * _rho_denominator_inverse(rs, kappa))
 
 
 def build_modular_data(rs: RootSystemData, kappa: int) -> ModularData:
     """All modular data for (rs, kappa); kappa at least the dual Coxeter number."""
     alcove = enumerate_alcove(rs, kappa)
-    den = weyl_denominator_value(rs, kappa, wscale(-2, rs.rho))
-    den_inv = den.inverse()
+    den_inv = _rho_denominator_inverse(rs, kappa)
 
     # s is symmetric: fill the upper triangle once
     n = len(alcove)
@@ -169,9 +168,8 @@ def verify_modular_relations(md: ModularData,
         s2, ((md.d_squared * x for x in row) for row in md.cmatrix), labels))
 
     index = lattice_index(rs, "P", f"{kappa}Qv")
-    den = weyl_denominator_value(rs, kappa, wscale(-2, rs.rho))
-    closed = (CycNum.from_rational(index * (-1) ** len(rs.positive_roots))
-              * (den * den).inverse())
+    den_inv = _rho_denominator_inverse(rs, kappa)
+    closed = den_inv * den_inv * (index * (-1) ** len(rs.positive_roots))
     rep.record("D^2 closed form |P/kQv| (-1)^|R+| delta^-2",
                md.d_squared == closed,
                f"{md.d_squared!r} vs {closed!r}")

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import cmath
 import os
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isfinite, lcm
@@ -564,9 +565,7 @@ def sqrt_of_int(n: int) -> CycNum:
         if p == 2:
             root = CycNum.root_of_unity(8, 1) + CycNum.root_of_unity(8, 7)
         else:
-            gauss = CycNum.zero()
-            for t in range(p):
-                gauss = gauss + CycNum.root_of_unity(p, (t * t) % p)
+            gauss = CycNum.from_tally(p, Counter(t * t % p for t in range(p)))
             if p % 4 == 1:
                 root = gauss
             else:

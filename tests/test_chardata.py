@@ -5,12 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from modcat.chardata import (alternating_sum, char_value, quantum_dim,
+from modcat.chardata import (_binomial_product, alternating_sum, char_value,
+                             dominant_weights_below, is_dominant, quantum_dim,
                              vanishing_criterion, weight_multiplicities,
                              weyl_denominator_value, weyl_dimension)
-from modcat.lie import _gram_vector, build_root_system, form, wadd, wscale
+from modcat.lie import (_gram_vector, build_root_system, form,
+                        root_alpha_coords, wadd, wscale, wsub)
+from modcat.macdonald import build_context, d_coefficient, d_prefactor
 from modcat.modular import twist
-from modcat.numeric import CycNum, QRatFn, epsilon_power
+from modcat.numeric import (CycNum, QRatFn, _prime_factors, epsilon_power,
+                            sqrt_of_int)
 from modcat.weyl import (enumerate_alcove, fold_to_alcove, make_dominant,
                          star, weyl_orbit)
 
@@ -335,6 +339,26 @@ def loop_eval_eps_half(terms, lacing, kappa):
                         for e, c in terms)
 
 
+def loop_binomial_product(order, pairs):
+    acc = CycNum.one()
+    for a, b in pairs:
+        acc = acc * (CycNum.root_of_unity(order, a)
+                     - CycNum.root_of_unity(order, b))
+    return acc
+
+
+def loop_d_coefficient(ctx, lam):
+    """d_lam with one CycNum product per factor and Fraction forms."""
+    shifted = wadd(lam, wscale(ctx.k, ctx.rs.rho))
+    acc = d_prefactor(ctx.n, ctx.kappa)
+    for alpha in ctx.rs.positive_roots:
+        x = form(ctx.rs, alpha, shifted)
+        for i in range(ctx.k):
+            acc = acc * (epsilon_power(-x, 1, ctx.kappa)
+                         - epsilon_power(x - 2 * i, 1, ctx.kappa))
+    return acc
+
+
 @pytest.mark.parametrize("series,rank,kappa", [
     ("A", 1, 7), ("A", 2, 5), ("A", 3, 6), ("B", 2, 4), ("C", 3, 5),
     ("G", 2, 5), ("D", 4, 7)])
@@ -375,3 +399,46 @@ def test_tally_callers_match_term_by_term_loops(series, rank, kappa):
             [(low + i, c) for i, c in enumerate(coeffs) if c],
             rs.lacing, kappa)
         assert got == want and got.order == order, poly
+    # the binomial kernel: exponents of mixed orders (multiples of divisors
+    # of the order), and pairs with a = b mod order, which give zero
+    for order in (2 * kappa, 4 * rs.lacing * kappa * rs.denominator):
+        divisors = [d for d in range(1, order + 1) if order % d == 0]
+        for _ in range(12):
+            pairs = []
+            for _ in range(rng.randrange(0, 5)):
+                a = rng.choice(divisors) * rng.randrange(-3, 4)
+                b = (a + order * rng.randrange(-1, 2) if rng.random() < 0.1
+                     else rng.choice(divisors) * rng.randrange(-3, 4))
+                pairs.append((a, b))
+            assert exact(_binomial_product(order, pairs)) == exact(
+                loop_binomial_product(order, pairs)), pairs
+        assert exact(_binomial_product(order, [(1, 1 + order)])) == exact(
+            CycNum.zero())
+    # d_lam of the section-5 S-matrix, on the sub-alcove and off it
+    if series == "A":
+        for k in (1, 2, 3):
+            ctx = build_context(rank + 1, k, 1)
+            for lam in ctx.alcove + tuple(weight(0, ctx.kappa + 2)
+                                          for _ in range(4)):
+                assert (d_coefficient(ctx, lam).to_json_obj()
+                        == loop_d_coefficient(ctx, lam).to_json_obj()), lam
+    # the Gauss sums of sqrt_of_int: sqrt p = g for p = 1 mod 4, -i g else
+    for p in range(3, 4 * kappa):
+        if _prime_factors(p) == [p]:
+            gauss, order = term_by_term(CycNum.root_of_unity(p, t * t % p)
+                                        for t in range(p))
+            root = gauss if p % 4 == 1 else CycNum.root_of_unity(4, 3) * gauss
+            assert exact(sqrt_of_int(p)) == exact(root), p
+            assert gauss.order == order
+
+
+@pytest.mark.parametrize("series,rank", [
+    ("A", 2), ("A", 3), ("B", 2), ("C", 3), ("G", 2)])
+def test_dominant_weights_below_in_depth_order(series, rank):
+    rs = build_root_system(series, rank)
+    for lam in (rs.highest_root, wscale(2, rs.rho), tuple(range(rank))):
+        got = dominant_weights_below(rs, lam)
+        depth = [sum(root_alpha_coords(rs, wsub(lam, mu))) for mu in got]
+        assert list(zip(depth, got)) == sorted(zip(depth, got)), lam
+        assert set(got) == set(filter(is_dominant,
+                                      weight_multiplicities(rs, lam).mults))

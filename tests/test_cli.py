@@ -177,6 +177,15 @@ def test_verify_usage_errors(capsys):
     assert code == 2 and "needs" in err
     code, _, err = run_cli(capsys, "verify", "--suite", "section5")
     assert code == 2
+    # a partial set of flags, or a set the suite does not read
+    cat = ("--algebra", "A1", "--kappa", "3")
+    mac = ("--n", "2", "--k", "1", "--K", "1")
+    for argv, flags in ((("all", *cat, "--n", "2"), "--n, --k and --K"),
+                        (("all", "--algebra", "A1", *mac), "--kappa"),
+                        (("modular", *cat, *mac), "--n, --k and --K"),
+                        (("section5", *mac, *cat), "--algebra and --kappa")):
+        code, out, err = run_cli(capsys, "verify", "--suite", *argv)
+        assert code == 2 and out == "" and flags in err, argv
     for bad in ("nan", "-1", "inf", "-inf", "0"):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "modular", "--algebra", "A1",
@@ -198,6 +207,10 @@ def test_options_only_where_read(capsys):
             main(list(argv))
         assert exc.value.code == 2, argv
         assert "error" in capsys.readouterr().err
+    # alcove reads one of its two sets of options, never both
+    code, _, err = run_cli(capsys, "alcove", "--algebra", "A2", "--kappa", "5",
+                           "--n", "3")
+    assert code == 2 and "--n and --K" in err
 
 
 def test_exact_mode_byte_determinism(capsys):

@@ -390,3 +390,19 @@ def test_pairing_matches_full_product_on_random_polys(n, k):
         assert got == full_product_pairing(ctx, f, g)
         nonzero += not got.is_zero()
     assert nonzero
+
+
+def test_section5_evaluates_each_special_value_once(monkeypatch):
+    # build_su_data evaluates P_l(x_m) once for every pair, and the
+    # explicit-symmetry check reads those values from SUData
+    ctx = build_context(3, 2, 2)
+    calls = []
+    value_at = WPoly.value_at
+
+    def counted(self, *args):
+        calls.append(args)
+        return value_at(self, *args)
+
+    monkeypatch.setattr(WPoly, "value_at", counted)
+    assert verify_section5(ctx).passed
+    assert len(calls) == len(ctx.alcove) ** 2
