@@ -67,6 +67,9 @@ COMMANDS = {
                           "--kappa", "18"],
     "verify-all-G2-k9": ["verify", "--suite", "all", "--algebra", "G2",
                          "--kappa", "9"],
+    # the fusion and Grothendieck suites on a 28-object alcove
+    "verify-fusion-A2-k9": ["verify", "--suite", "fusion", "--algebra", "A2",
+                            "--kappa", "9"],
     # s-matrix numerators summed over a |W| = 51,840 signed orbit
     "modular-E6-k13": ["modular", "--algebra", "E6", "--kappa", "13"],
 }

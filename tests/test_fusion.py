@@ -322,3 +322,90 @@ def test_associativity_random_systems():
                         right = sum(table.n(mu, nu, s) * table.n(lam, s, tau)
                                     for s in alcove)
                         assert left == right
+
+
+DIAG = "folded coefficients = s-matrix diagonalization"
+SYM, ASSOC = "index symmetries of N", "associativity"
+DIMS, POINTWISE = "quantum dimension homomorphism", "pointwise ring homomorphism"
+
+# hand-broken tables: (rs, kappa, changed entries N_{ij}^k, the witness of
+# every failing check of the fusion and Grothendieck suites); the entries
+# (1, 2, 3) of A2 k5, B2 k5 and G2 k6 are the built entry plus one
+BROKEN_TABLES = {
+    "A2-k5-bumped": (A2, 5, {(1, 2, 3): 1}, {
+        DIAG: "N_(0, 1) s entry (2,0) at (0, 2), (0, 0): "
+              "CycNum(2 + 2*z10^2 + -2*z10^3) vs CycNum(1 + 1*z10^2 + "
+              "-1*z10^3)",
+        SYM: "N_(0, 1) entry (2,3) at (0, 2), (1, 0): 1 vs 0",
+        ASSOC: "N_(0, 1) N_(0, 1) entry (1,3) at (0, 1), (1, 0): 1 vs 0",
+        DIMS: "N_(0, 1) dims entry (2,0) at (0, 2), (0, 0): "
+              "CycNum(2 + 2*z10^2 + -2*z10^3) vs CycNum(1 + 1*z10^2 + "
+              "-1*z10^3)",
+        POINTWISE: "N_(0, 1) f entry (2,0) at (0, 2), (0, 0): "
+                   "CycNum(2 + 2*z10^2 + -2*z10^3) vs CycNum(1 + 1*z10^2 + "
+                   "-1*z10^3)"}),
+    "ising-asymmetric": (A1, 4, {(1, 2, 1): 0}, {
+        DIAG: "N_(1,) s entry (2,0) at (2,), (0,): "
+              "CycNum(0) vs CycNum(1*z8^1 + -1*z8^3)",
+        SYM: "N_(1,) entry (2,1) at (2,), (1,): 0 vs 1",
+        ASSOC: "N_(1,) N_(1,) entry (1,1) at (1,), (1,): 1 vs 2",
+        DIMS: "N_(1,) dims entry (2,0) at (2,), (0,): "
+              "CycNum(0) vs CycNum(1*z8^1 + -1*z8^3)",
+        POINTWISE: "N_(1,) f entry (2,0) at (2,), (0,): "
+                   "CycNum(0) vs CycNum(1*z8^1 + -1*z8^3)"}),
+    "ising-non-associative": (
+        A1, 4, {(1, 1, 2): 2, (1, 2, 1): 2, (2, 1, 1): 2}, {
+            DIAG: "N_(1,) s entry (1,0) at (1,), (0,): CycNum(3) vs CycNum(2)",
+            ASSOC: "N_(1,) N_(1,) entry (2,2) at (2,), (2,): 4 vs 1",
+            DIMS: "N_(1,) dims entry (1,0) at (1,), (0,): "
+                  "CycNum(3) vs CycNum(2)",
+            POINTWISE: "N_(1,) f entry (1,0) at (1,), (0,): "
+                       "CycNum(3) vs CycNum(2)"}),
+    "B2-k5-bumped": (B2, 5, {(1, 2, 3): 1}, {
+        DIAG: "N_(0, 1) s entry (2,0) at (0, 2), (0, 0): "
+              "CycNum(4 + 4*z20^4 + -4*z20^6) vs CycNum(2 + 4*z20^4 + "
+              "-4*z20^6)",
+        SYM: "N_(0, 1) entry (2,3) at (0, 2), (1, 0): 1 vs 0",
+        ASSOC: "N_(0, 1) N_(0, 1) entry (1,3) at (0, 1), (1, 0): 1 vs 0",
+        DIMS: "N_(0, 1) dims entry (2,0) at (0, 2), (0, 0): "
+              "CycNum(4 + 4*z20^4 + -4*z20^6) vs CycNum(2 + 4*z20^4 + "
+              "-4*z20^6)",
+        POINTWISE: "N_(0, 1) f entry (2,0) at (0, 2), (0, 0): "
+                   "CycNum(4 + 4*z20^4 + -4*z20^6) vs CycNum(2 + 4*z20^4 + "
+                   "-4*z20^6)"}),
+    "G2-k6-bumped": (G2, 6, {(1, 2, 3): 2}, {
+        DIAG: "N_(0, 1) s entry (2,0) at (1, 0), (0, 0): "
+              "CycNum(3 + 3*z36^2 + 3*z36^4 + -2*z36^8 + -1*z36^10) vs "
+              "CycNum(2 + 2*z36^2 + 2*z36^4 + -1*z36^8 + -1*z36^10)",
+        SYM: "N_(0, 1) entry (2,3) at (1, 0), (2, 0): 2 vs 1",
+        ASSOC: "N_(0, 1) N_(0, 1) entry (2,1) at (1, 0), (0, 1): 2 vs 1",
+        DIMS: "N_(0, 1) dims entry (2,0) at (1, 0), (0, 0): "
+              "CycNum(3 + 3*z36^2 + 3*z36^4 + -2*z36^8 + -1*z36^10) vs "
+              "CycNum(2 + 2*z36^2 + 2*z36^4 + -1*z36^8 + -1*z36^10)",
+        POINTWISE: "N_(0, 1) f entry (2,0) at (1, 0), (0, 0): "
+                   "CycNum(3 + 3*z36^2 + 3*z36^4 + -2*z36^8 + -1*z36^10) vs "
+                   "CycNum(2 + 2*z36^2 + 2*z36^4 + -1*z36^8 + -1*z36^10)"}),
+    "A1-k5-negative": (A1, 5, {(1, 1, 1): -1}, {
+        DIAG: "N_(1,) s entry (1,0) at (1,), (0,): "
+              "CycNum(1) vs CycNum(2 + 1*z10^2 + -1*z10^3)",
+        ASSOC: "N_(1,) N_(1,) entry (2,3) at (2,), (3,): 0 vs -1",
+        DIMS: "N_(1,) dims entry (1,0) at (1,), (0,): "
+              "CycNum(1) vs CycNum(2 + 1*z10^2 + -1*z10^3)",
+        POINTWISE: "N_(1,) f entry (1,0) at (1,), (0,): "
+                   "CycNum(1) vs CycNum(2 + 1*z10^2 + -1*z10^3)"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_TABLES))
+def test_broken_table_witnesses(name):
+    rs, kappa, changes, want = BROKEN_TABLES[name]
+    md = build_modular_data(rs, kappa)
+    table = build_fusion_table(rs, kappa, md.alcove)
+    if name.endswith("bumped"):
+        assert all(table.matrices[i][j][k] + 1 == v
+                   for (i, j, k), v in changes.items())
+    bad = with_entries(table, changes)
+    got = {c.name: c.witness
+           for rep in (verify_fusion(md, bad), verify_grothendieck(md, bad))
+           for c in rep.checks if c.status == "fail"}
+    assert got == want
