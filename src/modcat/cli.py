@@ -251,8 +251,7 @@ def _cmd_fusion(args) -> int:
 
 def _cmd_macdonald(args) -> int:
     if args.macdonald_cmd == "poly":
-        ctx = build_context(args.n, args.k, args.level
-                            if args.level is not None else 0)
+        ctx = build_context(args.n, args.k, 0)
         lam = _parse_weight(args.lam, ctx.rs.rank)
         if not all(c >= 0 for c in lam):
             raise UsageError(f"weight {lam} is not dominant")
@@ -262,8 +261,6 @@ def _cmd_macdonald(args) -> int:
                          for w, c in poly.sorted_terms()]}
         _emit_json(args, obj)
         return 0
-    if args.level is None:
-        raise UsageError("macdonald su needs --K")
     ctx = build_context(args.n, args.k, args.level)
     su = build_su_data(ctx)
     obj = {
@@ -381,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     pp = msub.add_parser("poly", help="one polynomial at generic q")
     pp.add_argument("--n", type=int, required=True)
     pp.add_argument("--k", type=int, required=True)
-    pp.add_argument("--K", dest="level", type=int, default=None)
     pp.add_argument("--lambda", dest="lam", required=True)
     _add_output(pp)
     pp.set_defaults(handler=_cmd_macdonald)

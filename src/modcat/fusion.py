@@ -8,9 +8,10 @@ coefficients as integer fusion matrices N_i over alcove positions.
 The checks work on those matrices.  The folded coefficients are checked
 against the diagonalization of the fusion ring by the s-matrix (Verlinde),
 an independent route through exact cyclotomic arithmetic, in eigenvector
-form: N_i s = s diag(s_{ip} / s_{0p}), which needs one inverse per
-column.  Associativity is an integer matrix identity, and the unit, dual
-and symmetry checks are index arithmetic on the star permutation.
+form N_i s = s diag(s_{ip} / s_{0p}): once per modular data and table, as
+the Grothendieck suite's form for f = s diag(dims)^-1 only scales column p
+by dims_p != 0.  Associativity is an integer matrix identity on packed
+rows; the unit, dual and symmetry checks use the star permutation.
 
 build_fusion_table folds each unordered pair once and mirrors it, so on a
 built table the N_ij^k = N_ji^k part of the index symmetries checks the
@@ -24,12 +25,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
+from operator import mul
 
 from .chardata import weight_multiplicities, weyl_dimension
 from .lie import RootSystemData, Weight, wadd, wsub
 from .modular import ModularData, det_s_is_nonzero
-from .numeric import InternalConsistencyError
+from .numeric import InternalConsistencyError, _pack, _unpack, matrix_product
 from .report import VerificationReport, mismatches
 from .weyl import fold_to_alcove, make_dominant, star_positions
 
@@ -119,44 +121,49 @@ def build_fusion_table(rs: RootSystemData, kappa: int,
                        matrices=tuple(tuple(map(tuple, m)) for m in mats))
 
 
-def _combine(coeffs, rows) -> list:
-    """sum_k coeffs[k] rows[k] for integer coeffs, over the nonzero ones."""
-    terms = [row if c == 1 else [c * x for x in row]
-             for c, row in zip(coeffs, rows) if c]
-    if not terms:
-        return [0 * x for x in rows[0]]
-    return [sum(col[1:], col[0]) for col in zip(*terms)]
-
-
 def _diagonalization_failures(table: FusionTable, m, name: str):
     """Witnesses against N_i m = m diag(m_{ip} / m_{0p}) for every i; row 0
     of m belongs to the unit object and must not vanish."""
-    base = []
-    for p, x in enumerate(m[0]):
+    for w, x in zip(table.alcove, m[0]):
         if x.is_zero():
             raise FusionConsistencyError(
-                "vanishing quantum dimension inside the alcove at "
-                f"{table.alcove[p]}")
-        base.append(x.inverse())
-    for i, n_i in enumerate(table.matrices):
+                f"vanishing quantum dimension inside the alcove at {w}")
+    base = [x.inverse() for x in m[0]]
+    n = len(m)
+    products = matrix_product(list(chain.from_iterable(table.matrices)), m)
+    for i in range(n):
         eigen = [x * y for x, y in zip(m[i], base)]
-        left = [_combine(row, m) for row in n_i]
-        right = [[x * e for x, e in zip(row, eigen)] for row in m]
-        for w in mismatches(left, right, table.alcove):
+        right = ([x * e for x, e in zip(row, eigen)] for row in m)
+        for w in mismatches(products[n * i:n * i + n], right, table.alcove):
             yield f"N_{table.alcove[i]} {name} {w}"
+
+
+def _verlinde_witness(md: ModularData, table: FusionTable) -> tuple[str, ...]:
+    """The first Verlinde witness, if any, kept on md per table."""
+    known = vars(md).setdefault("_verlinde_witness", {})
+    if table not in known:
+        known[table] = tuple(islice(
+            _diagonalization_failures(table, md.smatrix, "s"), 1))
+    return known[table]
 
 
 def _associativity_failures(table: FusionTable):
     """Witnesses against N_j N_i = sum_s N_{ij}^s N_s, which is the identity
-    sum_s N_{ij}^s N_{sk}^t = sum_s N_{jk}^s N_{is}^t in matrix form."""
+    sum_s N_{ij}^s N_{sk}^t = sum_s N_{jk}^s N_{is}^t in matrix form, on the
+    rows of each N_s packed into one int (digits up to n max|N|^2, signed)."""
     mats, alcove = table.matrices, table.alcove
-    rows_at = list(zip(*mats))   # rows_at[j][s] = row j of N_s
+    top = max(abs(c) for m in mats for row in m for c in row)
+    w = (len(mats) * top * top).bit_length() + 1
+    packed = [[_pack(row, w) for row in m] for m in mats]
+    rows_at = list(zip(*packed))   # rows_at[j][s] = row j of N_s, packed
     for i, n_i in enumerate(mats):
         for j, n_j in enumerate(mats):
-            left = [_combine(row, n_i) for row in n_j]
-            right = [_combine(n_i[j], rows) for rows in rows_at]
-            for w in mismatches(left, right, alcove):
-                yield f"N_{alcove[j]} N_{alcove[i]} {w}"
+            left = [sum(map(mul, row, packed[i])) for row in n_j]
+            right = [sum(map(mul, n_i[j], rows)) for rows in rows_at]
+            if left != right:
+                for x in mismatches(*(_unpack(v, w, len(mats))
+                                      for v in (left, right)), alcove):
+                    yield f"N_{alcove[j]} N_{alcove[i]} {x}"
 
 
 def verify_fusion(md: ModularData,
@@ -176,7 +183,7 @@ def verify_fusion(md: ModularData,
                 for w in mismatches(*sides(i), alcove))
 
     rep.check("folded coefficients = s-matrix diagonalization",
-              _diagonalization_failures(table, md.smatrix, "s"))
+              _verlinde_witness(md, table))
 
     # alcove[0] is the unit object, the zero weight
     rep.check("N_{l m}^0 = delta_{l m*}", each(lambda i: (
@@ -213,10 +220,9 @@ def verify_grothendieck(md: ModularData,
     # f_{V_lam}(mu) = ch V_lam (eps^{-2(mu+rho)}) = s_{lam mu} / dim_mu, so
     # f_{0 mu} = 1 and N_lam f = f diag(f_{lam mu}) is the ring homomorphism
     # f_lam f_mu = sum_nu N_{lam mu}^nu f_nu at every point
-    dims_inv = [d.inverse() for d in md.dims]
-    fmat = [[x * y for x, y in zip(row, dims_inv)] for row in md.smatrix]
-    rep.check("pointwise ring homomorphism",
-              _diagonalization_failures(table, fmat, "f"))
+    if not all(md.dims):
+        raise FusionConsistencyError("vanishing quantum dimension in dims")
+    rep.check("pointwise ring homomorphism", _verlinde_witness(md, table))
 
     # F = s diag(dims)^-1 with nonzero dims: det F != 0 exactly when det s != 0
     rep.record("character evaluation matrix non-singular",

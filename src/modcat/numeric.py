@@ -15,8 +15,8 @@ One polynomial kernel over ascending coefficient lists of ``int`` or
   ``CycNum.from_tally`` makes a sum or product of powers of one root of
   unity from an integer tally {e mod M: c} with one reduction, at
   M / gcd(M, every exponent tallied): the lcm of the term orders.
-  ``matrix_product`` multiplies CycNum matrices over one field: it lifts
-  and packs each entry into one int once, and reduces each result once.
+  ``matrix_product`` multiplies CycNum or int matrices over one field and
+  reduces each entry once; ``_pack``/``_unpack`` are the one Kronecker packing.
 
 * ``QRatFn`` -- a rational function v^low num(v) / den(v) over Q in a
   formal variable v standing for a square root of q, the one format of
@@ -461,7 +461,7 @@ def _poly_modular_inverse(poly: list, mod) -> list[Fraction]:
 
 
 def matrix_product(a, b) -> list[list[CycNum]]:
-    """The exact product of two CycNum matrices, given as rows.
+    """The exact product of two matrices of CycNum or int entries, as rows.
 
     Each entry is lifted once to Q(zeta_L), L the lcm of all orders, over
     one denominator per factor, and its coordinates are packed as the
@@ -471,31 +471,28 @@ def matrix_product(a, b) -> list[list[CycNum]]:
     n phi(L) max|a| max|b| in size; w covers that and a sign bit.
     """
     cols = list(zip(*b))
-    L = lcm(*(x.order for m in (a, cols) for row in m for x in row))
-    digits = 2 * _phi(L) - 1
+    L = lcm(*(x.order for m in (a, cols) for row in m for x in row
+              if isinstance(x, CycNum)))
     nums_a, den_a, top_a = _lift(a, L)
     nums_b, den_b, top_b = _lift(cols, L)
     w = (len(b) * _phi(L) * top_a * top_b).bit_length() + 1
     packed_b = [[_pack(v, w) for v in col] for col in nums_b]
-    # half a digit added to every digit makes each one read off by a mask
-    half, mask = 1 << (w - 1), (1 << w) - 1
-    bias = _pack([half] * digits, w)
-    shifts = range(0, digits * w, w)
     out = []
     for nums in nums_a:
         row = [_pack(v, w) for v in nums]
-        sums = (sum(map(mul, row, col)) + bias for col in packed_b)
-        out.append([CycNum(L, tuple(_reduce_exponents(L, enumerate(
-            [((v >> s) & mask) - half for s in shifts]))), den_a * den_b)
-            for v in sums])
+        sums = [sum(map(mul, row, col)) for col in packed_b]
+        out.append([CycNum(L, tuple(_reduce_exponents(L, enumerate(v))),
+                           den_a * den_b)
+                    for v in _unpack(sums, w, 2 * _phi(L) - 1)])
     return out
 
 
 def _lift(rows, order: int) -> tuple[list, int, int]:
     """(nums, den, top): each entry's integer coordinates in Q(zeta_order)
     times den, the lcm of the denominators, and the largest |coordinate|."""
-    den = lcm(*(x.den for row in rows for x in row))
-    nums = [[[c * (den // x.den) for c in x._lift_num(order)] for x in row]
+    den = lcm(*(x.den for row in rows for x in row if isinstance(x, CycNum)))
+    nums = [[[c * (den // x.den) for c in x._lift_num(order)]
+             if isinstance(x, CycNum) else [x * den] for x in row]
             for row in rows]
     return nums, den, max((abs(c) for row in nums for v in row for c in v),
                           default=0)
@@ -504,6 +501,15 @@ def _lift(rows, order: int) -> tuple[list, int, int]:
 def _pack(vec, w: int) -> int:
     """sum vec[e] 2^(w e): the coordinates as the digits of one int."""
     return sum(c << (w * e) for e, c in enumerate(vec) if c)
+
+
+def _unpack(values, w: int, digits: int) -> list[list[int]]:
+    """The first digits coordinates of each _pack int of values, each below
+    2^(w-1) in size: half a digit added to each lets a mask read it off."""
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    bias = _pack([half] * digits, w)
+    return [[((v >> s) & mask) - half for s in range(0, digits * w, w)]
+            for v in map(bias.__add__, values)]
 
 
 def solve(a, b=None) -> tuple:

@@ -202,7 +202,9 @@ def test_options_only_where_read(capsys):
                  ("modular", "--algebra", "A1", "--kappa", "3",
                   "--tolerance", "1e-9"),
                  ("macdonald", "poly", "--n", "2", "--k", "1",
-                  "--lambda", "1", "--format", "pretty")):
+                  "--lambda", "1", "--format", "pretty"),
+                 ("macdonald", "poly", "--n", "2", "--k", "2",
+                  "--lambda", "2", "--K", "7")):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2, argv

@@ -4,13 +4,15 @@ import random
 import pytest
 
 from modcat.chardata import weight_multiplicities, weyl_dimension
-from modcat.fusion import (build_fusion_table, classical_tensor,
-                           fusion_coefficients, verify_fusion,
-                           verify_grothendieck)
+from modcat.fusion import (FusionConsistencyError, FusionTable,
+                           _associativity_failures, build_fusion_table,
+                           classical_tensor, fusion_coefficients,
+                           verify_fusion, verify_grothendieck)
 from modcat.lie import build_root_system
-from modcat import modular
+from modcat import fusion, modular
 from modcat.modular import build_modular_data, verify_modular_relations
 from modcat.numeric import CycNum, QRatFn
+from modcat.report import mismatches
 from modcat.weyl import enumerate_alcove, star
 
 A1 = build_root_system("A", 1)
@@ -238,6 +240,41 @@ def test_grothendieck_reuses_unitarity_of_modular_suite(monkeypatch):
     assert len(products) == 1
 
 
+def test_grothendieck_reuses_verlinde_pass_of_fusion_suite(monkeypatch):
+    # verify --suite fusion: N_i s is formed once, by the fusion suite
+    md = build_modular_data(A2, 5)
+    table = build_fusion_table(A2, 5, md.alcove)
+    assert verify_fusion(md, table).passed
+    products = []
+    real = fusion.matrix_product
+    monkeypatch.setattr(fusion, "matrix_product",
+                        lambda a, b: products.append(b) or real(a, b))
+    assert verify_grothendieck(md, table).passed
+    assert products == []
+    # a fresh copy of the same data, or another table, has to form it
+    assert verify_grothendieck(dataclasses.replace(md), table).passed
+    assert products == [md.smatrix]
+    bad = with_entries(table, {(1, 2, 3): table.matrices[1][2][3] + 1})
+    assert not verify_grothendieck(md, bad).passed
+    assert products == [md.smatrix] * 2
+    # each suite still reads its own table's verdict
+    assert verify_fusion(md, table).passed
+    assert not verify_fusion(md, bad).passed
+    assert len(products) == 4   # the two dims checks
+
+
+def test_zero_dimension_stops_grothendieck():
+    # f = s diag(dims)^-1 and its det check need every dim nonzero
+    md = build_modular_data(A1, 4)
+    table = build_fusion_table(A1, 4, md.alcove)
+    bad = dataclasses.replace(md, dims=(md.dims[0], CycNum.zero(),
+                                        md.dims[2]))
+    assert not verify_fusion(bad, table).passed
+    with pytest.raises(FusionConsistencyError,
+                       match="vanishing quantum dimension"):
+        verify_grothendieck(bad, table)
+
+
 def test_non_associative_table_fails_associativity():
     # Ising with N_{ss}^p = N_{sp}^s = N_{ps}^s = 2 keeps every index
     # symmetry, but N_s N_s has 4 at (p, p) where N_0 + 2 N_p has 1
@@ -309,6 +346,27 @@ def test_known_small_categories():
     assert md.central_charge == 2
 
 
+def _combine(coeffs, rows):
+    """sum_k coeffs[k] rows[k] over the nonzero integer coeffs."""
+    terms = [row if c == 1 else [c * x for x in row]
+             for c, row in zip(coeffs, rows) if c]
+    if not terms:
+        return [0 * x for x in rows[0]]
+    return [sum(col[1:], col[0]) for col in zip(*terms)]
+
+
+def reference_associativity_failures(table):
+    """The associativity witnesses by sparse row combinations, unpacked."""
+    mats, alcove = table.matrices, table.alcove
+    rows_at = list(zip(*mats))   # rows_at[j][s] = row j of N_s
+    for i, n_i in enumerate(mats):
+        for j, n_j in enumerate(mats):
+            left = [_combine(row, n_i) for row in n_j]
+            right = [_combine(n_i[j], rows) for rows in rows_at]
+            for w in mismatches(left, right, alcove):
+                yield f"N_{alcove[j]} N_{alcove[i]} {w}"
+
+
 def test_associativity_random_systems():
     for rs, kappa in [(A1, 6), (G2, 6)]:
         alcove = enumerate_alcove(rs, kappa)
@@ -322,45 +380,56 @@ def test_associativity_random_systems():
                         right = sum(table.n(mu, nu, s) * table.n(lam, s, tau)
                                     for s in alcove)
                         assert left == right
-
+    # the packed check against sparse row combinations: every witness, on
+    # random tables with negative entries and entries that need wide
+    # digits, and none on built tables
+    rng = random.Random(13)
+    for trial in range(40):
+        n = rng.randrange(1, 6)
+        big = 2 ** rng.choice((3, 40, 90)) if trial % 2 else 3
+        mats = tuple(tuple(tuple(rng.choice((0, 0, rng.randrange(-big, big)))
+                                 for _ in range(n)) for _ in range(n))
+                     for _ in range(n))
+        table = FusionTable(A1, n + 1, tuple((k,) for k in range(n)), mats)
+        want = list(reference_associativity_failures(table))
+        assert list(_associativity_failures(table)) == want, trial
+    for rs, kappa in [(A1, 6), (G2, 6), (B2, 5)]:
+        table = build_fusion_table(rs, kappa, enumerate_alcove(rs, kappa))
+        assert list(_associativity_failures(table)) == []
 
 DIAG = "folded coefficients = s-matrix diagonalization"
 SYM, ASSOC = "index symmetries of N", "associativity"
 DIMS, POINTWISE = "quantum dimension homomorphism", "pointwise ring homomorphism"
 
 # hand-broken tables: (rs, kappa, changed entries N_{ij}^k, the witness of
-# every failing check of the fusion and Grothendieck suites); the entries
-# (1, 2, 3) of A2 k5, B2 k5 and G2 k6 are the built entry plus one
+# every failing check of the fusion suite); the entries (1, 2, 3) of A2 k5,
+# B2 k5 and G2 k6 are the built entry plus one.  The Grothendieck suite's
+# pointwise check fails with the fusion suite's Verlinde witness.
 BROKEN_TABLES = {
     "A2-k5-bumped": (A2, 5, {(1, 2, 3): 1}, {
+        # (N_i s)_{jp} prints at the common order 30 of s; the sum of its
+        # terms one at a time printed CycNum(2 + 2*z10^2 + -2*z10^3)
         DIAG: "N_(0, 1) s entry (2,0) at (0, 2), (0, 0): "
-              "CycNum(2 + 2*z10^2 + -2*z10^3) vs CycNum(1 + 1*z10^2 + "
+              "CycNum(2*z30^2 + 2*z30^3 + -2*z30^7) vs CycNum(1 + 1*z10^2 + "
               "-1*z10^3)",
         SYM: "N_(0, 1) entry (2,3) at (0, 2), (1, 0): 1 vs 0",
         ASSOC: "N_(0, 1) N_(0, 1) entry (1,3) at (0, 1), (1, 0): 1 vs 0",
         DIMS: "N_(0, 1) dims entry (2,0) at (0, 2), (0, 0): "
               "CycNum(2 + 2*z10^2 + -2*z10^3) vs CycNum(1 + 1*z10^2 + "
-              "-1*z10^3)",
-        POINTWISE: "N_(0, 1) f entry (2,0) at (0, 2), (0, 0): "
-                   "CycNum(2 + 2*z10^2 + -2*z10^3) vs CycNum(1 + 1*z10^2 + "
-                   "-1*z10^3)"}),
+              "-1*z10^3)"}),
     "ising-asymmetric": (A1, 4, {(1, 2, 1): 0}, {
         DIAG: "N_(1,) s entry (2,0) at (2,), (0,): "
               "CycNum(0) vs CycNum(1*z8^1 + -1*z8^3)",
         SYM: "N_(1,) entry (2,1) at (2,), (1,): 0 vs 1",
         ASSOC: "N_(1,) N_(1,) entry (1,1) at (1,), (1,): 1 vs 2",
         DIMS: "N_(1,) dims entry (2,0) at (2,), (0,): "
-              "CycNum(0) vs CycNum(1*z8^1 + -1*z8^3)",
-        POINTWISE: "N_(1,) f entry (2,0) at (2,), (0,): "
-                   "CycNum(0) vs CycNum(1*z8^1 + -1*z8^3)"}),
+              "CycNum(0) vs CycNum(1*z8^1 + -1*z8^3)"}),
     "ising-non-associative": (
         A1, 4, {(1, 1, 2): 2, (1, 2, 1): 2, (2, 1, 1): 2}, {
             DIAG: "N_(1,) s entry (1,0) at (1,), (0,): CycNum(3) vs CycNum(2)",
             ASSOC: "N_(1,) N_(1,) entry (2,2) at (2,), (2,): 4 vs 1",
             DIMS: "N_(1,) dims entry (1,0) at (1,), (0,): "
-                  "CycNum(3) vs CycNum(2)",
-            POINTWISE: "N_(1,) f entry (1,0) at (1,), (0,): "
-                       "CycNum(3) vs CycNum(2)"}),
+                  "CycNum(3) vs CycNum(2)"}),
     "B2-k5-bumped": (B2, 5, {(1, 2, 3): 1}, {
         DIAG: "N_(0, 1) s entry (2,0) at (0, 2), (0, 0): "
               "CycNum(4 + 4*z20^4 + -4*z20^6) vs CycNum(2 + 4*z20^4 + "
@@ -369,10 +438,7 @@ BROKEN_TABLES = {
         ASSOC: "N_(0, 1) N_(0, 1) entry (1,3) at (0, 1), (1, 0): 1 vs 0",
         DIMS: "N_(0, 1) dims entry (2,0) at (0, 2), (0, 0): "
               "CycNum(4 + 4*z20^4 + -4*z20^6) vs CycNum(2 + 4*z20^4 + "
-              "-4*z20^6)",
-        POINTWISE: "N_(0, 1) f entry (2,0) at (0, 2), (0, 0): "
-                   "CycNum(4 + 4*z20^4 + -4*z20^6) vs CycNum(2 + 4*z20^4 + "
-                   "-4*z20^6)"}),
+              "-4*z20^6)"}),
     "G2-k6-bumped": (G2, 6, {(1, 2, 3): 2}, {
         DIAG: "N_(0, 1) s entry (2,0) at (1, 0), (0, 0): "
               "CycNum(3 + 3*z36^2 + 3*z36^4 + -2*z36^8 + -1*z36^10) vs "
@@ -381,18 +447,13 @@ BROKEN_TABLES = {
         ASSOC: "N_(0, 1) N_(0, 1) entry (2,1) at (1, 0), (0, 1): 2 vs 1",
         DIMS: "N_(0, 1) dims entry (2,0) at (1, 0), (0, 0): "
               "CycNum(3 + 3*z36^2 + 3*z36^4 + -2*z36^8 + -1*z36^10) vs "
-              "CycNum(2 + 2*z36^2 + 2*z36^4 + -1*z36^8 + -1*z36^10)",
-        POINTWISE: "N_(0, 1) f entry (2,0) at (1, 0), (0, 0): "
-                   "CycNum(3 + 3*z36^2 + 3*z36^4 + -2*z36^8 + -1*z36^10) vs "
-                   "CycNum(2 + 2*z36^2 + 2*z36^4 + -1*z36^8 + -1*z36^10)"}),
+              "CycNum(2 + 2*z36^2 + 2*z36^4 + -1*z36^8 + -1*z36^10)"}),
     "A1-k5-negative": (A1, 5, {(1, 1, 1): -1}, {
         DIAG: "N_(1,) s entry (1,0) at (1,), (0,): "
               "CycNum(1) vs CycNum(2 + 1*z10^2 + -1*z10^3)",
         ASSOC: "N_(1,) N_(1,) entry (2,3) at (2,), (3,): 0 vs -1",
         DIMS: "N_(1,) dims entry (1,0) at (1,), (0,): "
-              "CycNum(1) vs CycNum(2 + 1*z10^2 + -1*z10^3)",
-        POINTWISE: "N_(1,) f entry (1,0) at (1,), (0,): "
-                   "CycNum(1) vs CycNum(2 + 1*z10^2 + -1*z10^3)"}),
+              "CycNum(1) vs CycNum(2 + 1*z10^2 + -1*z10^3)"}),
 }
 
 
@@ -405,6 +466,7 @@ def test_broken_table_witnesses(name):
         assert all(table.matrices[i][j][k] + 1 == v
                    for (i, j, k), v in changes.items())
     bad = with_entries(table, changes)
+    want = {**want, POINTWISE: want[DIAG]}
     got = {c.name: c.witness
            for rep in (verify_fusion(md, bad), verify_grothendieck(md, bad))
            for c in rep.checks if c.status == "fail"}

@@ -6,6 +6,7 @@ re-record it and say why.
 """
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -29,3 +30,14 @@ def test_golden_output(name):
     with open(os.path.join(GOLDEN, f"{name}.out"), "rb") as fh:
         want = fh.read()
     assert buf.getvalue().encode("utf-8") == want, name
+
+
+def test_manifest_matches_record_commands():
+    # a command added to record.py but never recorded would go unchecked
+    spec = importlib.util.spec_from_file_location(
+        "record", os.path.join(GOLDEN, "record.py"))
+    record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(record)
+    assert record.COMMANDS == MANIFEST
+    outs = {f[:-len(".out")] for f in os.listdir(GOLDEN) if f.endswith(".out")}
+    assert outs == set(MANIFEST)

@@ -177,12 +177,24 @@ def _random_entry(rng, orders):
     return CycNum(order, coeffs, rng.choice((1, 2, 3, 7, 12, 2 ** 65 + 1)))
 
 
-def _random_matrix(rng, rows, cols, orders):
-    mat = [[_random_entry(rng, orders) for _ in range(cols)]
+def _random_matrix(rng, rows, cols, orders, ints=0.0):
+    """Random CycNum entries; a share ints of them are plain ints."""
+    mat = [[_random_int(rng) if ints and rng.random() < ints
+            else _random_entry(rng, orders) for _ in range(cols)]
            for _ in range(rows)]
     if rows > 1 and rng.random() < 0.5:
-        mat[rng.randrange(rows)] = [CycNum.zero()] * cols
+        mat[rng.randrange(rows)] = [0 if ints else CycNum.zero()] * cols
     return mat
+
+
+def _random_int(rng):
+    return (rng.randrange(-2 ** 70, 2 ** 70) if rng.random() < 0.2
+            else rng.randrange(-9, 10))
+
+
+def _as_cyc(mat):
+    return [[CycNum.from_rational(x) if isinstance(x, int) else x
+             for x in row] for row in mat]
 
 
 def test_matrix_product_matches_schoolbook():
@@ -197,6 +209,17 @@ def test_matrix_product_matches_schoolbook():
         got = matrix_product(a, b)
         assert len(got) == m and all(len(row) == p for row in got)
         assert got == schoolbook_product(a, b), (trial, orders)
+    # int entries, as rationals of order 1, in either factor or both
+    for trial in range(60):
+        orders = order_sets[trial % len(order_sets)]
+        ints_a, ints_b = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0),
+                          (0.5, 0.5))[trial % 4]
+        m, n, p = (rng.randrange(1, 5) for _ in range(3))
+        a = _random_matrix(rng, m, n, orders, ints_a)
+        b = _random_matrix(rng, n, p, orders, ints_b)
+        got = matrix_product(a, b)
+        assert len(got) == m and all(len(row) == p for row in got)
+        assert got == schoolbook_product(_as_cyc(a), _as_cyc(b)), trial
 
 
 def test_matrix_product_at_its_digit_bound():
