@@ -20,7 +20,6 @@ modular-group identities they satisfy.
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -449,7 +448,6 @@ def verify_section5(ctx: MacdonaldContext,
     float cross-checks against the category data."""
     if tol is None:
         tol = default_tolerance()
-    t0 = time.monotonic()
     rep = VerificationReport(suite="section5")
     rs, k, kappa = ctx.rs, ctx.k, ctx.kappa
     alcove = ctx.alcove
@@ -466,7 +464,6 @@ def verify_section5(ctx: MacdonaldContext,
 
     if not rep.check("specialization pole-free on the sub-alcove",
                      pole_failures()):
-        rep.duration_seconds = time.monotonic() - t0
         return rep
 
     su = build_su_data(ctx)
@@ -583,7 +580,6 @@ def verify_section5(ctx: MacdonaldContext,
                        for row in md.smatrix), alcove,
                       lambda x, y: approx_eq(x, y, tol))))
 
-    rep.duration_seconds = time.monotonic() - t0
     return rep
 
 
@@ -591,7 +587,6 @@ def verify_generic_macdonald(n: int, k: int, bound: int) -> VerificationReport:
     """Generic-q properties over a dominant box: triangularity, pairwise
     orthogonality, and the closed-form norms; at k = 1 the polynomials are
     the classical characters."""
-    t0 = time.monotonic()
     rep = VerificationReport(suite="macdonald-generic")
     ctx = build_context(n, k, bound)
     rs = ctx.rs
@@ -653,5 +648,4 @@ def verify_generic_macdonald(n: int, k: int, bound: int) -> VerificationReport:
                 w: QRatFn.from_rational(c)
                 for w, c in weight_multiplicities(rs, lam).mults.items()})))
 
-    rep.duration_seconds = time.monotonic() - t0
     return rep

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -155,7 +154,6 @@ def verify_modular_relations(md: ModularData,
     """Exact checks of the defining relations of the modular data."""
     if tol is None:
         tol = default_tolerance()
-    t0 = time.monotonic()
     rep = VerificationReport(suite="modular")
     rs, kappa = md.rs, md.kappa
     labels = md.alcove
@@ -240,5 +238,4 @@ def verify_modular_relations(md: ModularData,
                approx_eq(dfloat, index / sine, tol),
                f"{dfloat} vs {index / sine}")
 
-    rep.duration_seconds = time.monotonic() - t0
     return rep

@@ -1,15 +1,17 @@
 """Exact arithmetic kernels.
 
-One polynomial kernel over ascending coefficient lists of ``int`` or
-``Fraction`` entries (``_strip``, ``_pmul``, ``_padd``, ``_pdivmod``,
-``_pdivexact`` and ``_clear_denominators``) carries three domains:
+One polynomial kernel over ascending lists of ``int`` coefficients
+(``_strip``, ``_pmul``, ``_padd``, and ``_pdivexact`` and ``_poly_gcd``,
+exact division and gcd in Z[x]; ``_clear_denominators`` turns ``Fraction``
+input into integers once) carries three domains:
 
 * ``CycNum`` -- an element of the cyclotomic field Q(zeta_L), stored in
   canonical form over the power basis {zeta_L^e : 0 <= e < phi(L)} with an
   integer coefficient vector over a common positive denominator.  Equality
   of value coincides with equality of the canonical form, so the zero test
   is exact.  Arithmetic between different orders lifts both operands to
-  the least common multiple of the orders; inverses run Euclid modulo Phi_L.
+  the least common multiple of the orders.  ``galois(a)`` maps zeta to
+  zeta^a; an inverse is the product of the other conjugates over the norm.
   Fast paths keep to that form: equal orders need no lift, a rational
   operand scales the coordinates, and c zeta^e inverts to (1/c) zeta^-e.
   ``CycNum.from_tally`` makes a sum or product of powers of one root of
@@ -21,10 +23,10 @@ One polynomial kernel over ascending coefficient lists of ``int`` or
 * ``QRatFn`` -- a rational function v^low num(v) / den(v) over Q in a
   formal variable v standing for a square root of q, the one format of
   every generic-q scalar.  num and den are integer coefficient tuples,
-  reduced by Euclid's gcd over Q and by the gcd of all their coefficients,
-  with nonzero constant terms and den[-1] > 0; so the form is unique.  The
-  bar involution sends v to 1/v; evaluation at v = eps^(1/2) is one
-  ``CycNum.from_tally`` each for num and den.
+  divided exactly by their gcd in Z[v] and by the gcd of all their
+  coefficients, with nonzero constant terms and den[-1] > 0; so the form
+  is unique.  The bar involution sends v to 1/v; evaluation at
+  v = eps^(1/2) is one ``CycNum.from_tally`` each for num and den.
 
 * plain ``complex`` -- the float mode used for cross-checks only, with a
   global default tolerance.  Floats never decide a pass/fail verdict when
@@ -80,7 +82,7 @@ def approx_eq(a: complex, b: complex, tol: float | None = None) -> bool:
 
 
 # --------------------------------------------------------------------------
-# the polynomial kernel (ascending coefficient lists over Z or Q)
+# the polynomial kernel (ascending integer coefficient lists)
 
 def _strip(p: list) -> list:
     """Drop trailing zeros in place; the zero polynomial is []."""
@@ -100,40 +102,53 @@ def _pmul(a, b) -> list:
     return out
 
 
-def _padd(a, b, sign: int = 1) -> list:
-    """a + sign b, stripped."""
+def _padd(a, b) -> list:
+    """a + b, stripped."""
     out = list(a) + [0] * (len(b) - len(a))
     for i, y in enumerate(b):
-        out[i] += sign * y
+        out[i] += y
     return _strip(out)
 
 
-def _pdivmod(a, b) -> tuple[list, list]:
-    """(q, r) with a = q b + r, deg r < deg b; b stripped and nonzero."""
-    r = _strip(list(a))
-    n = len(b) - 1
-    # a monic b keeps integer input integral; any other b works over Q
-    inv = None if b[-1] == 1 else Fraction(1, b[-1])
-    low = b[:n]
-    q = [0] * max(0, len(r) - n)
-    while len(r) > n:
-        f = r.pop() if inv is None else r.pop() * inv
-        shift = len(r) - n
-        q[shift] = f
-        for i, c in enumerate(low):
-            if c:
-                r[shift + i] -= f * c
-        _strip(r)
-    return q, r
-
-
 def _pdivexact(a, b) -> list:
-    """a / b for b dividing a; a remainder is an InternalConsistencyError."""
-    q, r = _pdivmod(a, b)
-    if r:
-        raise InternalConsistencyError(
-            f"inexact polynomial division: remainder {r}")
+    """a / b in Z[x] for b stripped and dividing a there; a nonzero
+    remainder at any step is an InternalConsistencyError."""
+    r = _strip(list(a))
+    n, lead = len(b) - 1, b[-1]
+    q = [0] * max(0, len(r) - n)
+    while r:
+        f, rem = divmod(r.pop(), lead)
+        if rem or len(r) < n:
+            raise InternalConsistencyError(f"inexact division in Z[x] by {b}")
+        q[len(r) - n] = f
+        for i, c in enumerate(b[:n], len(r) - n):
+            r[i] -= f * c
+        _strip(r)
     return q
+
+
+def _poly_gcd(a, b) -> list:
+    """A gcd of content 1 in Z[x] of two integer polynomials, not both zero
+    and left as they are, by a primitive pseudo-remainder sequence (Cohen,
+    A Course in Computational Algebraic Number Theory, 3.3)."""
+    a, b = _strip(list(a)), _strip(list(b))
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        n, lead = len(b) - 1, b[-1]
+        while len(a) > n:           # a <- lead^k a mod b, a term at a time
+            f = a.pop()
+            if lead != 1:
+                a = [c * lead for c in a]
+            for i, c in enumerate(b[:n], len(a) - n):
+                a[i] -= f * c
+            _strip(a)
+        g = gcd(*a) or 1
+        a, b = b, [c // g for c in a]
+    if b:
+        return [1]
+    g = gcd(*a)
+    return [c // g for c in a]
 
 
 def _clear_denominators(fracs) -> tuple[list[int], int]:
@@ -359,10 +374,16 @@ class CycNum:
             sign = 1 if c > 0 else -1
             vec = _reduce_exponents(L, [(-e, sign * self.den)])
             return CycNum(L, tuple(vec), abs(c))
-        poly = [Fraction(x, self.den) for x in self.num]
-        nums, den = _clear_denominators(
-            _poly_modular_inverse(poly, cyclotomic_polynomial(L)))
-        return CycNum(L, tuple(nums) + (0,) * (_phi(L) - len(nums)), den)
+        # x^-1 = prod over a != 1 of sigma_a(x), over the norm N(x)
+        others = CycNum.one()
+        for a in range(2, L):
+            if gcd(a, L) == 1:
+                others = others * self.galois(a)
+        norm = self * others
+        if not norm.is_rational():
+            raise InternalConsistencyError(f"irrational norm of {self!r}")
+        sign = 1 if norm.num[0] > 0 else -1
+        return others * CycNum(1, (sign * norm.den,), abs(norm.num[0]))
 
     def __truediv__(self, other):
         other = CycNum._coerce(other)
@@ -388,12 +409,18 @@ class CycNum:
             exponent >>= 1
         return result
 
+    def galois(self, a: int) -> "CycNum":
+        """The automorphism sigma_a: zeta -> zeta^a, a prime to the order."""
+        L = self.order
+        if gcd(a, L) != 1:
+            raise ValueError(f"{a} is not prime to the order {L}")
+        nums = _reduce_exponents(
+            L, ((e * a, c) for e, c in enumerate(self.num) if c))
+        return CycNum(L, tuple(nums), self.den)
+
     def conjugate(self) -> "CycNum":
         """Complex conjugation: zeta^e -> zeta^(-e)."""
-        L = self.order
-        nums = _reduce_exponents(
-            L, (((-e) % L, c) for e, c in enumerate(self.num) if c))
-        return CycNum(L, tuple(nums), self.den)
+        return self.galois(-1)
 
     bar = conjugate  # the bar involution restricts to conjugation here
 
@@ -428,12 +455,13 @@ class CycNum:
 
     @staticmethod
     def from_json_obj(obj) -> "CycNum":
+        """sum c zeta^e over the pairs [e, "c"], any e and repeats summed."""
         order = int(obj["order"])
-        fracs = [Fraction(0)] * _phi(order)
-        for e, s in obj["coeffs"]:
-            fracs[int(e)] = Fraction(s)
-        nums, den = _clear_denominators(fracs)
-        return CycNum(order, tuple(nums), den)
+        if order < 1:
+            raise ValueError(f"order must be positive, got {order}")
+        nums, den = _clear_denominators([Fraction(c) for _, c in obj["coeffs"]])
+        pairs = zip((int(e) for e, _ in obj["coeffs"]), nums)
+        return CycNum(order, tuple(_reduce_exponents(order, pairs)), den)
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -444,20 +472,6 @@ class CycNum:
                 coeff = Fraction(c, self.den)
                 terms.append(f"{coeff}*z{self.order}^{e}" if e else f"{coeff}")
         return "CycNum(" + " + ".join(terms) + ")"
-
-
-def _poly_modular_inverse(poly: list, mod) -> list[Fraction]:
-    """Inverse of poly modulo mod via the extended Euclidean algorithm."""
-    r0, r1 = list(mod), _strip(list(poly))
-    s0, s1 = [], [1]
-    while True:
-        q, r = _pdivmod(r0, r1)
-        if not r:
-            break
-        r0, r1, s0, s1 = r1, r, s1, _padd(s0, _pmul(q, s1), -1)
-    if len(r1) != 1:
-        raise ZeroDivisionError("element is a zero divisor (not invertible)")
-    return [Fraction(c, r1[0]) for c in s1]
 
 
 def matrix_product(a, b) -> list[list[CycNum]]:
@@ -599,14 +613,6 @@ def _prime_factors(n: int) -> list[int]:
 # --------------------------------------------------------------------------
 # rational functions in v = q^(1/2)
 
-def _poly_gcd(a, b) -> list[Fraction]:
-    """Monic gcd over Q by Euclid's algorithm; [] when both are zero."""
-    a, b = _strip(list(a)), _strip(list(b))
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    return [Fraction(c, a[-1]) for c in a]
-
-
 def _dense(terms) -> tuple[int, list]:
     """(low, coefficients from v^low up) of the sum of c v^e over the
     terms (e, c)."""
@@ -651,6 +657,9 @@ class QRatFn:
             num, den = _strip(list(num)), _strip(list(den))
             if not den:
                 raise ZeroDivisionError("zero denominator")
+            top = len(num)
+            ints, _ = _clear_denominators(num + den)
+            num, den = ints[:top], ints[top:]
             if not num:
                 low, den = 0, [1]
             else:
@@ -664,11 +673,9 @@ class QRatFn:
                     g = _poly_gcd(num, den)
                     if len(g) > 1:
                         num, den = _pdivexact(num, g), _pdivexact(den, g)
-            top = len(num)
-            ints, _ = _clear_denominators(num + den)
-            g = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
-            num = tuple(x // g for x in ints[:top])
-            den = tuple(x // g for x in ints[top:])
+            g = gcd(*num, *den) if den[-1] > 0 else -gcd(*num, *den)
+            num = tuple(x // g for x in num)
+            den = tuple(x // g for x in den)
         self.low = low
         self.num = num
         self.den = den

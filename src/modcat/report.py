@@ -9,6 +9,7 @@ that differ.
 from __future__ import annotations
 
 import operator
+import time
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
@@ -30,7 +31,9 @@ class CheckResult:
 class VerificationReport:
     suite: str
     checks: list[CheckResult] = field(default_factory=list)
-    duration_seconds: float = 0.0
+    duration_seconds: float = 0.0      # from creation to the last record
+    _started: float = field(default_factory=time.monotonic, init=False,
+                            repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -39,6 +42,7 @@ class VerificationReport:
     def record(self, name: str, ok: bool, witness: str) -> None:
         self.checks.append(CheckResult(
             name, "pass" if ok else "fail", None if ok else witness))
+        self.duration_seconds = time.monotonic() - self._started
 
     def check(self, name: str, failures: Iterable[str]) -> bool:
         """Record name from a lazy iterable of failure witnesses: pass when

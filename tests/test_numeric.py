@@ -10,10 +10,10 @@ from fractions import Fraction
 
 import pytest
 
-from modcat.numeric import (CycNum, PoleAtEpsilonError, QRatFn,
-                            _pdivexact, _pdivmod, _phi, _pmul, _poly_gcd,
-                            _poly_modular_inverse, _strip,
-                            approx_eq, cyclotomic_polynomial, epsilon_power,
+from modcat.numeric import (CycNum, InternalConsistencyError,
+                            PoleAtEpsilonError, QRatFn, _pdivexact, _phi,
+                            _pmul, _poly_gcd, _strip, approx_eq,
+                            cyclotomic_polynomial, epsilon_power,
                             matrix_product, q_number, sqrt_of_int)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
@@ -55,12 +55,9 @@ def test_cyclotomic_polynomials_integral_and_factor_xn_minus_1():
                for c in cyclotomic_polynomial(n))
 
 
-def _random_poly(rng, length, rational):
-    out = []
-    for _ in range(length):
-        c = rng.randrange(-5, 6) if rng.random() < 0.8 else 0
-        out.append(Fraction(c, rng.randrange(1, 7)) if rational else c)
-    return out
+def _random_poly(rng, length):
+    return [rng.randrange(-5, 6) if rng.random() < 0.8 else 0
+            for _ in range(length)]
 
 
 def _padd(a, b):
@@ -69,25 +66,98 @@ def _padd(a, b):
                    for i in range(n)])
 
 
-def test_pdivmod_randomized():
+# -- test-local references: division with remainder over Q, and Euclid's
+# gcd and modular inverse over Q built on it
+
+def _pdivmod(a, b):
+    """(q, r) with a = q b + r, deg r < deg b; b stripped and nonzero."""
+    r = _strip(list(a))
+    n = len(b) - 1
+    # a monic b keeps integer input integral; any other b works over Q
+    inv = None if b[-1] == 1 else Fraction(1, b[-1])
+    low = b[:n]
+    q = [0] * max(0, len(r) - n)
+    while len(r) > n:
+        f = r.pop() if inv is None else r.pop() * inv
+        shift = len(r) - n
+        q[shift] = f
+        for i, c in enumerate(low):
+            if c:
+                r[shift + i] -= f * c
+        _strip(r)
+    return q, r
+
+
+def _euclid_gcd(a, b):
+    """The monic gcd over Q."""
+    a, b = _strip(list(a)), _strip(list(b))
+    while b:
+        a, b = b, _pdivmod(a, b)[1]
+    return [Fraction(c, a[-1]) for c in a]
+
+
+def _poly_modular_inverse(poly, mod):
+    """Inverse of poly modulo mod by the extended Euclidean algorithm."""
+    r0, r1 = list(mod), _strip(list(poly))
+    s0, s1 = [], [1]
+    while True:
+        q, r = _pdivmod(r0, r1)
+        if not r:
+            break
+        r0, r1 = r1, r
+        s0, s1 = s1, _padd(s0, [-c for c in _pmul(q, s1)])
+    if len(r1) != 1:
+        raise ZeroDivisionError("element is a zero divisor (not invertible)")
+    return [Fraction(c, r1[0]) for c in s1]
+
+
+def test_pdivexact_randomized():
+    # exact division in Z[x], also by non-monic divisors and negative leads
     rng = random.Random(2024)
-    for trial in range(300):
-        rational = trial % 2 == 1
-        a = _random_poly(rng, rng.randrange(0, 12), rational)
-        b = _strip(_random_poly(rng, rng.randrange(1, 7), rational))
-        if not b:
+    for _ in range(300):
+        q = _strip(_random_poly(rng, rng.randrange(1, 10)))
+        b = _strip(_random_poly(rng, rng.randrange(1, 7)))
+        if not q or not b:
             continue
-        if trial % 3 == 0:
-            b[-1] = 1                   # monic: integer input stays integral
-        q, r = _pdivmod(a, b)
-        assert _strip(list(q)) == q and _strip(list(r)) == r
-        assert len(r) < len(b)
-        product = _pmul(q, b) if q else []
-        assert _padd(product, r) == _strip(list(a))
-        if not rational and b[-1] == 1:
-            assert all(type(c) is int for c in q + r)
-        if q:
-            assert _pdivexact(_pmul(q, b), b) == q
+        a = _pmul(q, b)
+        got = _pdivexact(a, b)
+        assert got == q and all(type(c) is int for c in got)
+        assert a == _pmul(q, b)         # the dividend is left as it is
+        r = _strip(_random_poly(rng, len(b) - 1))
+        if r:
+            with pytest.raises(InternalConsistencyError):
+                _pdivexact(_padd(a, r), b)
+        if any(c % 2 for c in q):       # divides over Q, not over Z
+            with pytest.raises(InternalConsistencyError):
+                _pdivexact(a, [2 * c for c in b])
+    # a remainder at the first step, or one left at the last
+    for a, b in (([0, 1], [0, 2]), ([1, 1], [2, 2]), ([1, 0, 1], [1, 1])):
+        with pytest.raises(InternalConsistencyError):
+            _pdivexact(a, b)
+
+
+def test_poly_gcd_matches_euclid_over_q():
+    rng = random.Random(77)
+    for trial in range(300):
+        common = _strip(_random_poly(rng, rng.randrange(1, 6)))
+        a = _strip(_random_poly(rng, rng.randrange(0, 8)))
+        b = _strip(_random_poly(rng, rng.randrange(0, 8)))
+        if not common or not (a or b):
+            continue
+        common = [c * rng.choice((1, 1, 2, -3)) for c in common]
+        a = _pmul(a, common) if a else a
+        b = _pmul(b, common) if b else b
+        args = (list(a), list(b))
+        g = _poly_gcd(a, b)
+        assert (a, b) == args           # the inputs are left as they are
+        assert all(type(c) is int for c in g) and math.gcd(*g) == 1
+        for p in (a, b):
+            if p:
+                _pdivexact(p, g)        # g divides both in Z[x]
+        assert [Fraction(c, g[-1]) for c in g] == _euclid_gcd(a, b), trial
+    assert _poly_gcd([6, 6], [4, 0, -4]) in ([1, 1], [-1, -1])
+    assert _poly_gcd([0, 2], [0, 0, 4]) in ([0, 1], [0, -1])
+    assert _poly_gcd([5], [0, 3]) == [1]
 
 
 def test_pdivexact_raises_under_python_O():
@@ -362,6 +432,40 @@ def test_kernel_fast_paths_match_general_route():
             assert x.inverse() * x == 1
 
 
+def test_inverse_matches_euclid_at_large_orders():
+    # dense elements where the conjugate product multiplies phi - 1 factors
+    rng = random.Random(3)
+    for L, den in ((60, 1), (80, 7), (105, 1), (120, 4), (156, 3)):
+        x = CycNum(*ref_make(L, [rng.randrange(-4, 5)
+                                 for _ in range(_phi(L))], den))
+        inv = x.inverse()
+        assert exact(inv) == ref_inverse(x), L
+        assert x * inv == 1
+
+
+def test_galois_automorphisms():
+    rng = random.Random(41)
+    for _ in range(40):
+        L = rng.choice((3, 5, 8, 12, 15, 24))
+        x, y = (CycNum(*ref_make(L, [rng.randrange(-5, 6)
+                                     for _ in range(_phi(L))],
+                                 rng.randrange(1, 4))) for _ in range(2))
+        units = [a for a in range(1, L) if math.gcd(a, L) == 1]
+        a, b = rng.choice(units), rng.choice(units)
+        assert (x + y).galois(a) == x.galois(a) + y.galois(a)
+        assert (x * y).galois(a) == x.galois(a) * y.galois(a)
+        assert x.galois(b).galois(a) == x.galois(a * b)
+        assert exact(x.galois(a - L)) == exact(x.galois(a))
+        assert exact(x.galois(-1)) == exact(x.conjugate())
+        assert x.galois(1) == x
+        p = min(d for d in range(2, L + 1) if L % d == 0)
+        for bad in (0, p, L):
+            with pytest.raises(ValueError):
+                x.galois(bad)
+    # sigma_a sends zeta to zeta^a
+    assert CycNum.root_of_unity(12, 1).galois(5) == CycNum.root_of_unity(12, 5)
+
+
 def test_from_tally_order_rule():
     # a sum is stored at the lcm of the orders of its terms: zeta_12^3 = i
     # has order 4 and zeta_12^4 order 3, so their sum lies at order 12
@@ -458,6 +562,23 @@ def test_cycnum_json_round_trip():
         y = CycNum.from_json_obj(json.loads(blob))
         assert y == x
         assert json.dumps(y.to_json_obj()) == blob
+
+
+def test_cycnum_from_json_reads_any_exponent():
+    def parse(order, coeffs):
+        return CycNum.from_json_obj({"order": order, "coeffs": coeffs})
+
+    z5 = CycNum.root_of_unity(5, 1)
+    assert exact(parse(5, [[-1, "1"]])) == exact(z5.inverse())
+    assert exact(parse(5, [[4, "1"]])) == exact(z5 ** 4)
+    assert exact(parse(5, [[7, "1/2"], [2, "-1/2"]])) == (1, (0,), 1)
+    # repeated exponents are summed, as QRatFn.from_json_obj sums them
+    assert exact(parse(5, [[0, "1"], [0, "2"]])) == (5, (3, 0, 0, 0), 1)
+    assert QRatFn.from_json_obj({"num": [[0, "1"], [0, "2"]],
+                                 "den": [[0, "1"]]}) == 3
+    for order in (0, -4):
+        with pytest.raises(ValueError):
+            parse(order, [[0, "1"]])
 
 
 # -- rational functions -------------------------------------------------------
