@@ -5,13 +5,12 @@ the weight diagram of one factor), then folds into the alcove with signs
 from the shifted affine action (Kac-Walton).  The table holds the folded
 coefficients as integer fusion matrices N_i over alcove positions.
 
-The checks work on those matrices.  The folded coefficients are checked
-against the diagonalization of the fusion ring by the s-matrix (Verlinde),
-an independent route through exact cyclotomic arithmetic, in eigenvector
-form N_i s = s diag(s_{ip} / s_{0p}): once per modular data and table, as
-the Grothendieck suite's form for f = s diag(dims)^-1 only scales column p
-by dims_p != 0.  Associativity is an integer matrix identity on packed
-rows; the unit, dual and symmetry checks use the star permutation.
+The folded coefficients are checked against the diagonalization of the
+fusion ring by the s-matrix (Verlinde), N_i s = s diag(s_{ip} / s_{0p}),
+decided exactly on the residues of s modulo one integer; the Grothendieck
+suite checks the same identity, as its form for f = s diag(dims)^-1 only
+scales column p by dims_p != 0.  Associativity is an integer identity on
+packed rows; the unit, dual and symmetry checks use the star permutation.
 
 build_fusion_table folds each unordered pair once and mirrors it, so on a
 built table the N_ij^k = N_ji^k part of the index symmetries checks the
@@ -24,13 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 from operator import mul
 
 from .chardata import weight_multiplicities, weyl_dimension
 from .lie import RootSystemData, Weight, wadd, wsub
 from .modular import ModularData, det_s_is_nonzero
-from .numeric import InternalConsistencyError, _pack, _unpack, matrix_product
+from .numeric import (CycNum, InternalConsistencyError, _pack, _residues,
+                      _unpack, matrix_product)
 from .report import VerificationReport, mismatches
 from .weyl import fold_to_alcove, make_dominant, star_positions
 
@@ -121,29 +121,25 @@ def build_fusion_table(rs: RootSystemData, kappa: int,
 
 
 def _diagonalization_failures(table: FusionTable, m, name: str):
-    """Witnesses against N_i m = m diag(m_{ip} / m_{0p}) for every i; row 0
-    of m belongs to the unit object and must not vanish."""
-    for w, x in zip(table.alcove, m[0]):
+    """Witnesses against N_i m = m diag(m_{ip} / m_{0p}), decided on residues
+    as N_i (m diag m_0) = m diag m_i; m_{0p}, of the unit, must not vanish."""
+    alcove, mats = table.alcove, table.matrices
+    for w, x in zip(alcove, m[0]):
         if x.is_zero():
             raise FusionConsistencyError(
                 f"vanishing quantum dimension inside the alcove at {w}")
-    base = [x.inverse() for x in m[0]]
-    n = len(m)
-    products = matrix_product(list(chain.from_iterable(table.matrices)), m)
-    for i in range(n):
-        eigen = [x * y for x, y in zip(m[i], base)]
-        right = ([x * e for x, e in zip(row, eigen)] for row in m)
-        for w in mismatches(products[n * i:n * i + n], right, table.alcove):
-            yield f"N_{table.alcove[i]} {name} {w}"
-
-
-def _verlinde_witness(md: ModularData, table: FusionTable) -> tuple[str, ...]:
-    """The first Verlinde witness, if any, kept on md per table."""
-    known = vars(md).setdefault("_verlinde_witness", {})
-    if table not in known:
-        known[table] = tuple(islice(
-            _diagonalization_failures(table, md.smatrix, "s"), 1))
-    return known[table]
+    # entry (j, p) of the difference adds 1 + sum_k |N_ijk| products
+    res, q = _residues(m, 1 + max(sum(map(abs, r)) for r in chain(*mats)))
+    for i, (n_i, r_i) in enumerate(zip(mats, res)):
+        for j, (row, r_j) in enumerate(zip(n_i, res)):
+            terms = [(c, res[k]) for k, c in enumerate(row) if c]
+            for p, (x, y, z) in enumerate(zip(r_j, r_i, res[0])):
+                if (sum(c * t[p] for c, t in terms) * z - x * y) % q:
+                    left = matrix_product(
+                        [[CycNum.from_rational(c) for c in row]], m)[0][p]
+                    right = m[j][p] * (m[i][p] * m[0][p].inverse())
+                    yield (f"N_{alcove[i]} {name} entry ({j},{p}) at "
+                           f"{alcove[j]}, {alcove[p]}: {left!r} vs {right!r}")
 
 
 def _associativity_failures(table: FusionTable):
@@ -181,7 +177,7 @@ def verify_fusion(md: ModularData,
                 for w in mismatches(*sides(i), alcove))
 
     rep.check("folded coefficients = s-matrix diagonalization",
-              _verlinde_witness(md, table))
+              _diagonalization_failures(table, md.smatrix, "s"))
 
     # alcove[0] is the unit object, the zero weight
     rep.check("N_{l m}^0 = delta_{l m*}", each(lambda i: (
@@ -218,7 +214,8 @@ def verify_grothendieck(md: ModularData,
     # f_lam f_mu = sum_nu N_{lam mu}^nu f_nu at every point
     if not all(md.dims):
         raise FusionConsistencyError("vanishing quantum dimension in dims")
-    rep.check("pointwise ring homomorphism", _verlinde_witness(md, table))
+    rep.check("pointwise ring homomorphism",
+              _diagonalization_failures(table, md.smatrix, "s"))
 
     # F = s diag(dims)^-1 with nonzero dims: det F != 0 exactly when det s != 0
     rep.record("character evaluation matrix non-singular",

@@ -86,17 +86,13 @@ def s_entry_extended(rs: RootSystemData, kappa: int, lam: Weight,
 def build_modular_data(rs: RootSystemData, kappa: int) -> ModularData:
     """All modular data for (rs, kappa); kappa at least the dual Coxeter number."""
     alcove = enumerate_alcove(rs, kappa)
-    den_inv = _rho_denominator_inverse(rs, kappa)
 
     # s is symmetric: fill the upper triangle once
     n = len(alcove)
     smat: list[list[CycNum]] = [[None] * n for _ in range(n)]
     for a, lam in enumerate(alcove):
-        xi = wadd(lam, rs.rho)
-        for b in range(a, n):
-            point = wscale(-2, wadd(alcove[b], rs.rho))
-            num = alternating_sum(rs, kappa, xi, point)
-            smat[a][b] = smat[b][a] = num * den_inv
+        for b, mu in enumerate(alcove[a:], a):
+            smat[a][b] = smat[b][a] = s_entry_extended(rs, kappa, lam, mu)
 
     tdiag = [twist(rs, kappa, lam) for lam in alcove]
     tmat = tuple(map(tuple, monomial_matrix(tdiag, range(n))))
@@ -104,12 +100,10 @@ def build_modular_data(rs: RootSystemData, kappa: int) -> ModularData:
                  for p in star_positions(rs, alcove))
 
     dims = tuple(quantum_dim(rs, kappa, lam) for lam in alcove)
-    p_plus = CycNum.zero()
-    p_minus = CycNum.zero()
-    for theta, dim in zip(tdiag, dims):
-        sq = dim * dim
-        p_plus = p_plus + theta * sq
-        p_minus = p_minus + theta.conjugate() * sq
+    squares = [d * d for d in dims]
+    p_plus = sum((t * sq for t, sq in zip(tdiag, squares)), CycNum.zero())
+    p_minus = sum((t.conjugate() * sq for t, sq in zip(tdiag, squares)),
+                  CycNum.zero())
 
     hvee = rs.dual_coxeter
     zeta = epsilon_power(

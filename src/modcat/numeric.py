@@ -17,8 +17,9 @@ input into integers once) carries three domains:
   ``CycNum.from_tally`` makes a sum or product of powers of one root of
   unity from an integer tally {e mod M: c} with one reduction, at
   M / gcd(M, every exponent tallied): the lcm of the term orders.
-  ``matrix_product`` multiplies CycNum or int matrices over one field and
-  reduces each entry once; ``_pack``/``_unpack`` are the one Kronecker packing.
+  ``matrix_product`` multiplies CycNum matrices over one field and reduces
+  each entry once; ``_pack``/``_unpack`` are the one Kronecker packing.
+  ``_residues`` maps entries into Z/q by zeta -> 2^w, exact by a norm bound.
 
 * ``QRatFn`` -- a rational function v^low num(v) / den(v) over Q in a
   formal variable v standing for a square root of q, the one format of
@@ -250,9 +251,8 @@ class CycNum:
         return CycNum.from_tally(order, {exponent % order: 1})
 
     @staticmethod
-    def from_tally(order: int, tally: dict[int, int], den: int = 1,
-                   exponents=()) -> "CycNum":
-        """sum c zeta_order^e / den over the integer tally {e: c}.
+    def from_tally(order: int, tally: dict, exponents=()) -> "CycNum":
+        """sum c zeta_order^e over the integer tally {e: c}.
 
         The value is stored at order / gcd(order, every key of tally and
         every one of exponents): the lcm of the orders of the terms, which
@@ -265,7 +265,7 @@ class CycNum:
         if g > 1:
             order //= g
             pairs = ((e // g, c) for e, c in pairs)
-        return CycNum(order, tuple(_reduce_exponents(order, pairs)), den)
+        return CycNum(order, tuple(_reduce_exponents(order, pairs)), 1)
 
     # -- canonical form helpers --------------------------------------------
 
@@ -313,9 +313,7 @@ class CycNum:
     def _coerce(value):
         if isinstance(value, CycNum):
             return value
-        if isinstance(value, int):
-            return CycNum(1, (int(value),), 1, _normalized=True)
-        if isinstance(value, Fraction):
+        if isinstance(value, (int, Fraction)):
             return CycNum(1, (value.numerator,), value.denominator,
                           _normalized=True)
         return NotImplemented
@@ -430,8 +428,6 @@ class CycNum:
         other = CycNum._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.order == other.order:
-            return self.num == other.num and self.den == other.den
         L, a, b = self._common(other)
         return self.den == other.den and a == b
 
@@ -475,7 +471,7 @@ class CycNum:
 
 
 def matrix_product(a, b) -> list[list[CycNum]]:
-    """The exact product of two matrices of CycNum or int entries, as rows.
+    """The exact product of two CycNum matrices, as rows.
 
     Each entry is lifted once to Q(zeta_L), L the lcm of all orders, over
     one denominator per factor, and its coordinates are packed as the
@@ -485,8 +481,7 @@ def matrix_product(a, b) -> list[list[CycNum]]:
     n phi(L) max|a| max|b| in size; w covers that and a sign bit.
     """
     cols = list(zip(*b))
-    L = lcm(*(x.order for m in (a, cols) for row in m for x in row
-              if isinstance(x, CycNum)))
+    L = lcm(*(x.order for m in (a, cols) for row in m for x in row))
     nums_a, den_a, top_a = _lift(a, L)
     nums_b, den_b, top_b = _lift(cols, L)
     w = (len(b) * _phi(L) * top_a * top_b).bit_length() + 1
@@ -504,12 +499,26 @@ def matrix_product(a, b) -> list[list[CycNum]]:
 def _lift(rows, order: int) -> tuple[list, int, int]:
     """(nums, den, top): each entry's integer coordinates in Q(zeta_order)
     times den, the lcm of the denominators, and the largest |coordinate|."""
-    den = lcm(*(x.den for row in rows for x in row if isinstance(x, CycNum)))
-    nums = [[[c * (den // x.den) for c in x._lift_num(order)]
-             if isinstance(x, CycNum) else [x * den] for x in row]
+    den = lcm(*(x.den for row in rows for x in row))
+    nums = [[[c * (den // x.den) for c in x._lift_num(order)] for x in row]
             for row in rows]
     return nums, den, max((abs(c) for row in nums for v in row for c in v),
                           default=0)
+
+
+def _residues(rows, bound: int) -> tuple[list[list[int]], int]:
+    """(res, q): the CycNum entries of rows over one denominator at
+    zeta_L = 2^w mod q = Phi_L(2^w), L the lcm of their orders.  Let y be a
+    sum of bound products of two entries, T their largest l1 norm.  If y
+    maps to 0, q divides Res(Phi_L, y) = +-N(y) (Cohen, A Course in
+    Computational Algebraic Number Theory, 4.3); |N(y)| <= (bound T^2)^phi
+    and 2^w - 1 > bound T^2 make |N(y)| < (2^w - 1)^phi <= q, so y = 0."""
+    L = lcm(*(x.order for row in rows for x in row))
+    nums = _lift(rows, L)[0]
+    top = max(sum(map(abs, v)) for row in nums for v in row)
+    w = (bound * top * top + 1).bit_length()
+    q = _pack(cyclotomic_polynomial(L), w)
+    return [[_pack(v, w) % q for v in row] for row in nums], q
 
 
 def _pack(vec, w: int) -> int:

@@ -9,7 +9,7 @@ from modcat.fusion import (FusionConsistencyError, FusionTable,
                            classical_tensor, fusion_coefficients,
                            verify_fusion, verify_grothendieck)
 from modcat.lie import build_root_system
-from modcat import fusion, modular
+from modcat import modular
 from modcat.modular import build_modular_data, verify_modular_relations
 from modcat.numeric import CycNum, QRatFn
 from modcat.report import mismatches
@@ -240,27 +240,22 @@ def test_grothendieck_reuses_unitarity_of_modular_suite(monkeypatch):
     assert len(products) == 1
 
 
-def test_grothendieck_reuses_verlinde_pass_of_fusion_suite(monkeypatch):
-    # verify --suite fusion: N_i s is formed once, by the fusion suite
+def test_grothendieck_alone_gives_fusion_witness():
+    # each suite decides the Verlinde identity itself and writes nothing
+    # into md: run alone on a bumped table, the Grothendieck suite names
+    # the fusion suite's witness
     md = build_modular_data(A2, 5)
     table = build_fusion_table(A2, 5, md.alcove)
-    assert verify_fusion(md, table).passed
-    products = []
-    real = fusion.matrix_product
-    monkeypatch.setattr(fusion, "matrix_product",
-                        lambda a, b: products.append(b) or real(a, b))
-    assert verify_grothendieck(md, table).passed
-    assert products == []
-    # a fresh copy of the same data, or another table, has to form it
-    assert verify_grothendieck(dataclasses.replace(md), table).passed
-    assert products == [md.smatrix]
     bad = with_entries(table, {(1, 2, 3): table.matrices[1][2][3] + 1})
-    assert not verify_grothendieck(md, bad).passed
-    assert products == [md.smatrix] * 2
-    # each suite still reads its own table's verdict
-    assert verify_fusion(md, table).passed
-    assert not verify_fusion(md, bad).passed
-    assert len(products) == 4   # the two dims checks
+    alone = statuses(verify_grothendieck(md, bad))[
+        "pointwise ring homomorphism"]
+    assert set(vars(md)) == {f.name for f in dataclasses.fields(md)} | {
+        "unitarity_witness"}
+    fused = statuses(verify_fusion(build_modular_data(A2, 5), bad))[
+        "folded coefficients = s-matrix diagonalization"]
+    assert alone.status == fused.status == "fail"
+    assert alone.witness == fused.witness
+    assert alone.witness.startswith("N_(0, 1) s entry (2,0) at (0, 2), ")
 
 
 def test_zero_dimension_stops_grothendieck():

@@ -1,5 +1,6 @@
 import ast
 import cmath
+import itertools
 import json
 import math
 import os
@@ -11,9 +12,9 @@ from fractions import Fraction
 import pytest
 
 from modcat.numeric import (CycNum, InternalConsistencyError,
-                            PoleAtEpsilonError, QRatFn, _pdivexact, _phi,
-                            _pmul, _poly_gcd, _strip, approx_eq,
-                            cyclotomic_polynomial, epsilon_power,
+                            PoleAtEpsilonError, QRatFn, _pack, _pdivexact,
+                            _phi, _pmul, _poly_gcd, _residues, _strip,
+                            approx_eq, cyclotomic_polynomial, epsilon_power,
                             matrix_product, q_number, sqrt_of_int)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
@@ -247,24 +248,12 @@ def _random_entry(rng, orders):
     return CycNum(order, coeffs, rng.choice((1, 2, 3, 7, 12, 2 ** 65 + 1)))
 
 
-def _random_matrix(rng, rows, cols, orders, ints=0.0):
-    """Random CycNum entries; a share ints of them are plain ints."""
-    mat = [[_random_int(rng) if ints and rng.random() < ints
-            else _random_entry(rng, orders) for _ in range(cols)]
+def _random_matrix(rng, rows, cols, orders):
+    mat = [[_random_entry(rng, orders) for _ in range(cols)]
            for _ in range(rows)]
     if rows > 1 and rng.random() < 0.5:
-        mat[rng.randrange(rows)] = [0 if ints else CycNum.zero()] * cols
+        mat[rng.randrange(rows)] = [CycNum.zero()] * cols
     return mat
-
-
-def _random_int(rng):
-    return (rng.randrange(-2 ** 70, 2 ** 70) if rng.random() < 0.2
-            else rng.randrange(-9, 10))
-
-
-def _as_cyc(mat):
-    return [[CycNum.from_rational(x) if isinstance(x, int) else x
-             for x in row] for row in mat]
 
 
 def test_matrix_product_matches_schoolbook():
@@ -279,17 +268,6 @@ def test_matrix_product_matches_schoolbook():
         got = matrix_product(a, b)
         assert len(got) == m and all(len(row) == p for row in got)
         assert got == schoolbook_product(a, b), (trial, orders)
-    # int entries, as rationals of order 1, in either factor or both
-    for trial in range(60):
-        orders = order_sets[trial % len(order_sets)]
-        ints_a, ints_b = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0),
-                          (0.5, 0.5))[trial % 4]
-        m, n, p = (rng.randrange(1, 5) for _ in range(3))
-        a = _random_matrix(rng, m, n, orders, ints_a)
-        b = _random_matrix(rng, n, p, orders, ints_b)
-        got = matrix_product(a, b)
-        assert len(got) == m and all(len(row) == p for row in got)
-        assert got == schoolbook_product(_as_cyc(a), _as_cyc(b)), trial
 
 
 def test_matrix_product_at_its_digit_bound():
@@ -302,6 +280,52 @@ def test_matrix_product_at_its_digit_bound():
             a = [[CycNum(order, (sa * big,) * phi, 1)] * n] * 2
             b = [[CycNum(order, (sb * big,) * phi, 1)] * 3] * n
             assert matrix_product(a, b) == schoolbook_product(a, b)
+
+
+def test_residues_decide_zero_within_the_bound():
+    # y adds at most 3 signed products of two entries, so bound 3 covers
+    # it: its residue is 0 exactly when y = 0 (times den^2, as each residue
+    # is the image of den x)
+    rng = random.Random(1515)
+    for L in (1, 2, 12, 72, 80):
+        orders = [d for d in (1, 2, 5, 8, 9, 12, 16, 24, 40, 72, 80)
+                  if L % d == 0]
+        for _ in range(8):
+            xs = [_random_entry(rng, orders) for _ in range(4)]
+            xs += [xs[0] + xs[1], xs[2] * xs[3], CycNum.one()]
+            res, q = _residues([xs], 3)
+            zeros = [((4, 5, 1), (0, 5, -1), (1, 5, -1)),  # distributivity
+                     ((5, 6, 1), (2, 3, -1)),             # a stored product
+                     ((0, 1, 1), (1, 0, -1))]
+            randoms = [tuple((rng.randrange(7), rng.randrange(7),
+                              rng.choice((1, -1))) for _ in range(3))
+                       for _ in range(4)]
+            for terms in zeros + randoms:
+                y = sum((xs[a] * xs[b] * c for a, b, c in terms),
+                        start=CycNum.zero())
+                image = sum(res[0][a] * res[0][b] * c for a, b, c in terms)
+                assert (image % q == 0) == y.is_zero(), (L, terms)
+                if terms in zeros:
+                    assert y.is_zero()
+    # at order 1 the width is the least one allowed: y = bound T^2 is a
+    # sum of bound products T * T, and one bit less would map it to 0
+    for top, bound in ((1, 3), (3, 7)):
+        res, q = _residues([[CycNum.from_rational(-top)]], bound)
+        assert bound * res[0][0] ** 2 % q != 0
+
+
+def test_residues_rest_on_the_bound():
+    # 2^w - zeta_L is not 0 but maps to 0: of size about 2^w, it is far
+    # beyond the bound 1 the width was chosen for, so only the bound makes
+    # the residues exact
+    for L in (1, 2, 72, 80):
+        res, q = _residues([[CycNum.root_of_unity(L, 1)]], 1)
+        w = next(w for w in itertools.count(1)
+                 if _pack(cyclotomic_polynomial(L), w) == q)
+        y = 2 ** w - CycNum.root_of_unity(L, 1)
+        assert not y.is_zero()
+        assert _pack(y._lift_num(L), w) % q == 0
+        assert (2 ** w - res[0][0]) % q == 0
 
 
 def test_inverse_of_zero_rejected():
@@ -488,9 +512,8 @@ def test_from_tally_order_rule():
     step = CycNum.root_of_unity(8, 1) - CycNum.root_of_unity(8, 7)
     assert exact(square) == exact(step * step)
     assert square.order == 8 and square == -2
-    # an empty tally is zero, a denominator is normalised
+    # an empty tally is zero
     assert exact(CycNum.from_tally(24, {})) == (1, (0,), 1)
-    assert exact(CycNum.from_tally(4, {0: 2, 2: 4}, den=4)) == (2, (-1,), 2)
 
 
 def test_epsilon_power_examples():
