@@ -16,7 +16,7 @@ recursion and Gram-Schmidt need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import chain
 from operator import mul
@@ -27,12 +27,9 @@ from .numeric import CycNum, InternalConsistencyError
 from .weyl import make_dominant, weyl_orbit
 
 
-@dataclass(frozen=True)
-class CharacterTable:
-    """Full weight diagram of one irreducible: weight -> multiplicity."""
-
-    highest: Weight
-    mults: dict[Weight, int]
+class CharacterTable(namedtuple("CharacterTable", "highest mults")):
+    """Full weight diagram of one irreducible: mults maps each weight of
+    the irreducible with highest weight highest to its multiplicity."""
 
     @property
     def dimension(self) -> int:

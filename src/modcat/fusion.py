@@ -21,7 +21,7 @@ which is symmetric in i and j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import chain
 from operator import mul
@@ -39,15 +39,9 @@ class FusionConsistencyError(RuntimeError):
     """Folding produced an impossible coefficient; data is inconsistent."""
 
 
-@dataclass(frozen=True)
-class FusionTable:
+class FusionTable(namedtuple("FusionTable", "rs kappa alcove matrices")):
     """N_{ij}^k = matrices[i][j][k] over alcove positions: matrices[i] is
     the fusion matrix N_i of alcove[i], with rows j and columns k."""
-
-    rs: RootSystemData
-    kappa: int
-    alcove: tuple[Weight, ...]
-    matrices: tuple[tuple[tuple[int, ...], ...], ...]
 
     @cached_property
     def positions(self) -> dict[Weight, int]:

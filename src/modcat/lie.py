@@ -17,7 +17,7 @@ basis, by the same routine.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
@@ -54,26 +54,16 @@ def wscale(c: int, a: Weight) -> Weight:
     return tuple(c * x for x in a)
 
 
-@dataclass(frozen=True)
-class RootSystemData:
-    """Immutable tables for one simple Lie type."""
+class RootSystemData(namedtuple("RootSystemData", (
+        "series rank cartan simple_roots fundamental_weights positive_roots "
+        "rho highest_root dual_coxeter lacing symmetrizers cartan_index "
+        "dim_adjoint gram_primed gram denominator"))):
+    """Immutable tables for one simple Lie type.
 
-    series: str
-    rank: int
-    cartan: tuple[tuple[int, ...], ...]
-    simple_roots: tuple[Weight, ...]
-    fundamental_weights: tuple[Weight, ...]
-    positive_roots: tuple[Weight, ...]
-    rho: Weight
-    highest_root: Weight
-    dual_coxeter: int
-    lacing: int                       # m: 1, 2 or 3
-    symmetrizers: tuple[int, ...]     # d_i = (alpha_i, alpha_i)'/2
-    cartan_index: int                 # N = |P/Q|
-    dim_adjoint: int
-    gram_primed: tuple[tuple[Fraction, ...], ...]
-    gram: tuple[tuple[int, ...], ...]  # D (omega_i, omega_j)'
-    denominator: int                   # D, the least that makes gram integral
+    lacing is m: 1, 2 or 3; symmetrizers are d_i = (alpha_i, alpha_i)'/2;
+    cartan_index is N = |P/Q|; gram is D (omega_i, omega_j)', where
+    denominator is D, the least that makes gram integral.
+    """
 
     @property
     def zero(self) -> Weight:

@@ -20,8 +20,7 @@ modular-group identities they satisfy.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain
@@ -40,7 +39,7 @@ from .report import VerificationReport, mismatches
 from .weyl import (enumerate_ck, make_dominant, reflect, star,
                    star_positions, weyl_orbit, weyl_order)
 
-from .modular import CycMatrix, dagger, monomial_matrix
+from .modular import dagger, monomial_matrix
 
 
 def dominance_leq(rs: RootSystemData, lam: Weight, mu: Weight) -> bool:
@@ -239,22 +238,24 @@ def norm_formula(rs: RootSystemData, k: int, lam: Weight) -> QRatFn:
     return QRatFn(tuple(num), tuple(den), shift, _reduced=True)
 
 
-@dataclass
 class MacdonaldContext:
-    """Per-(n, k, level) workspace with caches for polynomials and norms."""
+    """Per-(n, k, level) workspace with caches for polynomials and norms.
 
-    n: int
-    k: int
-    level: int
-    kappa: int
-    rs: RootSystemData
-    alcove: tuple[Weight, ...]
-    sigma: int
-    delta: WPoly
-    group_order: int
-    _polys: dict[Weight, WPoly] = field(default_factory=dict)
-    _norms: dict[Weight, QRatFn] = field(default_factory=dict)
-    _specialized: dict[Weight, WPoly] = field(default_factory=dict)
+    sigma is the calibrated sign of the inner product, delta the paired
+    density of delta_k_product and group_order the order of W; _polys,
+    _norms and _specialized cache P_lam, (P_lam, P_lam) and the specialized
+    P_lam.
+    """
+
+    def __init__(self, n: int, k: int, level: int, kappa: int,
+                 rs: RootSystemData, alcove: tuple[Weight, ...], sigma: int,
+                 delta: WPoly, group_order: int) -> None:
+        self.n, self.k, self.level, self.kappa = n, k, level, kappa
+        self.rs, self.alcove, self.sigma = rs, alcove, sigma
+        self.delta, self.group_order = delta, group_order
+        self._polys: dict[Weight, WPoly] = {}
+        self._norms: dict[Weight, QRatFn] = {}
+        self._specialized: dict[Weight, WPoly] = {}
 
 
 def build_context(n: int, k: int, level: int) -> MacdonaldContext:
@@ -361,27 +362,16 @@ def specialize(ctx: MacdonaldContext, lam: Weight) -> WPoly:
 # -- the modular action on the intertwiner basis -------------------------------
 
 
-@dataclass(frozen=True)
-class SUData:
+class SUData(namedtuple("SUData", (
+        "n k level kappa alcove smatrix tmatrix conj_scalar twist_u "
+        "norms_eps values"))):
     """Modular matrices on the intertwiner basis indexed by the sub-alcove.
 
     conj_scalar is the scalar kappa_C with S^2 = kappa_C * (star permutation);
     its square is the inverse of the twist twist_u of the inducing object.
+    values[l][m] = P_l(x_m), the specialized polynomial of the l-th alcove
+    weight at x_m = eps^(-2(m + k rho)); S_lm = d_l values[m][l].
     """
-
-    n: int
-    k: int
-    level: int
-    kappa: int
-    alcove: tuple[Weight, ...]
-    smatrix: CycMatrix
-    tmatrix: CycMatrix
-    conj_scalar: CycNum
-    twist_u: CycNum
-    norms_eps: tuple[CycNum, ...]
-    values: CycMatrix
-    """values[l][m] = P_l(x_m), the specialized polynomial of the l-th
-    alcove weight at x_m = eps^(-2(m + k rho)); S_lm = d_l values[m][l]."""
 
 
 @lru_cache(maxsize=None)

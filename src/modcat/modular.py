@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -37,20 +37,12 @@ from .weyl import enumerate_alcove, star_positions
 CycMatrix = tuple[tuple[CycNum, ...], ...]
 
 
-@dataclass(frozen=True)
-class ModularData:
-    rs: RootSystemData
-    kappa: int
-    alcove: tuple[Weight, ...]
-    smatrix: CycMatrix
-    tmatrix: CycMatrix
-    cmatrix: tuple[tuple[int, ...], ...]
-    dims: tuple[CycNum, ...]
-    p_plus: CycNum
-    p_minus: CycNum
-    d_squared: CycNum
-    zeta: CycNum
-    central_charge: Fraction
+class ModularData(namedtuple("ModularData", (
+        "rs kappa alcove smatrix tmatrix cmatrix dims p_plus p_minus "
+        "d_squared zeta central_charge"))):
+    """The s-matrix, the diagonal t-matrix and the permutation matrix c over
+    the alcove weights, with the quantum dimensions, p+ and p-,
+    D^2 = p+ p-, zeta and the central charge of the level-kappa category."""
 
     @property
     def size(self) -> int:

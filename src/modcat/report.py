@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import operator
 import time
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
 
 
-@dataclass
-class CheckResult:
-    name: str                  # the identity being checked, e.g. "s^2 = D^2 c"
-    status: str                # "pass" | "fail"
-    witness: str | None = None
+class CheckResult(namedtuple("CheckResult", "name status witness",
+                             defaults=(None,))):
+    """name is the identity being checked, e.g. "s^2 = D^2 c"; status is
+    "pass" or "fail"; witness names where a failed check breaks, and is
+    None on a pass."""
 
     def to_json_obj(self):
         obj = {"name": self.name, "status": self.status}
@@ -27,13 +27,16 @@ class CheckResult:
         return obj
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    checks: list[CheckResult] = field(default_factory=list)
-    duration_seconds: float = 0.0      # from creation to the last record
-    _started: float = field(default_factory=time.monotonic, init=False,
-                            repr=False, compare=False)
+    """The checks of one suite in the order recorded; duration_seconds runs
+    from creation to the last record."""
+
+    def __init__(self, suite: str, checks: list[CheckResult] | None = None,
+                 duration_seconds: float = 0.0) -> None:
+        self.suite = suite
+        self.checks = [] if checks is None else checks
+        self.duration_seconds = duration_seconds
+        self._started = time.monotonic()
 
     @property
     def passed(self) -> bool:

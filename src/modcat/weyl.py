@@ -13,7 +13,7 @@ downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import factorial
 
@@ -24,17 +24,13 @@ from .numeric import InternalConsistencyError
 DEFAULT_WEYL_CAP = 10 ** 6
 
 
-@dataclass(frozen=True)
-class AffineFoldResult:
+class AffineFoldResult(namedtuple("AffineFoldResult", "representative sign")):
     """Representative in the closed alcove plus the folding sign.
 
     representative + rho = w(weight + rho) for an element w of W extended
     by kappa * Q^vee translations; sign is det(w) of the linear part, and
     0 exactly when the shifted orbit meets a wall.
     """
-
-    representative: Weight
-    sign: int
 
 
 def reflect(rs: RootSystemData, i: int, w: Weight) -> Weight:

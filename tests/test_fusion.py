@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -148,8 +147,7 @@ def with_entries(table, changes):
     mats = [[list(row) for row in m] for m in table.matrices]
     for (i, j, k), value in changes.items():
         mats[i][j][k] = value
-    return dataclasses.replace(
-        table, matrices=tuple(tuple(map(tuple, m)) for m in mats))
+    return table._replace(matrices=tuple(tuple(map(tuple, m)) for m in mats))
 
 
 def statuses(rep):
@@ -181,7 +179,7 @@ def test_perturbed_last_column_fails_diagonalization():
     last = md.size - 1
     s = tuple(tuple(x * 2 if q == last and p else x for q, x in enumerate(row))
               for p, row in enumerate(md.smatrix))
-    checks = statuses(verify_fusion(dataclasses.replace(md, smatrix=s), table))
+    checks = statuses(verify_fusion(md._replace(smatrix=s), table))
     diag = checks["folded coefficients = s-matrix diagonalization"]
     assert diag.status == "fail"
     assert f",{last}) at " in diag.witness
@@ -191,7 +189,7 @@ def test_perturbed_last_column_fails_diagonalization():
 def with_row(md, i, row):
     s = list(md.smatrix)
     s[i] = tuple(row)
-    return dataclasses.replace(md, smatrix=tuple(s))
+    return md._replace(smatrix=tuple(s))
 
 
 def test_singular_s_fails_evaluation_matrix_check():
@@ -236,7 +234,7 @@ def test_grothendieck_reuses_unitarity_of_modular_suite(monkeypatch):
     assert verify_grothendieck(md, table).passed
     assert products == []
     # a fresh copy of the same data has to form it
-    assert verify_grothendieck(dataclasses.replace(md), table).passed
+    assert verify_grothendieck(md._replace(), table).passed
     assert len(products) == 1
 
 
@@ -249,8 +247,7 @@ def test_grothendieck_alone_gives_fusion_witness():
     bad = with_entries(table, {(1, 2, 3): table.matrices[1][2][3] + 1})
     alone = statuses(verify_grothendieck(md, bad))[
         "pointwise ring homomorphism"]
-    assert set(vars(md)) == {f.name for f in dataclasses.fields(md)} | {
-        "unitarity_witness"}
+    assert set(vars(md)) == {"unitarity_witness"}
     fused = statuses(verify_fusion(build_modular_data(A2, 5), bad))[
         "folded coefficients = s-matrix diagonalization"]
     assert alone.status == fused.status == "fail"
@@ -262,8 +259,7 @@ def test_zero_dimension_stops_grothendieck():
     # f = s diag(dims)^-1 and its det check need every dim nonzero
     md = build_modular_data(A1, 4)
     table = build_fusion_table(A1, 4, md.alcove)
-    bad = dataclasses.replace(md, dims=(md.dims[0], CycNum.zero(),
-                                        md.dims[2]))
+    bad = md._replace(dims=(md.dims[0], CycNum.zero(), md.dims[2]))
     assert not verify_fusion(bad, table).passed
     with pytest.raises(FusionConsistencyError,
                        match="vanishing quantum dimension"):

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import random
 
 import pytest
@@ -134,8 +133,8 @@ def test_report_witnesses_on_failure():
     bad_t = tuple(
         tuple(x * 2 if (i, j) == (1, 1) else x for j, x in enumerate(row))
         for i, row in enumerate(md.tmatrix))
-    bad = dataclasses.replace(md, tmatrix=bad_t, p_plus=md.p_plus + 1,
-                              dims=(md.dims[0] + 1,) + md.dims[1:])
+    bad = md._replace(tmatrix=bad_t, p_plus=md.p_plus + 1,
+                      dims=(md.dims[0] + 1,) + md.dims[1:])
     rep = verify_modular_relations(bad)
     failed = {c.name: c.witness for c in rep.checks if c.status == "fail"}
     assert {"D^2 = sum of squared quantum dimensions", "zeta^6 p- = p+",
@@ -171,7 +170,7 @@ def test_solve_over_cyclotomic_entries():
 def with_row(md, i, row):
     s = list(md.smatrix)
     s[i] = tuple(row)
-    return dataclasses.replace(md, smatrix=tuple(s))
+    return md._replace(smatrix=tuple(s))
 
 
 def count_eliminations(monkeypatch):
