@@ -10,17 +10,17 @@ public functions, the integer numerator on the hot paths.
 
 The Cartan matrix A is inverted once, by numeric.solve, which also gives
 |det A| = |P/Q|; the Gram matrix is D d_i (A^-1)_ij, so simple-root
-coordinates are read off it.  Lattice indices are |det| of the change of
-basis, by the same routine.
+coordinates are read off it.  In weight coordinates the simple coroots are
+(m/d_i) alpha_i, m being the lacing, so the lattice index
+|P / kappa Q^vee| = kappa^rank |P/Q| prod m/d_i in closed form.
 """
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from .numeric import InternalConsistencyError, solve
@@ -241,6 +241,10 @@ def _check_tables(rs: RootSystemData) -> None:
     g = gcd(*rs.symmetrizers)
     if g != 1:
         raise InternalConsistencyError(f"symmetrizers have gcd {g}")
+    if any(rs.lacing % d for d in rs.symmetrizers):
+        raise InternalConsistencyError(
+            f"symmetrizers {rs.symmetrizers} do not divide the lacing "
+            f"{rs.lacing}")
     if len(rs.positive_roots) != (rs.dim_adjoint - rs.rank) // 2:
         raise InternalConsistencyError(
             f"{len(rs.positive_roots)} positive roots for dimension "
@@ -302,19 +306,6 @@ def theta_pairing(rs: RootSystemData, lam: Weight) -> Fraction:
     return pairing(rs, lam, rs.highest_root)
 
 
-def simple_coroots(rs: RootSystemData) -> tuple[Weight, ...]:
-    """Images of the simple coroots in the weight lattice: (m/d_i) alpha_i."""
-    out = []
-    for i, alpha in enumerate(rs.simple_roots):
-        c, r = divmod(rs.lacing, rs.symmetrizers[i])
-        if r:
-            raise InternalConsistencyError(
-                f"symmetrizer {rs.symmetrizers[i]} does not divide the "
-                f"lacing {rs.lacing}")
-        out.append(wscale(c, alpha))
-    return tuple(out)
-
-
 def _alpha_coords(gram, denominator: int, d, w: Weight) -> tuple[Fraction, ...]:
     # gram_ij = D (omega_i, omega_j)' = D d_i (A^-1)_ij
     return tuple(Fraction(_dot(row, w), denominator * di)
@@ -327,30 +318,10 @@ def root_alpha_coords(rs: RootSystemData, w: Weight) -> tuple[Fraction, ...]:
     return _alpha_coords(rs.gram, rs.denominator, rs.symmetrizers, w)
 
 
-def _lattice_basis(rs: RootSystemData, label: str) -> list[list[Fraction]]:
-    """Column basis of a lattice label like "P", "Q", "Qv", "3Qv" in omega coords."""
-    label = label.strip()
-    match = re.fullmatch(r"(\d*)(P|Q|Qv)", label)
-    if not match:
-        raise ValueError(
-            f"unknown lattice label {label!r}; use P, Q, Qv with an optional "
-            "positive integer multiplier, e.g. 3Qv")
-    mult = int(match[1] or 1)
-    if mult < 1:
-        raise ValueError(f"lattice multiplier must be positive in {label!r}")
-    name = match[2]
-    vectors = (rs.fundamental_weights if name == "P" else
-               rs.simple_roots if name == "Q" else simple_coroots(rs))
-    return [[Fraction(mult * x) for x in row] for row in zip(*vectors)]
-
-
-def lattice_index(rs: RootSystemData, numerator: str, denominator: str) -> int:
-    """Index of one lattice in another, e.g. lattice_index(rs, "P", "3Qv")."""
-    nb = _lattice_basis(rs, numerator)
-    db = _lattice_basis(rs, denominator)
-    _, change = solve(nb, db)   # the columns of db in the basis nb
-    if change is None:
-        raise InternalConsistencyError(f"singular basis for {numerator}")
-    if any(x.denominator != 1 for row in change for x in row):
-        raise ValueError(f"{denominator} is not a sublattice of {numerator}")
-    return int(abs(solve(change)[0]))
+def lattice_index(rs: RootSystemData, kappa: int) -> int:
+    """|P / kappa Q^vee| = kappa^rank |P/Q| prod m/d_i, as the simple coroots
+    are (m/d_i) alpha_i in weight coordinates."""
+    if kappa < 1:
+        raise ValueError(f"lattice multiplier must be positive, got {kappa}")
+    return kappa ** rs.rank * rs.cartan_index * prod(
+        rs.lacing // d for d in rs.symmetrizers)

@@ -541,7 +541,7 @@ def verify_section5(ctx: MacdonaldContext,
         ctx.sigma == parity, f"{ctx.sigma:+d} vs {parity:+d}")
 
     # float cross-checks against the category data
-    index = lattice_index(rs, "P", f"{kappa}Qv")
+    index = lattice_index(rs, kappa)
     dsq = index * (-1) ** rplus
     delta_inv = _rho_denominator_inverse(rs, kappa)
     d_total = (dsq * (delta_inv * delta_inv).to_complex()).real ** 0.5

@@ -34,8 +34,6 @@ from .numeric import (CycNum, approx_eq, default_tolerance, epsilon_power,
 from .report import VerificationReport, mismatches
 from .weyl import enumerate_alcove, star_positions
 
-CycMatrix = tuple[tuple[CycNum, ...], ...]
-
 
 class ModularData(namedtuple("ModularData", (
         "rs kappa alcove smatrix tmatrix cmatrix dims p_plus p_minus "
@@ -151,7 +149,7 @@ def verify_modular_relations(md: ModularData,
     rep.check("s^2 = D^2 c", mismatches(
         s2, ((md.d_squared * x for x in row) for row in md.cmatrix), labels))
 
-    index = lattice_index(rs, "P", f"{kappa}Qv")
+    index = lattice_index(rs, kappa)
     den_inv = _rho_denominator_inverse(rs, kappa)
     closed = den_inv * den_inv * (index * (-1) ** len(rs.positive_roots))
     rep.record("D^2 closed form |P/kQv| (-1)^|R+| delta^-2",

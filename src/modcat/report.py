@@ -31,11 +31,10 @@ class VerificationReport:
     """The checks of one suite in the order recorded; duration_seconds runs
     from creation to the last record."""
 
-    def __init__(self, suite: str, checks: list[CheckResult] | None = None,
-                 duration_seconds: float = 0.0) -> None:
+    def __init__(self, suite: str) -> None:
         self.suite = suite
-        self.checks = [] if checks is None else checks
-        self.duration_seconds = duration_seconds
+        self.checks = []
+        self.duration_seconds = 0.0
         self._started = time.monotonic()
 
     @property

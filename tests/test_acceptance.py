@@ -157,7 +157,7 @@ def test_criterion_7_cross_module_coherence(capsys):
     for n, k, level in SECTION5_GRID:
         ctx = build_context(n, k, level)
         rs, kappa = ctx.rs, ctx.kappa
-        index = lattice_index(rs, "P", f"{kappa}Qv")
+        index = lattice_index(rs, kappa)
         delta_val = weyl_denominator_value(rs, kappa, wscale(-2, rs.rho))
         dsq = index * (-1) ** len(rs.positive_roots)
         d_pos = (dsq / (delta_val * delta_val).to_complex()).real ** 0.5

@@ -144,46 +144,48 @@ def test_form_rejects_rank_mismatch():
         form(rs, (1,), (1, 0))
 
 
+def coroot_basis(rs, kappa):
+    # column i is kappa (m/d_i) alpha_i, alpha_i being column i of the Cartan
+    # matrix; rows are fundamental-weight coordinates
+    return [[Fraction(kappa * rs.lacing, d) * x
+             for x, d in zip(row, rs.symmetrizers)] for row in rs.cartan]
+
+
 def test_lattice_indices():
-    a1 = build_root_system("A", 1)
-    assert lattice_index(a1, "P", "3Qv") == 6
-    a2 = build_root_system("A", 2)
-    assert lattice_index(a2, "P", "Q") == 3
-    assert lattice_index(a2, "P", "P") == 1
-    b2 = build_root_system("B", 2)
-    assert lattice_index(b2, "P", "Q") == 2
+    assert lattice_index(build_root_system("A", 1), 3) == 6
+    assert lattice_index(build_root_system("A", 2), 1) == 3
+    assert lattice_index(build_root_system("B", 2), 1) == 4
+    assert lattice_index(build_root_system("G", 2), 1) == 3
+    assert lattice_index(build_root_system("G", 2), 2) == 12
 
 
 @pytest.mark.parametrize("series,rank", ALL_TYPES)
 def test_index_of_scaled_coroot_lattice(series, rank):
-    # |P / kappa Qv| = kappa^rank * |P / Qv|
+    # |P / kappa Qv| is |det| of the kappa-scaled coroot basis
     rs = build_root_system(series, rank)
-    base = lattice_index(rs, "P", "Qv")
-    for kappa in (2, 3, 5):
-        assert (lattice_index(rs, "P", f"{kappa}Qv")
-                == kappa ** rank * base)
+    for kappa in (1, 2, 3, 5, 12):
+        assert lattice_index(rs, kappa) == abs(
+            brute_det(coroot_basis(rs, kappa)))
 
 
 def test_lattice_index_against_determinant_oracle():
     for series, rank in ALL_TYPES:
         rs = build_root_system(series, rank)
         cartan = [list(row) for row in rs.cartan]
-        assert lattice_index(rs, "P", "Q") == abs(brute_det(cartan))
         assert rs.cartan_index == abs(brute_det(cartan))
-
-
-def test_lattice_index_rejects_non_sublattice():
-    a2 = build_root_system("A", 2)
-    with pytest.raises(ValueError):
-        lattice_index(a2, "Q", "P")
+        # the basis columns are the simple coroots: <omega_j, alpha_i^vee>
+        # = (omega_j, alpha_i^vee) = delta_ij in the normalized form
+        columns = list(zip(*coroot_basis(rs, 1)))
+        for j, omega in enumerate(rs.fundamental_weights):
+            assert [form(rs, omega, c) for c in columns] == [
+                int(i == j) for i in range(rank)]
 
 
 def test_lattice_index_rejects_bad_spec():
     a2 = build_root_system("A", 2)
-    with pytest.raises(ValueError):
-        lattice_index(a2, "P", "R")
-    with pytest.raises(ValueError):
-        lattice_index(a2, "P", "0Qv")
+    for kappa in (0, -1, -3):
+        with pytest.raises(ValueError):
+            lattice_index(a2, kappa)
 
 
 def random_fraction_matrix(rng, rows, cols):

@@ -146,6 +146,21 @@ def test_report_witnesses_on_failure():
         .startswith("entry (1,1) at (1,), (1,): ")
 
 
+@pytest.mark.parametrize("rs,kappa,witness", [
+    (A1, 4, "CycNum(5) vs CycNum(4)"),
+    (B2, 4, "CycNum(5) vs CycNum(4)"),
+    (G2, 5, "CycNum(3 + 1*z30^2 + 1*z30^3 + -1*z30^7)"
+            " vs CycNum(2 + 1*z30^2 + 1*z30^3 + -1*z30^7)"),
+], ids=["A1-k4", "B2-k4", "G2-k5"])
+def test_d_squared_closed_form_witness(rs, kappa, witness):
+    # D^2 off by one: the witness is the stored D^2 against the closed form
+    md = build_modular_data(rs, kappa)
+    checks = {c.name: c for c in verify_modular_relations(
+        md._replace(d_squared=md.d_squared + 1)).checks}
+    check = checks["D^2 closed form |P/kQv| (-1)^|R+| delta^-2"]
+    assert check.status == "fail" and check.witness == witness
+
+
 def test_twists_and_zeta_are_roots_of_unity():
     for rs, kappa in [(A1, 5), (A2, 5), (B2, 4), (G2, 5)]:
         md = build_modular_data(rs, kappa)
