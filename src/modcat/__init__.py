@@ -9,7 +9,7 @@ from .numeric import (CycNum, PoleAtEpsilonError, QRatFn, approx_eq,
 from .weyl import (AffineFoldResult, enumerate_alcove, enumerate_ck,
                    fold_to_alcove, make_dominant, reflect, star,
                    star_positions, weyl_orbit)
-from .chardata import (CharacterTable, char_value, quantum_dim,
+from .chardata import (char_value, quantum_dim,
                        vanishing_criterion, weight_multiplicities,
                        weyl_denominator_value, weyl_dimension)
 from .modular import (ModularData, build_modular_data, s_entry_extended,
@@ -21,7 +21,7 @@ from .macdonald import (MacdonaldContext, SUData, WPoly, build_context,
                         build_su_data, delta_k_product, dominance_leq,
                         inner_product_k, macdonald_norm,
                         macdonald_polynomial, monomial_sum, norm_formula,
-                        specialize, verify_generic_macdonald, verify_section5)
+                        verify_generic_macdonald, verify_section5)
 from .report import CheckResult, VerificationReport
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -16,7 +16,6 @@ recursion and Gram-Schmidt need.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import lru_cache
 from itertools import chain
 from operator import mul
@@ -25,15 +24,6 @@ from .lie import (RootSystemData, Weight, _dot, _form_num, _gram_vector, wadd,
                   wscale)
 from .numeric import CycNum, InternalConsistencyError
 from .weyl import make_dominant, weyl_orbit
-
-
-class CharacterTable(namedtuple("CharacterTable", "highest mults")):
-    """Full weight diagram of one irreducible: mults maps each weight of
-    the irreducible with highest weight highest to its multiplicity."""
-
-    @property
-    def dimension(self) -> int:
-        return sum(self.mults.values())
 
 
 @lru_cache(maxsize=None)
@@ -89,8 +79,10 @@ def dominant_weights_below(rs: RootSystemData, lam: Weight) -> list[Weight]:
 
 
 @lru_cache(maxsize=None)
-def weight_multiplicities(rs: RootSystemData, lam: Weight) -> CharacterTable:
-    """Exact weight diagram of V_lam by the Freudenthal recursion."""
+def weight_multiplicities(rs: RootSystemData,
+                          lam: Weight) -> dict[Weight, int]:
+    """Exact weight diagram of V_lam by the Freudenthal recursion: each
+    weight of V_lam mapped to its multiplicity."""
     if not is_dominant(lam):
         raise ValueError(f"highest weight {lam} is not dominant")
     doms = dominant_weights_below(rs, lam)
@@ -127,12 +119,12 @@ def weight_multiplicities(rs: RootSystemData, lam: Weight) -> CharacterTable:
     for mu, mult in dom_mult.items():
         for nu, _ in weyl_orbit(rs, mu):
             full[nu] = mult
-    table = CharacterTable(highest=lam, mults=full)
-    if table.dimension != weyl_dimension(rs, lam):
+    dimension = sum(full.values())
+    if dimension != weyl_dimension(rs, lam):
         raise InternalConsistencyError(
-            f"weight diagram of {lam} has dimension {table.dimension}, "
+            f"weight diagram of {lam} has dimension {dimension}, "
             f"not {weyl_dimension(rs, lam)}")
-    return table
+    return full
 
 
 def _eps_order(rs: RootSystemData, kappa: int) -> int:
@@ -202,7 +194,7 @@ def char_value(rs: RootSystemData, kappa: int, lam: Weight,
     order = _eps_order(rs, kappa)
     v = _gram_vector(rs, point)
     tally: dict[int, int] = {}
-    for mu, mult in weight_multiplicities(rs, lam).mults.items():
+    for mu, mult in weight_multiplicities(rs, lam).items():
         e = _dot(mu, v) % order
         tally[e] = tally.get(e, 0) + mult
     return CycNum.from_tally(order, tally)

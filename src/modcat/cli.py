@@ -228,10 +228,10 @@ def _product_json(lam, mu, prod):
 
 def _cmd_fusion(args) -> int:
     rs = _parse_algebra(args.algebra)
-    alcove = enumerate_alcove(rs, args.kappa)
     if (args.lhs is None) != (args.rhs is None):
         raise UsageError("--lhs and --rhs go together")
     if args.lhs is not None:
+        alcove = enumerate_alcove(rs, args.kappa)
         lam = _parse_weight(args.lhs, rs.rank)
         mu = _parse_weight(args.rhs, rs.rank)
         if lam not in alcove or mu not in alcove:
@@ -240,7 +240,8 @@ def _cmd_fusion(args) -> int:
         _emit_json(args, {"algebra": f"{rs.series}{rs.rank}",
                           "kappa": args.kappa, **_product_json(lam, mu, prod)})
         return 0
-    table = build_fusion_table(rs, args.kappa, alcove)
+    table = build_fusion_table(rs, args.kappa)
+    alcove = table.alcove
     products = [_product_json(lam, mu, table.product(lam, mu))
                 for lam in alcove for mu in alcove]
     obj = {"algebra": f"{rs.series}{rs.rank}", "kappa": args.kappa,
@@ -299,7 +300,7 @@ def _cmd_verify(args) -> int:
         if args.suite in ("modular", "all"):
             reports.append(verify_modular_relations(md, tol))
         if args.suite in ("fusion", "all"):
-            table = build_fusion_table(rs, args.kappa, md.alcove)
+            table = build_fusion_table(rs, args.kappa)
             reports.append(verify_fusion(md, table))
             reports.append(verify_grothendieck(md, table))
     if args.n is not None:

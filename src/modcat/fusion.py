@@ -32,7 +32,8 @@ from .modular import ModularData, det_s_is_nonzero
 from .numeric import (CycNum, InternalConsistencyError, _pack, _residues,
                       _unpack, matrix_product)
 from .report import VerificationReport, mismatches
-from .weyl import fold_to_alcove, make_dominant, star_positions
+from .weyl import (enumerate_alcove, fold_to_alcove, make_dominant,
+                   star_positions)
 
 
 class FusionConsistencyError(RuntimeError):
@@ -62,9 +63,8 @@ def classical_tensor(rs: RootSystemData, lam: Weight,
     """Generic tensor product decomposition by the weight-diagram fold."""
     if weyl_dimension(rs, mu) > weyl_dimension(rs, lam):
         lam, mu = mu, lam
-    table = weight_multiplicities(rs, mu)
     out: dict[Weight, int] = {}
-    for nu, mult in table.mults.items():
+    for nu, mult in weight_multiplicities(rs, mu).items():
         xi = wadd(wadd(lam, nu), rs.rho)
         dom, sign = make_dominant(rs, xi)
         if any(c == 0 for c in dom):
@@ -100,8 +100,10 @@ def fusion_coefficients(rs: RootSystemData, kappa: int, lam: Weight,
     return out
 
 
-def build_fusion_table(rs: RootSystemData, kappa: int,
-                       alcove: tuple[Weight, ...]) -> FusionTable:
+def build_fusion_table(rs: RootSystemData, kappa: int) -> FusionTable:
+    """The folded fusion matrices over enumerate_alcove(rs, kappa), whose
+    first weight is the unit."""
+    alcove = enumerate_alcove(rs, kappa)
     n = len(alcove)
     pos = {w: i for i, w in enumerate(alcove)}
     mats = [[[0] * n for _ in range(n)] for _ in range(n)]
@@ -155,12 +157,9 @@ def _associativity_failures(table: FusionTable):
                     yield f"N_{alcove[j]} N_{alcove[i]} {x}"
 
 
-def verify_fusion(md: ModularData,
-                  table: FusionTable | None = None) -> VerificationReport:
+def verify_fusion(md: ModularData, table: FusionTable) -> VerificationReport:
     """Folding vs s-matrix diagonalization, plus the ring axioms."""
     rep = VerificationReport(suite="fusion")
-    if table is None:
-        table = build_fusion_table(md.rs, md.kappa, md.alcove)
     alcove, mats = table.alcove, table.matrices
     idx = range(len(alcove))
     sp = star_positions(md.rs, alcove)
@@ -197,11 +196,9 @@ def verify_fusion(md: ModularData,
 
 
 def verify_grothendieck(md: ModularData,
-                        table: FusionTable | None = None) -> VerificationReport:
+                        table: FusionTable) -> VerificationReport:
     """The character map diagonalizes the fusion ring pointwise."""
     rep = VerificationReport(suite="grothendieck")
-    if table is None:
-        table = build_fusion_table(md.rs, md.kappa, md.alcove)
 
     # f_{V_lam}(mu) = ch V_lam (eps^{-2(mu+rho)}) = s_{lam mu} / dim_mu, so
     # f_{0 mu} = 1 and N_lam f = f diag(f_{lam mu}) is the ring homomorphism

@@ -10,12 +10,12 @@ one running sum per pair of coefficient denominators QRatFn.den, and each
 pair is normalised to a QRatFn once.  The density is likewise multiplied
 out in integers, and the closed-form norm as one q-number quotient, before
 they are normalised.  Everything is exact: rational functions of
-v = q^(1/2) at generic q, cyclotomic numbers after specialization.  The
-modular matrices on the intertwiner basis are assembled from special
-values P_lam(x_mu) of the specialized polynomials, evaluated once on
-integer forms (SUData.values), and from d_lam, one binomial product of
-chardata; they are checked against all the symmetry, conjugation and
-modular-group identities they satisfy.
+v = q^(1/2) at generic q, cyclotomic numbers at the root of unity.  The
+modular matrices on the intertwiner basis are assembled from the special
+values P_lam(x_mu) (SUData.values), which _special_values alone computes
+by evaluating each coefficient of P_lam at the root of unity once, and
+from d_lam, one binomial product of chardata; they are checked against all
+the symmetry, conjugation and modular-group identities they satisfy.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .report import VerificationReport, mismatches
 from .weyl import (enumerate_ck, make_dominant, reflect, star,
                    star_positions, weyl_orbit, weyl_order)
 
-from .modular import dagger, monomial_matrix
+from .modular import build_modular_data, dagger, monomial_matrix
 
 
 def dominance_leq(rs: RootSystemData, lam: Weight, mu: Weight) -> bool:
@@ -52,15 +52,12 @@ def dominance_leq(rs: RootSystemData, lam: Weight, mu: Weight) -> bool:
 
 
 class WPoly:
-    """Finitely supported group-ring element: weight -> coefficient.
-
-    The coefficients are either all QRatFn (generic q) or all CycNum
-    (specialized); the operations are agnostic.
-    """
+    """Finitely supported group-ring element: weight -> QRatFn coefficient
+    at generic q."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Weight, object]):
+    def __init__(self, terms: dict[Weight, QRatFn]):
         self.terms = {w: c for w, c in terms.items() if c}
 
     @staticmethod
@@ -90,7 +87,7 @@ class WPoly:
         return WPoly(out)
 
     def __mul__(self, other: "WPoly") -> "WPoly":
-        out: dict[Weight, object] = {}
+        out: dict[Weight, QRatFn] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w = wadd(w1, w2)
@@ -119,27 +116,6 @@ class WPoly:
                 if ci is None or not (ci == c):
                     return False
         return True
-
-    def specialize(self, kappa: int) -> "WPoly":
-        """Evaluate all QRatFn coefficients at v = eps^(1/2)  (type A: m = 1)."""
-        out = {}
-        for w, c in sorted(self.terms.items()):
-            try:
-                out[w] = c.eval_at_epsilon(1, kappa)
-            except PoleAtEpsilonError as exc:
-                raise PoleAtEpsilonError(
-                    f"coefficient at weight {w}: {exc}") from None
-        return WPoly(out)
-
-    def value_at(self, rs: RootSystemData, kappa: int,
-                 point: Weight) -> CycNum:
-        """Value of a specialized element at eps^point."""
-        order = _eps_order(rs, kappa)
-        v = _gram_vector(rs, point)
-        acc = CycNum.zero()
-        for w, c in self.terms.items():
-            acc = acc + c * CycNum.root_of_unity(order, _dot(w, v))
-        return acc
 
     def sorted_terms(self):
         return sorted(self.terms.items())
@@ -242,9 +218,8 @@ class MacdonaldContext:
     """Per-(n, k, level) workspace with caches for polynomials and norms.
 
     sigma is the calibrated sign of the inner product, delta the paired
-    density of delta_k_product and group_order the order of W; _polys,
-    _norms and _specialized cache P_lam, (P_lam, P_lam) and the specialized
-    P_lam.
+    density of delta_k_product and group_order the order of W; _polys and
+    _norms cache P_lam and (P_lam, P_lam) at generic q.
     """
 
     def __init__(self, n: int, k: int, level: int, kappa: int,
@@ -255,7 +230,6 @@ class MacdonaldContext:
         self.delta, self.group_order = delta, group_order
         self._polys: dict[Weight, WPoly] = {}
         self._norms: dict[Weight, QRatFn] = {}
-        self._specialized: dict[Weight, WPoly] = {}
 
 
 def build_context(n: int, k: int, level: int) -> MacdonaldContext:
@@ -350,15 +324,6 @@ def macdonald_norm(ctx: MacdonaldContext, lam: Weight) -> QRatFn:
     return cached
 
 
-def specialize(ctx: MacdonaldContext, lam: Weight) -> WPoly:
-    """P_lam with coefficients evaluated at the root of unity."""
-    cached = ctx._specialized.get(lam)
-    if cached is None:
-        cached = macdonald_polynomial(ctx, lam).specialize(ctx.kappa)
-        ctx._specialized[lam] = cached
-    return cached
-
-
 # -- the modular action on the intertwiner basis -------------------------------
 
 
@@ -369,8 +334,9 @@ class SUData(namedtuple("SUData", (
 
     conj_scalar is the scalar kappa_C with S^2 = kappa_C * (star permutation);
     its square is the inverse of the twist twist_u of the inducing object.
-    values[l][m] = P_l(x_m), the specialized polynomial of the l-th alcove
-    weight at x_m = eps^(-2(m + k rho)); S_lm = d_l values[m][l].
+    values[l][m] = P_l(x_m), the Macdonald polynomial of the l-th alcove
+    weight at the root of unity, evaluated at x_m = eps^(-2(m + k rho));
+    S_lm = d_l values[m][l].
     """
 
 
@@ -397,7 +363,35 @@ def d_coefficient(ctx: MacdonaldContext, lam: Weight) -> CycNum:
         2 * ctx.kappa, _d_pairs(ctx, lam))
 
 
+def _special_values(ctx: MacdonaldContext, points) -> tuple:
+    """values[l][m] = P_l(eps^points[m]) over the alcove weights l.
+
+    Each coefficient of P_l is evaluated at v = eps^(1/2) once and the terms
+    are summed in sorted weight order, which fixes the printed form of the
+    sum; a pole raises PoleAtEpsilonError naming l and the weight."""
+    rs, kappa = ctx.rs, ctx.kappa
+    order = _eps_order(rs, kappa)
+    vectors = [_gram_vector(rs, x) for x in points]
+    rows = []
+    for lam in ctx.alcove:
+        terms = []
+        for w, c in macdonald_polynomial(ctx, lam).sorted_terms():
+            try:
+                x = c.eval_at_epsilon(1, kappa)
+            except PoleAtEpsilonError as exc:
+                raise PoleAtEpsilonError(
+                    f"{lam}: coefficient at weight {w}: {exc}") from None
+            if x:
+                terms.append((w, x))
+        rows.append(tuple(sum((x * CycNum.root_of_unity(order, _dot(w, v))
+                               for w, x in terms), CycNum.zero())
+                          for v in vectors))
+    return tuple(rows)
+
+
 def build_su_data(ctx: MacdonaldContext) -> SUData:
+    """The modular matrices on the intertwiner basis; PoleAtEpsilonError if
+    some P_lam of the sub-alcove has a pole at the root of unity."""
     rs, k, kappa = ctx.rs, ctx.k, ctx.kappa
     n = ctx.n
     alcove = ctx.alcove
@@ -405,9 +399,8 @@ def build_su_data(ctx: MacdonaldContext) -> SUData:
     rho = rs.rho
 
     points = [wscale(-2, wadd(lam, wscale(k, rho))) for lam in alcove]
+    values = _special_values(ctx, points)
     dvals = [d_coefficient(ctx, lam) for lam in alcove]
-    values = tuple(tuple(p.value_at(rs, kappa, x) for x in points)
-                   for p in map(partial(specialize, ctx), alcove))
     smat = tuple(tuple(d * values[b][a] for b in range(size))
                  for a, d in enumerate(dvals))
 
@@ -444,19 +437,13 @@ def verify_section5(ctx: MacdonaldContext,
     size = len(alcove)
     idx = range(size)
 
-    # specialization must be pole-free on the sub-alcove
-    def pole_failures():
-        for lam in alcove:
-            try:
-                specialize(ctx, lam)
-            except PoleAtEpsilonError as exc:
-                yield f"{lam}: {exc}"
-
-    if not rep.check("specialization pole-free on the sub-alcove",
-                     pole_failures()):
+    pole_free = "specialization pole-free on the sub-alcove"
+    try:
+        su = build_su_data(ctx)
+    except PoleAtEpsilonError as exc:
+        rep.record(pole_free, False, str(exc))
         return rep
-
-    su = build_su_data(ctx)
+    rep.record(pole_free, True, None)
     s = su.smatrix
     norms = su.norms_eps
     sp = star_positions(rs, alcove)
@@ -560,7 +547,6 @@ def verify_section5(ctx: MacdonaldContext,
               normalization_failures())
 
     if k == 1:
-        from .modular import build_modular_data
         md = build_modular_data(rs, kappa)
         d_pos = md.d_squared.to_complex().real ** 0.5
         rep.check("float: k=1 matrix equals the normalized category s-matrix",
@@ -580,7 +566,7 @@ def verify_generic_macdonald(n: int, k: int, bound: int) -> VerificationReport:
     rep = VerificationReport(suite="macdonald-generic")
     ctx = build_context(n, k, bound)
     rs = ctx.rs
-    grid = enumerate_ck(rs, bound)
+    grid = ctx.alcove
     poly = partial(macdonald_polynomial, ctx)
     one = QRatFn.one()
 
@@ -636,6 +622,6 @@ def verify_generic_macdonald(n: int, k: int, bound: int) -> VerificationReport:
             f"{lam}: P_lam differs from the character" for lam in grid
             if poly(lam) != WPoly({
                 w: QRatFn.from_rational(c)
-                for w, c in weight_multiplicities(rs, lam).mults.items()})))
+                for w, c in weight_multiplicities(rs, lam).items()})))
 
     return rep

@@ -57,10 +57,10 @@ class InternalConsistencyError(RuntimeError):
     """An internal invariant of an exact computation failed."""
 
 
-def check_tolerance(tol: float, name: str = "tolerance") -> float:
+def check_tolerance(tol: float) -> float:
     """tol itself if finite and positive (0 fails every float check)."""
     if not (isfinite(tol) and tol > 0):
-        raise ValueError(f"{name} must be a finite positive number, "
+        raise ValueError("tolerance must be a finite positive number, "
                          f"got {tol!r}")
     return tol
 
@@ -70,7 +70,7 @@ def default_tolerance() -> float:
     if not env:
         return DEFAULT_TOLERANCE
     try:
-        return check_tolerance(float(env), "MODCAT_TOLERANCE")
+        return check_tolerance(float(env))
     except ValueError:
         raise ValueError("MODCAT_TOLERANCE must be a finite positive "
                          f"number, got {env!r}") from None
@@ -419,8 +419,6 @@ class CycNum:
     def conjugate(self) -> "CycNum":
         """Complex conjugation: zeta^e -> zeta^(-e)."""
         return self.galois(-1)
-
-    bar = conjugate  # the bar involution restricts to conjugation here
 
     # -- comparisons and export ----------------------------------------------
 

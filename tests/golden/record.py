@@ -72,6 +72,10 @@ COMMANDS = {
                             "--kappa", "9"],
     # s-matrix numerators summed over a |W| = 51,840 signed orbit
     "modular-E6-k13": ["modular", "--algebra", "E6", "--kappa", "13"],
+    # section-5 S entries of orders 1, 36 and 108, whose printed form
+    # depends on the order in which the special values are summed
+    "macdonald-su-n3-k2-K3": ["macdonald", "su", "--n", "3", "--k", "2",
+                              "--K", "3"],
 }
 
 

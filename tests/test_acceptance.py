@@ -42,7 +42,7 @@ def grid_data():
     for series, rank, kappa in CATEGORY_GRID:
         rs = build_root_system(series, rank)
         md = build_modular_data(rs, kappa)
-        table = build_fusion_table(rs, kappa, md.alcove)
+        table = build_fusion_table(rs, kappa)
         out[(series, rank, kappa)] = (md, table)
     return out
 

@@ -24,7 +24,7 @@ def character(rs, lam):
     # group-ring character as an exact polynomial, for the product oracle
     from modcat.macdonald import WPoly
     return WPoly({w: QRatFn.from_rational(m)
-                  for w, m in weight_multiplicities(rs, lam).mults.items()})
+                  for w, m in weight_multiplicities(rs, lam).items()})
 
 
 def test_clebsch_gordan():
@@ -123,7 +123,7 @@ def test_verlinde_values():
 def test_verlinde_matches_folding(rs, kappa):
     md = build_modular_data(rs, kappa)
     n = verlinde(md)
-    table = build_fusion_table(rs, kappa, md.alcove)
+    table = build_fusion_table(rs, kappa)
     for lam in md.alcove:
         for mu in md.alcove:
             for nu in md.alcove:
@@ -135,7 +135,7 @@ def test_fusion_suite_reports():
     for rs, kappa in [(A1, 3), (A1, 4), (A1, 5), (A2, 4), (A2, 5), (B2, 4),
                       (B2, 5), (G2, 5)]:
         md = build_modular_data(rs, kappa)
-        table = build_fusion_table(rs, kappa, md.alcove)
+        table = build_fusion_table(rs, kappa)
         rep = verify_fusion(md, table)
         assert rep.passed, [c.name for c in rep.checks if c.status == "fail"]
         rep = verify_grothendieck(md, table)
@@ -157,7 +157,7 @@ def statuses(rep):
 
 def test_bumped_entry_fails_diagonalization():
     md = build_modular_data(A2, 5)
-    table = build_fusion_table(A2, 5, md.alcove)
+    table = build_fusion_table(A2, 5)
     alcove = md.alcove
     i, j, k = 1, 2, 3
     bad = with_entries(table, {(i, j, k): table.matrices[i][j][k] + 1})
@@ -175,7 +175,7 @@ def test_bumped_entry_fails_diagonalization():
 def test_perturbed_last_column_fails_diagonalization():
     # only the last column of N_i s = s diag(s_{i p} / s_{0 p}) breaks
     md = build_modular_data(A2, 5)
-    table = build_fusion_table(A2, 5, md.alcove)
+    table = build_fusion_table(A2, 5)
     last = md.size - 1
     s = tuple(tuple(x * 2 if q == last and p else x for q, x in enumerate(row))
               for p, row in enumerate(md.smatrix))
@@ -196,7 +196,7 @@ def test_singular_s_fails_evaluation_matrix_check():
     # A1 kappa 4 with row 0 copied over row 1: F = s diag(dims)^-1 is
     # singular with s
     md = build_modular_data(A1, 4)
-    table = build_fusion_table(A1, 4, md.alcove)
+    table = build_fusion_table(A1, 4)
     checks = statuses(verify_grothendieck(
         with_row(md, 1, md.smatrix[0]), table))
     singular = checks["character evaluation matrix non-singular"]
@@ -207,7 +207,7 @@ def test_singular_s_fails_evaluation_matrix_check():
 def test_non_unitary_s_passes_evaluation_matrix_check(monkeypatch):
     # row 1 scaled by 2 keeps det s != 0; elimination decides it
     md = build_modular_data(A1, 4)
-    table = build_fusion_table(A1, 4, md.alcove)
+    table = build_fusion_table(A1, 4)
     bad = with_row(md, 1, (x * 2 for x in md.smatrix[1]))
     calls = []
     real = modular.solve
@@ -225,7 +225,7 @@ def test_non_unitary_s_passes_evaluation_matrix_check(monkeypatch):
 def test_grothendieck_reuses_unitarity_of_modular_suite(monkeypatch):
     # verify --suite all: s s^dagger is formed once, by the modular suite
     md = build_modular_data(A2, 5)
-    table = build_fusion_table(A2, 5, md.alcove)
+    table = build_fusion_table(A2, 5)
     assert verify_modular_relations(md).passed
     products = []
     real = modular.matrix_product
@@ -243,7 +243,7 @@ def test_grothendieck_alone_gives_fusion_witness():
     # into md: run alone on a bumped table, the Grothendieck suite names
     # the fusion suite's witness
     md = build_modular_data(A2, 5)
-    table = build_fusion_table(A2, 5, md.alcove)
+    table = build_fusion_table(A2, 5)
     bad = with_entries(table, {(1, 2, 3): table.matrices[1][2][3] + 1})
     alone = statuses(verify_grothendieck(md, bad))[
         "pointwise ring homomorphism"]
@@ -258,7 +258,7 @@ def test_grothendieck_alone_gives_fusion_witness():
 def test_zero_dimension_stops_grothendieck():
     # f = s diag(dims)^-1 and its det check need every dim nonzero
     md = build_modular_data(A1, 4)
-    table = build_fusion_table(A1, 4, md.alcove)
+    table = build_fusion_table(A1, 4)
     bad = md._replace(dims=(md.dims[0], CycNum.zero(), md.dims[2]))
     assert not verify_fusion(bad, table).passed
     with pytest.raises(FusionConsistencyError,
@@ -270,7 +270,7 @@ def test_non_associative_table_fails_associativity():
     # Ising with N_{ss}^p = N_{sp}^s = N_{ps}^s = 2 keeps every index
     # symmetry, but N_s N_s has 4 at (p, p) where N_0 + 2 N_p has 1
     md = build_modular_data(A1, 4)
-    table = build_fusion_table(A1, 4, md.alcove)
+    table = build_fusion_table(A1, 4)
     bad = with_entries(table, {(1, 1, 2): 2, (1, 2, 1): 2, (2, 1, 1): 2})
     checks = statuses(verify_fusion(md, bad))
     assert checks["index symmetries of N"].status == "pass"
@@ -284,7 +284,7 @@ def test_asymmetric_table_fails_symmetry_and_diagonalization():
     # table can have N_{sp}^s = 0 while N_{ps}^s = 1; the diagonalization
     # check catches it on its own, as its right side is symmetric in i, j
     md = build_modular_data(A1, 4)
-    table = build_fusion_table(A1, 4, md.alcove)
+    table = build_fusion_table(A1, 4)
     bad = with_entries(table, {(1, 2, 1): 0})
     checks = statuses(verify_fusion(md, bad))
     sym = checks["index symmetries of N"]
@@ -296,7 +296,7 @@ def test_asymmetric_table_fails_symmetry_and_diagonalization():
 
 
 def test_ising_fusion_table():
-    table = build_fusion_table(A1, 4, enumerate_alcove(A1, 4))
+    table = build_fusion_table(A1, 4)
     sigma, psi = (1,), (2,)
     assert table.product(sigma, sigma) == {(0,): 1, psi: 1}
     assert table.product(sigma, psi) == {sigma: 1}
@@ -304,7 +304,7 @@ def test_ising_fusion_table():
 
 
 def test_z3_fusion_table():
-    table = build_fusion_table(A2, 4, enumerate_alcove(A2, 4))
+    table = build_fusion_table(A2, 4)
     a, b = (1, 0), (0, 1)
     assert table.product(a, a) == {b: 1}
     assert table.product(a, b) == {(0, 0): 1}
@@ -320,14 +320,14 @@ def test_known_small_categories():
     dims = [d.to_complex().real for d in md.dims]
     assert abs(dims[1] - phi) < 1e-12 and abs(dims[2] - phi) < 1e-12
     assert md.central_charge == Fraction(9, 5)
-    table = build_fusion_table(A1, 5, md.alcove)
+    table = build_fusion_table(A1, 5)
     assert table.product((2,), (2,)) == {(0,): 1, (2,): 1}
     # exceptional rank-two at the first admissible level: same fusion ring
     md = build_modular_data(G2, 5)
     assert md.size == 2
     tau = md.alcove[1]
     assert abs(md.dims[1].to_complex().real - phi) < 1e-12
-    table = build_fusion_table(G2, 5, md.alcove)
+    table = build_fusion_table(G2, 5)
     assert table.product(tau, tau) == {(0, 0): 1, tau: 1}
     assert md.central_charge == Fraction(14, 5)
     # rank-two type A at the first admissible level: three simple currents
@@ -361,7 +361,7 @@ def reference_associativity_failures(table):
 def test_associativity_random_systems():
     for rs, kappa in [(A1, 6), (G2, 6)]:
         alcove = enumerate_alcove(rs, kappa)
-        table = build_fusion_table(rs, kappa, alcove)
+        table = build_fusion_table(rs, kappa)
         for lam in alcove:
             for mu in alcove:
                 for nu in alcove:
@@ -385,7 +385,7 @@ def test_associativity_random_systems():
         want = list(reference_associativity_failures(table))
         assert list(_associativity_failures(table)) == want, trial
     for rs, kappa in [(A1, 6), (G2, 6), (B2, 5)]:
-        table = build_fusion_table(rs, kappa, enumerate_alcove(rs, kappa))
+        table = build_fusion_table(rs, kappa)
         assert list(_associativity_failures(table)) == []
 
 DIAG = "folded coefficients = s-matrix diagonalization"
@@ -452,7 +452,7 @@ BROKEN_TABLES = {
 def test_broken_table_witnesses(name):
     rs, kappa, changes, want = BROKEN_TABLES[name]
     md = build_modular_data(rs, kappa)
-    table = build_fusion_table(rs, kappa, md.alcove)
+    table = build_fusion_table(rs, kappa)
     if name.endswith("bumped"):
         assert all(table.matrices[i][j][k] + 1 == v
                    for (i, j, k), v in changes.items())

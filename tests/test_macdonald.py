@@ -10,8 +10,9 @@ from modcat.macdonald import (WPoly, build_context, build_su_data,
                               d_coefficient, delta_k_product, dominance_leq,
                               inner_product_k, macdonald_norm,
                               macdonald_polynomial, monomial_sum,
-                              norm_formula, specialize, verify_section5)
-from modcat.numeric import CycNum, QRatFn, q_number
+                              norm_formula, verify_section5)
+from modcat.numeric import (CycNum, QRatFn, cyclotomic_polynomial,
+                            epsilon_power, q_number)
 from modcat.weyl import enumerate_ck, star
 
 A1 = build_root_system("A", 1)
@@ -109,9 +110,8 @@ def test_rank_one_k2_worked_polynomial():
 def test_k1_polynomials_are_characters():
     ctx = build_context(3, 1, 2)
     for lam in enumerate_ck(A2, 2):
-        table = weight_multiplicities(A2, lam)
         want = WPoly({w: QRatFn.from_rational(m)
-                      for w, m in table.mults.items()})
+                      for w, m in weight_multiplicities(A2, lam).items()})
         assert macdonald_polynomial(ctx, lam) == want
 
 
@@ -142,6 +142,15 @@ def test_orthogonality_grid():
             assert val.is_zero()
 
 
+def value_at(ctx, lam, point):
+    """P_lam at eps^point, term by term: c(eps^(1/2)) eps^((w, point))."""
+    acc = CycNum.zero()
+    for w, c in macdonald_polynomial(ctx, lam).terms.items():
+        acc = acc + c.eval_at_epsilon(1, ctx.kappa) * epsilon_power(
+            form(ctx.rs, w, point), 1, ctx.kappa)
+    return acc
+
+
 def test_bar_symmetry_and_point_symmetry():
     ctx = build_context(3, 2, 2)
     for lam in ctx.alcove:
@@ -149,32 +158,34 @@ def test_bar_symmetry_and_point_symmetry():
         assert p.bar(ctx.rs) == macdonald_polynomial(ctx, star(ctx.rs, lam))
     # conj(P_lam(eps^mu)) = P_{lam*}(eps^mu) = P_lam(eps^{-mu})
     for lam in ctx.alcove:
-        p_eps = specialize(ctx, lam)
-        pstar_eps = specialize(ctx, star(ctx.rs, lam))
         for mu in ctx.alcove:
             point = wscale(-2, wadd(mu, wscale(ctx.k, ctx.rs.rho)))
-            conj_val = p_eps.value_at(ctx.rs, ctx.kappa, point).conjugate()
-            assert conj_val == pstar_eps.value_at(ctx.rs, ctx.kappa, point)
-            assert conj_val == p_eps.value_at(ctx.rs, ctx.kappa,
-                                              wscale(-1, point))
+            conj_val = value_at(ctx, lam, point).conjugate()
+            assert conj_val == value_at(ctx, star(ctx.rs, lam), point)
+            assert conj_val == value_at(ctx, lam, wscale(-1, point))
+    # the special values of build_su_data are these values at x_mu
+    values = build_su_data(ctx).values
+    for l, lam in enumerate(ctx.alcove):
+        for m, mu in enumerate(ctx.alcove):
+            point = wscale(-2, wadd(mu, wscale(ctx.k, ctx.rs.rho)))
+            assert values[l][m] == value_at(ctx, lam, point)
 
 
 def test_specialization_pole_free_on_sub_alcove():
     for n, k, K in [(2, 2, 2), (2, 3, 1), (3, 2, 1)]:
         ctx = build_context(n, k, K)
-        for lam in ctx.alcove:
-            specialize(ctx, lam)   # must not raise
+        values = build_su_data(ctx).values   # must not raise
+        assert len(values) == len(ctx.alcove)
 
 
 def test_specialization_k1_matches_characters():
     ctx = build_context(2, 1, 2)
     from modcat.chardata import char_value
-    for lam in ctx.alcove:
-        p_eps = specialize(ctx, lam)
-        for mu in ctx.alcove:
+    values = build_su_data(ctx).values
+    for l, lam in enumerate(ctx.alcove):
+        for m, mu in enumerate(ctx.alcove):
             point = wscale(-2, wadd(mu, ctx.rs.rho))
-            assert (p_eps.value_at(ctx.rs, ctx.kappa, point)
-                    == char_value(ctx.rs, ctx.kappa, lam, point))
+            assert values[l][m] == char_value(ctx.rs, ctx.kappa, lam, point)
 
 
 def test_su_matrices_scalar_case():
@@ -220,15 +231,30 @@ def test_perturbed_polynomial_fails_evaluation_symmetry(n, k, K):
     rep = verify_section5(ctx)
     names = [c.name for c in rep.checks]
     assert rep.passed and EVALUATION_SYMMETRY in names
-    # P_lam + 1 in place of one specialised P_lam, lam != 0
+    # P_lam + 1 in place of one P_lam, lam != 0; the suite takes its norms
+    # from norm_formula, so only the special values change
     lam = ctx.alcove[-1]
     assert lam != ctx.rs.zero
-    ctx._specialized[lam] = specialize(ctx, lam) + WPoly(
-        {ctx.rs.zero: CycNum.one()})
+    ctx._polys[lam] = macdonald_polynomial(ctx, lam) + WPoly(
+        {ctx.rs.zero: QRatFn.one()})
     rep = verify_section5(ctx)
     assert [c.name for c in rep.checks] == names
     failed = {c.name: c.witness for c in rep.checks if c.status == "fail"}
     assert failed[EVALUATION_SYMMETRY]
+
+
+def test_pole_in_a_specialized_coefficient_is_the_only_check():
+    # a coefficient 1 / Phi_{4 kappa}(v) has a pole at v = eps^(1/2): the
+    # suite stops after its first check and names lambda and the weight
+    ctx = build_context(3, 2, 2)
+    lam = (0, 2)
+    ctx._polys[lam] = macdonald_polynomial(ctx, lam) + WPoly(
+        {(1, 1): QRatFn((1,), cyclotomic_polynomial(4 * ctx.kappa))})
+    rep = verify_section5(ctx)
+    assert [(c.name, c.status, c.witness) for c in rep.checks] == [(
+        "specialization pole-free on the sub-alcove", "fail",
+        "(0, 2): coefficient at weight (1, 1): pole at the root of unity "
+        "(lacing 1, kappa 8): denominator 1 + 1*v^16 vanishes")]
 
 
 def test_norm_criterion_detects_boundary():
@@ -393,16 +419,18 @@ def test_pairing_matches_full_product_on_random_polys(n, k):
 
 
 def test_section5_evaluates_each_special_value_once(monkeypatch):
-    # build_su_data evaluates P_l(x_m) once for every pair, and the
+    # build_su_data computes the table of P_l(x_m) in one call, and the
     # explicit-symmetry check reads those values from SUData
+    import modcat.macdonald as macdonald
+
     ctx = build_context(3, 2, 2)
     calls = []
-    value_at = WPoly.value_at
+    special_values = macdonald._special_values
 
-    def counted(self, *args):
-        calls.append(args)
-        return value_at(self, *args)
+    def counted(ctx, points):
+        calls.append(points)
+        return special_values(ctx, points)
 
-    monkeypatch.setattr(WPoly, "value_at", counted)
+    monkeypatch.setattr(macdonald, "_special_values", counted)
     assert verify_section5(ctx).passed
-    assert len(calls) == len(ctx.alcove) ** 2
+    assert len(calls) == 1 and len(calls[0]) == len(ctx.alcove)

@@ -4,7 +4,6 @@ import sys
 
 import pytest
 
-from modcat.chardata import weight_multiplicities
 from modcat.fusion import build_fusion_table
 from modcat.lie import build_root_system
 from modcat.macdonald import build_context, build_su_data
@@ -18,8 +17,8 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 def immutable_records():
     rs = build_root_system("A", 1)
     md = build_modular_data(rs, 4)
-    return [rs, md, build_fusion_table(rs, 4, md.alcove),
-            weight_multiplicities(rs, (2,)), fold_to_alcove(rs, 4, (5,)),
+    return [rs, md, build_fusion_table(rs, 4),
+            fold_to_alcove(rs, 4, (5,)),
             build_su_data(build_context(2, 1, 1)),
             CheckResult("s^2 = D^2 c", "pass")]
 
@@ -55,7 +54,6 @@ def test_mutable_records_keep_their_own_state():
     # the caches and the check list are per instance, never shared
     a, b = build_context(2, 1, 1), build_context(2, 1, 1)
     assert a._polys is not b._polys and a._norms is not b._norms
-    assert a._specialized is not b._specialized
     rep = VerificationReport(suite="modular")
     assert rep.checks is not VerificationReport(suite="modular").checks
     rep.record("s^2 = D^2 c", False, "entry (0,0)")
