@@ -16,9 +16,11 @@ recursion and Gram-Schmidt need.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import lru_cache
 from itertools import chain
 from operator import mul
+from types import MappingProxyType
 
 from .lie import (RootSystemData, Weight, _dot, _form_num, _gram_vector, wadd,
                   wscale)
@@ -80,9 +82,10 @@ def dominant_weights_below(rs: RootSystemData, lam: Weight) -> list[Weight]:
 
 @lru_cache(maxsize=None)
 def weight_multiplicities(rs: RootSystemData,
-                          lam: Weight) -> dict[Weight, int]:
+                          lam: Weight) -> Mapping[Weight, int]:
     """Exact weight diagram of V_lam by the Freudenthal recursion: each
-    weight of V_lam mapped to its multiplicity."""
+    weight of V_lam mapped to its multiplicity, read-only since every
+    caller shares the cached mapping."""
     if not is_dominant(lam):
         raise ValueError(f"highest weight {lam} is not dominant")
     doms = dominant_weights_below(rs, lam)
@@ -124,7 +127,7 @@ def weight_multiplicities(rs: RootSystemData,
         raise InternalConsistencyError(
             f"weight diagram of {lam} has dimension {dimension}, "
             f"not {weyl_dimension(rs, lam)}")
-    return full
+    return MappingProxyType(full)
 
 
 def _eps_order(rs: RootSystemData, kappa: int) -> int:

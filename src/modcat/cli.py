@@ -19,7 +19,7 @@ from .fusion import (FusionConsistencyError, build_fusion_table,
 from .lie import build_root_system
 from .macdonald import (build_context, build_su_data, macdonald_polynomial,
                         verify_section5)
-from .modular import ModularData, build_modular_data, verify_modular_relations
+from .modular import build_modular_data, verify_modular_relations
 from .numeric import (InternalConsistencyError, check_tolerance,
                       default_tolerance)
 from .weyl import enumerate_alcove, enumerate_ck
@@ -36,12 +36,9 @@ class UsageError(Exception):
 
 def _parse_algebra(text: str):
     text = text.strip()
-    if len(text) < 2 or not text[0].isalpha():
+    if not (text[:1].isalpha() and text[1:].isdigit()):
         raise UsageError(f"bad algebra name {text!r}; expected e.g. A2, B2, G2")
-    series, rank = text[0].upper(), text[1:]
-    if not rank.isdigit():
-        raise UsageError(f"bad algebra name {text!r}; expected e.g. A2, B2, G2")
-    return build_root_system(series, int(rank))
+    return build_root_system(text[0], int(text[1:]))
 
 
 def _parse_weight(text: str, rank: int):
@@ -79,19 +76,11 @@ def _matrix_out(mat, mode: str):
     return [[_cyc_out(x, mode) for x in row] for row in mat]
 
 
-def _matrix_csv(lines, label, alcove, mat):
-    header = [label] + [".".join(str(c) for c in mu) for mu in alcove]
-    lines.append(",".join(header))
-    for lam, row in zip(alcove, mat):
-        cells = [".".join(str(c) for c in lam)]
-        cells += [_fmt_complex(x.to_complex()) for x in row]
-        lines.append(",".join(cells))
-
-
-def _emit(args, text: str) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if getattr(args, "out", None):
+def _emit(args, out: dict | str) -> None:
+    """Write a handler's output to --out or stdout: text as it is, anything
+    else as indented JSON, followed by one newline."""
+    text = (out if isinstance(out, str) else json.dumps(out, indent=2)) + "\n"
+    if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -102,13 +91,11 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(args, obj) -> None:
-    _emit(args, json.dumps(obj, indent=2))
-
-
 # -- subcommand handlers -------------------------------------------------------
+# Each returns its output: a JSON-ready object, or the text of a csv or
+# pretty view.  main writes it.
 
-def _cmd_lie_info(args) -> int:
+def _cmd_lie_info(args) -> dict | str:
     rs = _parse_algebra(args.algebra)
     obj = {
         "algebra": f"{rs.series}{rs.rank}",
@@ -126,14 +113,11 @@ def _cmd_lie_info(args) -> int:
         "gram_primed": [[str(x) for x in row] for row in rs.gram_primed],
     }
     if args.format == "pretty":
-        lines = [f"{k}: {v}" for k, v in obj.items()]
-        _emit(args, "\n".join(lines))
-    else:
-        _emit_json(args, obj)
-    return 0
+        return "\n".join(f"{k}: {v}" for k, v in obj.items())
+    return obj
 
 
-def _cmd_alcove(args) -> int:
+def _cmd_alcove(args) -> dict | str:
     cat, mac = (args.algebra, args.kappa), (args.n, args.level)
     if None not in cat and mac == (None, None):
         rs = _parse_algebra(args.algebra)
@@ -149,37 +133,48 @@ def _cmd_alcove(args) -> int:
         raise UsageError("alcove needs either --algebra and --kappa, "
                          "or --n and --K")
     if args.format == "pretty":
-        _emit(args, "\n".join(",".join(str(c) for c in w)
-                              for w in obj["weights"]))
-    else:
-        _emit_json(args, obj)
-    return 0
+        return "\n".join(",".join(map(str, w)) for w in weights)
+    return obj
 
 
-def _cmd_dims(args) -> int:
+def _cmd_dims(args) -> dict | str:
     rs = _parse_algebra(args.algebra)
     weights = enumerate_alcove(rs, args.kappa)
     dims = [quantum_dim(rs, args.kappa, lam) for lam in weights]
     if args.format == "csv":
-        lines = ["weight,dim"]
-        for lam, d in zip(weights, dims):
-            lines.append(".".join(str(c) for c in lam) + ","
-                         + f"{d.to_complex().real:.12g}")
-        _emit(args, "\n".join(lines))
-    elif args.format == "pretty":
-        lines = [f"{lam}: {_fmt_complex(d.to_complex())}"
-                 for lam, d in zip(weights, dims)]
-        _emit(args, "\n".join(lines))
-    else:
-        obj = {"algebra": f"{rs.series}{rs.rank}", "kappa": args.kappa,
-               "mode": args.mode,
-               "dims": [{"weight": list(lam), "dim": _cyc_out(d, args.mode)}
-                        for lam, d in zip(weights, dims)]}
-        _emit_json(args, obj)
-    return 0
+        return "\n".join(["weight,dim"] + [
+            f"{'.'.join(map(str, lam))},{d.to_complex().real:.12g}"
+            for lam, d in zip(weights, dims)])
+    if args.format == "pretty":
+        return "\n".join(f"{lam}: {_fmt_complex(d.to_complex())}"
+                         for lam, d in zip(weights, dims))
+    return {"algebra": f"{rs.series}{rs.rank}", "kappa": args.kappa,
+            "mode": args.mode,
+            "dims": [{"weight": list(lam), "dim": _cyc_out(d, args.mode)}
+                     for lam, d in zip(weights, dims)]}
 
 
-def _modular_json(md: ModularData, mode: str):
+def _cmd_modular(args) -> dict | str:
+    md = build_modular_data(_parse_algebra(args.algebra), args.kappa)
+    if args.format == "csv":
+        lines = []
+        labels = [".".join(map(str, lam)) for lam in md.alcove]
+        for label, mat in (("s", md.smatrix), ("t", md.tmatrix)):
+            lines += [f"# matrix {label}", ",".join([label] + labels)]
+            lines += [",".join([lam] + [_fmt_complex(x.to_complex())
+                                        for x in row])
+                      for lam, row in zip(labels, mat)]
+        return "\n".join(lines)
+    if args.format == "pretty":
+        lines = [f"alcove: {[list(w) for w in md.alcove]}"]
+        for label, mat in (("s", md.smatrix), ("t", md.tmatrix)):
+            lines.append(f"{label}:")
+            lines += ["  " + "  ".join(_fmt_complex(x.to_complex())
+                                       for x in row) for row in mat]
+        lines.append(f"D^2 = {_fmt_complex(md.d_squared.to_complex())}, "
+                     f"central charge = {md.central_charge}")
+        return "\n".join(lines)
+    mode = args.mode
     return {
         "algebra": f"{md.rs.series}{md.rs.rank}",
         "kappa": md.kappa,
@@ -197,36 +192,13 @@ def _modular_json(md: ModularData, mode: str):
     }
 
 
-def _cmd_modular(args) -> int:
-    md = build_modular_data(_parse_algebra(args.algebra), args.kappa)
-    if args.format == "csv":
-        lines = []
-        for label, mat in (("s", md.smatrix), ("t", md.tmatrix)):
-            lines.append(f"# matrix {label}")
-            _matrix_csv(lines, label, md.alcove, mat)
-        _emit(args, "\n".join(lines))
-    elif args.format == "pretty":
-        lines = [f"alcove: {[list(w) for w in md.alcove]}"]
-        for label, mat in (("s", md.smatrix), ("t", md.tmatrix)):
-            lines.append(f"{label}:")
-            for row in mat:
-                lines.append("  " + "  ".join(_fmt_complex(x.to_complex())
-                                              for x in row))
-        lines.append(f"D^2 = {_fmt_complex(md.d_squared.to_complex())}, "
-                     f"central charge = {md.central_charge}")
-        _emit(args, "\n".join(lines))
-    else:
-        _emit_json(args, _modular_json(md, args.mode))
-    return 0
-
-
 def _product_json(lam, mu, prod):
     return {"lambda": list(lam), "mu": list(mu),
             "result": [{"nu": list(nu), "mult": prod[nu]}
                        for nu in sorted(prod)]}
 
 
-def _cmd_fusion(args) -> int:
+def _cmd_fusion(args) -> dict:
     rs = _parse_algebra(args.algebra)
     if (args.lhs is None) != (args.rhs is None):
         raise UsageError("--lhs and --rhs go together")
@@ -237,34 +209,26 @@ def _cmd_fusion(args) -> int:
         if lam not in alcove or mu not in alcove:
             raise UsageError(f"weights must lie in the alcove {list(alcove)}")
         prod = fusion_coefficients(rs, args.kappa, lam, mu)
-        _emit_json(args, {"algebra": f"{rs.series}{rs.rank}",
-                          "kappa": args.kappa, **_product_json(lam, mu, prod)})
-        return 0
+        return {"algebra": f"{rs.series}{rs.rank}", "kappa": args.kappa,
+                **_product_json(lam, mu, prod)}
     table = build_fusion_table(rs, args.kappa)
     alcove = table.alcove
     products = [_product_json(lam, mu, table.product(lam, mu))
                 for lam in alcove for mu in alcove]
-    obj = {"algebra": f"{rs.series}{rs.rank}", "kappa": args.kappa,
-           "alcove": [list(w) for w in alcove], "products": products}
-    _emit_json(args, obj)
-    return 0
+    return {"algebra": f"{rs.series}{rs.rank}", "kappa": args.kappa,
+            "alcove": [list(w) for w in alcove], "products": products}
 
 
-def _cmd_macdonald(args) -> int:
+def _cmd_macdonald(args) -> dict:
     if args.macdonald_cmd == "poly":
         ctx = build_context(args.n, args.k, 0)
         lam = _parse_weight(args.lam, ctx.rs.rank)
-        if not all(c >= 0 for c in lam):
-            raise UsageError(f"weight {lam} is not dominant")
         poly = macdonald_polynomial(ctx, lam)
-        obj = {"n": args.n, "k": args.k, "lambda": list(lam),
-               "terms": [{"weight": list(w), "coeff": c.to_json_obj()}
-                         for w, c in poly.sorted_terms()]}
-        _emit_json(args, obj)
-        return 0
-    ctx = build_context(args.n, args.k, args.level)
-    su = build_su_data(ctx)
-    obj = {
+        return {"n": args.n, "k": args.k, "lambda": list(lam),
+                "terms": [{"weight": list(w), "coeff": c.to_json_obj()}
+                          for w, c in poly.sorted_terms()]}
+    su = build_su_data(build_context(args.n, args.k, args.level))
+    return {
         "n": su.n, "k": su.k, "K": su.level, "kappa": su.kappa,
         "mode": args.mode,
         "alcove": [list(w) for w in su.alcove],
@@ -274,11 +238,10 @@ def _cmd_macdonald(args) -> int:
         "twist_u": _cyc_out(su.twist_u, args.mode),
         "norms": [_cyc_out(x, args.mode) for x in su.norms_eps],
     }
-    _emit_json(args, obj)
-    return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[dict | str, int]:
+    """The reports and the exit code: VERIFY_ERROR when a suite fails."""
     tol = args.tolerance if args.tolerance is not None else default_tolerance()
     reports = []
     sets = {"--algebra and --kappa": (args.algebra, args.kappa),
@@ -309,14 +272,10 @@ def _cmd_verify(args) -> int:
 
     passed = all(r.passed for r in reports)
     if args.format == "pretty":
-        lines = []
-        for r in reports:
-            lines.extend(r.pretty_lines())
-        _emit(args, "\n".join(lines))
+        out = "\n".join(line for r in reports for line in r.pretty_lines())
     else:
-        _emit_json(args, {"suites": [r.to_json_obj() for r in reports],
-                          "passed": passed})
-    return 0 if passed else VERIFY_ERROR
+        out = {"suites": [r.to_json_obj() for r in reports], "passed": passed}
+    return out, 0 if passed else VERIFY_ERROR
 
 
 # -- argument wiring -----------------------------------------------------------
@@ -410,7 +369,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        out = args.handler(args)
+        out, code = out if isinstance(out, tuple) else (out, 0)
+        _emit(args, out)
+        return code
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -460,11 +460,17 @@ def verify_section5(ctx: MacdonaldContext,
     rep.check("S^2 = conjugation permutation with phase", mismatches(
         s2, monomial_matrix([su.conj_scalar] * size, sp), alcove))
 
-    product = su.conj_scalar * thm55_scalar
+    # kappa_C = (S^2)_00 and the dual-basis phase conj(S_00) / S_00, read off
+    # the matrices at the unit 0 = 0*, so that neither check holds by
+    # construction
+    zero = alcove.index(rs.zero)
+    kappa_c = s2[zero][zero]
+    phase = s[zero][zero].conjugate() / s[zero][zero]
+    product = kappa_c * phase
     rep.record("conjugation scalars of S^2 and the dual basis map are inverse",
                product == CycNum.one(), f"{product!r} vs {CycNum.one()!r}")
 
-    square = su.conj_scalar * su.conj_scalar
+    square = kappa_c * kappa_c
     inv_twist = su.twist_u.inverse()
     rep.record("conj_scalar^2 = 1 / twist_u", square == inv_twist,
                f"{square!r} vs {inv_twist!r}")
@@ -487,7 +493,6 @@ def verify_section5(ctx: MacdonaldContext,
     # at x_m = eps^(-2(m + k rho)), from the polynomials alone: no d_l, no
     # norms
     values = su.values
-    zero = alcove.index(rs.zero)
     explicit = [[values[l][m] * values[m][zero] for m in idx] for l in idx]
     rep.check("explicit symmetry through polynomial special values",
               mismatches(explicit, zip(*explicit), alcove))

@@ -5,12 +5,14 @@ One polynomial kernel over ascending lists of ``int`` coefficients
 exact division and gcd in Z[x]; ``_clear_denominators`` turns ``Fraction``
 input into integers once) carries three domains:
 
-* ``CycNum`` -- an element of the cyclotomic field Q(zeta_L), stored in
-  canonical form over the power basis {zeta_L^e : 0 <= e < phi(L)} with an
-  integer coefficient vector over a common positive denominator.  Equality
-  of value coincides with equality of the canonical form, so the zero test
-  is exact.  Arithmetic between different orders lifts both operands to
-  the least common multiple of the orders.  ``galois(a)`` maps zeta to
+* ``CycNum`` -- an element of the cyclotomic field Q(zeta_L), stored over
+  the power basis {zeta_L^e : 0 <= e < phi(L)} with an integer coefficient
+  vector over a common positive denominator.  The form is canonical for
+  its order L, so the zero test is exact; ``==`` compares two values at
+  their common order.  The order kept can exceed the least one that holds
+  the value, so one value can print in more than one form: i*(-i) at
+  order 4, 1 at order 1.  Arithmetic between different orders lifts both
+  operands to the least common multiple of the orders.  ``galois(a)`` maps zeta to
   zeta^a; an inverse is the product of the other conjugates over the norm.
   Fast paths keep to that form: equal orders need no lift, a rational
   operand scales the coordinates, and c zeta^e inverts to (1/c) zeta^-e.
@@ -212,7 +214,9 @@ def _reduce_exponents(order: int, pairs) -> list[int]:
 
 
 class CycNum:
-    """Exact element of a cyclotomic field, in canonical form."""
+    """Exact element of a cyclotomic field, in the canonical form for its
+    order.  == compares two values at their common order; the order kept
+    can exceed the least one that holds the value."""
 
     __slots__ = ("order", "num", "den")
 

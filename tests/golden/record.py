@@ -6,8 +6,9 @@ Runs each command of COMMANDS once through modcat.cli.main and writes its
 stdout to <outdir>/<name>.out, plus manifest.json mapping each name to its
 argv.  outdir defaults to this directory; point it elsewhere to compare
 another interpreter's outputs with the recorded ones by diff.  Every command
-is exact-mode json or csv, whose bytes carry no durations.  Record only from
-a commit whose outputs are known to be right; the test trusts these files.
+is exact-mode json, csv or pretty, whose bytes carry no durations.  Record
+only from a commit whose outputs are known to be right; the test trusts
+these files.
 """
 
 import contextlib
@@ -76,6 +77,16 @@ COMMANDS = {
     # depends on the order in which the special values are summed
     "macdonald-su-n3-k2-K3": ["macdonald", "su", "--n", "3", "--k", "2",
                               "--K", "3"],
+    # the pretty view of each command that has one, bar verify, whose
+    # pretty lines carry durations
+    "lie-info-G2-pretty": ["lie-info", "--algebra", "G2", "--format",
+                           "pretty"],
+    "alcove-n3-K2-pretty": ["alcove", "--n", "3", "--K", "2", "--format",
+                            "pretty"],
+    "dims-A2-k5-pretty": ["dims", "--algebra", "A2", "--kappa", "5",
+                          "--format", "pretty"],
+    "modular-B2-k4-pretty": ["modular", "--algebra", "B2", "--kappa", "4",
+                             "--format", "pretty"],
 }
 
 

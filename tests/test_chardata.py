@@ -11,6 +11,7 @@ from modcat.chardata import (_binomial_product, alternating_sum, char_value,
                              weyl_denominator_value, weyl_dimension)
 from modcat.lie import (_gram_vector, build_root_system, form,
                         root_alpha_coords, wadd, wscale, wsub)
+from modcat.fusion import classical_tensor
 from modcat.macdonald import build_context, d_coefficient, d_prefactor
 from modcat.modular import twist
 from modcat.numeric import (CycNum, QRatFn, _prime_factors, epsilon_power,
@@ -47,6 +48,14 @@ def test_non_dominant_rejected():
         weight_multiplicities(A2, (-1, 0))
     with pytest.raises(ValueError):
         quantum_dim(A2, 4, (-1, 0))
+
+
+def test_cached_multiplicities_are_read_only():
+    # every caller shares the cached diagram, so no caller may write to it
+    mults = weight_multiplicities(A2, (1, 0))
+    with pytest.raises(TypeError):
+        mults[(1, 0)] = 2
+    assert classical_tensor(A2, (1, 0), (1, 0)) == {(2, 0): 1, (0, 1): 1}
 
 
 @pytest.mark.parametrize("rs,lam", [

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import time
 
 import pytest
@@ -155,6 +156,68 @@ def test_verify_exit_codes(capsys):
     assert all(c["status"] == "pass" for c in checks)
 
 
+def test_verify_pretty_lines(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--algebra",
+                           "A1", "--kappa", "3", "--format", "pretty")
+    assert code == 0
+    lines = re.sub(r"in \d+\.\d\ds$", "in <t>s", out, flags=re.M)
+    lines = lines.splitlines()
+    assert [line for line in lines if line.startswith("suite ")] == [
+        "suite modular", "suite fusion", "suite grothendieck"]
+    assert lines.count("  => PASSED in <t>s") == 3
+    assert "  [ok  ] s^2 = D^2 c" in lines
+    assert all(line.startswith(("suite ", "  [ok  ] ", "  => PASSED in "))
+               for line in lines)
+
+
+def test_verify_failing_check_carries_its_witness(capsys, monkeypatch):
+    import modcat.cli as cli
+    from modcat.modular import build_modular_data
+
+    def off_by_one(rs, kappa):
+        md = build_modular_data(rs, kappa)
+        return md._replace(d_squared=md.d_squared + 1)
+
+    monkeypatch.setattr(cli, "build_modular_data", off_by_one)
+    argv = ("verify", "--suite", "modular", "--algebra", "A1", "--kappa", "4")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["passed"] is False and obj["suites"][0]["passed"] is False
+    checks = {c["name"]: c for c in obj["suites"][0]["checks"]}
+    assert checks["D^2 closed form |P/kQv| (-1)^|R+| delta^-2"] == {
+        "name": "D^2 closed form |P/kQv| (-1)^|R+| delta^-2",
+        "status": "fail", "witness": "CycNum(5) vs CycNum(4)"}
+    code, out, _ = run_cli(capsys, *argv, "--format", "pretty")
+    assert code == 1
+    assert ("  [FAIL] D^2 closed form |P/kQv| (-1)^|R+| delta^-2  "
+            "(CycNum(5) vs CycNum(4))") in out.splitlines()
+    assert re.search(r"^  => FAILED in \d+\.\d\ds$", out, flags=re.M)
+
+
+def test_bad_algebra_names(capsys):
+    for name in ("2A", "Ax", "A", ""):
+        code, out, err = run_cli(capsys, "lie-info", "--algebra", name)
+        assert code == 2 and out == "" and "bad algebra name" in err, name
+    code, out, _ = run_cli(capsys, "lie-info", "--algebra", " g2 ")
+    assert code == 0 and json.loads(out)["algebra"] == "G2"
+
+
+def test_bad_weights(capsys):
+    for lhs, message in (("1,x", "bad weight '1,x'"),
+                         ("1,0", "weight '1,0' has 2 coordinates")):
+        code, out, err = run_cli(capsys, "fusion", "--algebra", "A1",
+                                 "--kappa", "4", "--lhs", lhs, "--rhs", "1")
+        assert code == 2 and out == "" and message in err, lhs
+
+
+def test_macdonald_poly_rejects_non_dominant_weight(capsys):
+    code, out, err = run_cli(capsys, "macdonald", "poly", "--n", "2", "--k",
+                             "2", "--lambda", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: need a dominant weight, got (-1,)\n"
+
+
 def test_verify_section5(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "section5", "--n",
                            "2", "--k", "2", "--K", "2")
@@ -175,6 +238,10 @@ def test_verify_all_with_both_parameter_sets(capsys):
 def test_verify_usage_errors(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "modular")
     assert code == 2 and "needs" in err
+    code, out, err = run_cli(capsys, "verify", "--suite", "all")
+    assert code == 2 and out == ""
+    assert err == ("error: suite all needs --algebra and --kappa or "
+                   "--n, --k and --K\n")
     code, _, err = run_cli(capsys, "verify", "--suite", "section5")
     assert code == 2
     # a partial set of flags, or a set the suite does not read

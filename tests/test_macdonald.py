@@ -222,6 +222,34 @@ def test_section5_reports_pass():
         assert rep.passed, [c.name for c in rep.checks if c.status == "fail"]
 
 
+CONJ_PRODUCT = "conjugation scalars of S^2 and the dual basis map are inverse"
+CONJ_SQUARE = "conj_scalar^2 = 1 / twist_u"
+
+
+@pytest.mark.parametrize("scale,failing", [
+    (CycNum.from_rational(2), {CONJ_PRODUCT, CONJ_SQUARE}),
+    (CycNum.root_of_unity(8, 1), {CONJ_SQUARE}),
+])
+def test_scaled_s_fails_the_conjugation_scalar_checks(monkeypatch, scale,
+                                                      failing):
+    # both checks read kappa_C off S^2 and the dual-basis phase off S, so a
+    # rescaled S breaks them while SUData's own scalars stay right; a phase
+    # z scales kappa_C by z^2 and the dual-basis phase by z^-2
+    import modcat.macdonald as macdonald
+    build = macdonald.build_su_data
+
+    def scaled(ctx):
+        su = build(ctx)
+        return su._replace(smatrix=[[scale * x for x in row]
+                                    for row in su.smatrix])
+
+    monkeypatch.setattr(macdonald, "build_su_data", scaled)
+    for n, k, K in [(2, 2, 2), (3, 2, 2)]:
+        rep = verify_section5(build_context(n, k, K))
+        failed = {c.name for c in rep.checks if c.status == "fail"}
+        assert failed & {CONJ_PRODUCT, CONJ_SQUARE} == failing, (n, k, K)
+
+
 EVALUATION_SYMMETRY = "explicit symmetry through polynomial special values"
 
 
