@@ -311,6 +311,88 @@ def test_wpoly_invariance_checker():
     assert not broken.is_w_invariant(A2)
 
 
+# -- the generic suite's witnesses ----------------------------------------------
+#
+# verify_generic_macdonald(3, 2, 2) on a context whose P_(1,1) is perturbed:
+# no grid weight lies above (1, 1), so no other P_lam is built from it and
+# only the checks that read P_(1,1) fail.
+
+ORTHOGONALITY = "pairwise orthogonality"
+NORMS = "constant-term norms equal the closed product"
+TRIANGULARITY = "unit leading coefficient and triangular support"
+WEYL = "Weyl invariance"
+HERMITIAN = "hermitian symmetry of the pairing"
+
+NORM_11 = ("QRatFn((1*v^-12 + 1*v^-8 + 3*v^-4 + 3 + 4*v^4 + 4*v^8 + 4*v^12 + "
+           "3*v^16 + 3*v^20 + 1*v^24 + 1*v^28) / (1 + 1*v^4 + 1*v^8 + "
+           "1*v^12 + 1*v^16))")
+
+
+def _failed_checks(rep):
+    return {c.name: c.witness for c in rep.checks if c.status == "fail"}
+
+
+@pytest.mark.parametrize("extra,witnesses", [
+    # a doubled leading term
+    ({(1, 1): QRatFn.one()}, {
+        TRIANGULARITY: "leading coefficient of (1, 1): QRatFn(2) vs QRatFn(1)",
+        ORTHOGONALITY: (
+            "((0, 0), (1, 1)): QRatFn(-1/3*v^-12 + -5/6*v^-8 + -7/6*v^-4 + "
+            "-4/3 + -7/6*v^4 + -5/6*v^8 + -1/3*v^12) vs 0"),
+        NORMS: (
+            "(1, 1): QRatFn((7/6*v^-12 + 5/6*v^-8 + 8/3*v^-4 + 5/3 + "
+            "13/6*v^4 + 2*v^8 + 13/6*v^12 + 5/3*v^16 + 8/3*v^20 + 5/6*v^24 + "
+            "7/6*v^28) / (1 + 1*v^4 + 1*v^8 + 1*v^12 + 1*v^16)) vs " + NORM_11),
+        WEYL: "(1, 1): P_lam is not invariant under the simple reflections",
+    }),
+    # one term above (1, 1) in dominance
+    ({(3, 0): QRatFn.one()}, {
+        TRIANGULARITY: "support of (1, 1) leaks to (3, 0)",
+        ORTHOGONALITY: (
+            "((0, 0), (1, 1)): QRatFn(1/3*v^-12 + 1*v^-8 + 5/3*v^-4 + 2 + "
+            "5/3*v^4 + 1*v^8 + 1/3*v^12) vs 0"),
+        NORMS: (
+            "(1, 1): QRatFn((1/3*v^-12 + -1/6*v^-8 + 1*v^-4 + 1 + 11/6*v^4 + "
+            "2*v^8 + 11/6*v^12 + 1*v^16 + 1*v^20 + -1/6*v^24 + 1/3*v^28) / "
+            "(1 + 1*v^4 + 1*v^8 + 1*v^12 + 1*v^16)) vs " + NORM_11),
+        "bar sends P_lam to P_{lam*}": "(1, 1): bar P_lam differs from P_(1, 1)",
+        WEYL: "(1, 1): P_lam is not invariant under the simple reflections",
+    }),
+], ids=["lead", "leak"])
+def test_perturbed_polynomial_witnesses(monkeypatch, extra, witnesses):
+    import modcat.macdonald as macdonald
+
+    ctx = build_context(3, 2, 2)
+    lam = (1, 1)
+    assert not any(dominance_leq(ctx.rs, lam, mu) for mu in ctx.alcove
+                   if mu != lam)
+    ctx._polys[lam] = macdonald_polynomial(ctx, lam) + WPoly(extra)
+    monkeypatch.setattr(macdonald, "build_context", lambda n, k, bound: ctx)
+    rep = macdonald.verify_generic_macdonald(3, 2, 2)
+    assert _failed_checks(rep) == witnesses
+
+
+def test_non_hermitian_pairing_witnesses(monkeypatch):
+    # the pairing times v: the Gram-Schmidt quotients and so every P_lam
+    # stay, zero stays zero, and the pairing is no longer hermitian
+    import modcat.macdonald as macdonald
+
+    pairing = macdonald.inner_product_k
+    monkeypatch.setattr(macdonald, "inner_product_k", lambda ctx, f, g: (
+        pairing(ctx, f, g) * QRatFn.monomial(1)))
+    rep = macdonald.verify_generic_macdonald(3, 2, 2)
+    assert _failed_checks(rep) == {
+        NORMS: (
+            "(0, 0): QRatFn(1*v^-11 + 2*v^-7 + 3*v^-3 + 3*v^1 + 3*v^5 + "
+            "2*v^9 + 1*v^13) vs QRatFn(1*v^-12 + 2*v^-8 + 3*v^-4 + 3 + "
+            "3*v^4 + 2*v^8 + 1*v^12)"),
+        HERMITIAN: (
+            "((0, 0), (0, 0)): QRatFn(1*v^-11 + 2*v^-7 + 3*v^-3 + 3*v^1 + "
+            "3*v^5 + 2*v^9 + 1*v^13) vs QRatFn(1*v^-13 + 2*v^-9 + 3*v^-5 + "
+            "3*v^-1 + 3*v^3 + 2*v^7 + 1*v^11)"),
+    }
+
+
 # -- the QRatFn-per-step routes, as independent checkers ----------------------
 #
 # delta_k_product, inner_product_k and norm_formula sum in integer Laurent
