@@ -1,15 +1,19 @@
 """Type-A Macdonald polynomials and the modular action on intertwiners.
 
 The polynomials are built at generic q by Gram-Schmidt over the monomial
-symmetric sums in dominance order, with the constant-term inner product
-whose density is the paired product delta_k bar(delta_k).  The pairing is
-a constant-term sum over matching weights: each term of f meets each term
-of bar(g) whose weight sum is minus a weight of the density.  Its sums run
-over the integer numerators (QRatFn.low, QRatFn.num) of the coefficients,
-one running sum per pair of coefficient denominators QRatFn.den, and each
-pair is normalised to a QRatFn once.  The density is likewise multiplied
-out in integers, and the closed-form norm as one q-number quotient, before
-they are normalised.  Everything is exact: rational functions of
+symmetric sums m_lam in dominance order, with the constant-term inner
+product whose density is the paired product delta_k bar(delta_k).  Each
+overlap <m_lam, P_mu> and each norm <m_lam, P_lam> pairs the unit
+coefficients of m_lam; since the P_mu are orthogonal, these equal the
+overlaps with the partly reduced polynomial and <P_lam, P_lam>.  The
+pairing is a constant-term sum over matching weights: each term of f meets
+each term of bar(g) whose weight sum is minus a weight of the density.
+Its sums run over the integer numerators (QRatFn.low, QRatFn.num) of the
+coefficients, one running sum per pair of coefficient denominators
+QRatFn.den, and each pair is normalised to a QRatFn once.  The density is
+multiplied out in integers and kept so, as the integer Laurent terms the
+pairing reads; the closed-form norm is one q-number quotient, built
+already reduced.  Everything is exact: rational functions of
 v = q^(1/2) at generic q, cyclotomic numbers at the root of unity.  The
 modular matrices on the intertwiner basis are assembled from the special
 values P_lam(x_mu) (SUData.values), which _special_values alone computes
@@ -144,18 +148,22 @@ def _add_product(acc: dict[int, int], a, b) -> None:
             acc[e] = acc.get(e, 0) + c1 * c2
 
 
-def _ratio(acc: dict[int, int], den=(1,), shift: int = 0) -> QRatFn:
-    """v^shift (the sum of c v^e over acc) / den."""
-    low, coeffs = _dense(acc.items())
+def _ratio(terms, den=(1,), shift: int = 0) -> QRatFn:
+    """v^shift (the sum of c v^e over the terms (e, c)) / den."""
+    low, coeffs = _dense(terms)
     return QRatFn(coeffs, den, low + shift)
 
 
 def delta_k_product(rs: RootSystemData, k: int) -> WPoly:
     """The paired density: prod over i < k and positive alpha of
-    (e^alpha - (q^2i + q^-2i) + e^-alpha), which is weight-integral.
+    (e^alpha - (q^2i + q^-2i) + e^-alpha), which is weight-integral."""
+    return WPoly({w: _ratio(c) for w, c in _density(rs, k).items()})
 
-    The factors are multiplied out with integer Laurent coefficients; each
-    coefficient becomes a QRatFn once, at the end."""
+
+def _density(rs: RootSystemData, k: int) -> dict[Weight, list]:
+    """delta_k_product as weight -> the nonzero terms (exponent of v,
+    integer coefficient) of its Laurent polynomial coefficient: the factors
+    are multiplied out in integers and never normalised."""
     if k < 1:
         raise ValueError("the density needs k >= 1")
     zero = rs.zero
@@ -171,7 +179,8 @@ def delta_k_product(rs: RootSystemData, k: int) -> WPoly:
                     _add_product(nxt.setdefault(wadd(w, shift), {}),
                                  c.items(), x)
             out = nxt
-    return WPoly({w: _ratio(c) for w, c in out.items()})
+    terms = {w: [(e, x) for e, x in c.items() if x] for w, c in out.items()}
+    return {w: t for w, t in terms.items() if t}
 
 
 def norm_formula(rs: RootSystemData, k: int, lam: Weight) -> QRatFn:
@@ -217,14 +226,16 @@ def norm_formula(rs: RootSystemData, k: int, lam: Weight) -> QRatFn:
 class MacdonaldContext:
     """Per-(n, k, level) workspace with caches for polynomials and norms.
 
-    sigma is the calibrated sign of the inner product, delta the paired
-    density of delta_k_product and group_order the order of W; _polys and
-    _norms cache P_lam and (P_lam, P_lam) at generic q.
+    sigma is the calibrated sign of the inner product and group_order the
+    order of W.  delta is the paired density of delta_k_product as the
+    pairing reads it: weight -> the nonzero integer terms (exponent of v,
+    coefficient) of its Laurent polynomial coefficient.  _polys caches
+    P_lam and _norms caches <m_lam, P_lam> = <P_lam, P_lam> at generic q.
     """
 
     def __init__(self, n: int, k: int, level: int, kappa: int,
                  rs: RootSystemData, alcove: tuple[Weight, ...], sigma: int,
-                 delta: WPoly, group_order: int) -> None:
+                 delta: dict[Weight, list], group_order: int) -> None:
         self.n, self.k, self.level, self.kappa = n, k, level, kappa
         self.rs, self.alcove, self.sigma = rs, alcove, sigma
         self.delta, self.group_order = delta, group_order
@@ -241,11 +252,10 @@ def build_context(n: int, k: int, level: int) -> MacdonaldContext:
         raise ValueError("need a non-negative level bound")
     rs = build_root_system("A", n - 1)
     kappa = level + k * rs.dual_coxeter
-    delta = delta_k_product(rs, k)
+    delta = _density(rs, k)
     order = weyl_order(rs)
     # calibrate the inner-product sign so that (1,1) equals the closed form
-    raw = delta.constant_term()
-    raw = (raw if raw is not None else QRatFn.zero()) / order
+    raw = _ratio(delta.get(rs.zero, ()), (order,))
     want = norm_formula(rs, k, rs.zero)
     if raw == want:
         sigma = 1
@@ -269,7 +279,7 @@ def inner_product_k(ctx: MacdonaldContext, f: WPoly, g: WPoly) -> QRatFn:
     integer numerators of the coefficients are multiplied and summed per
     pair of their integer denominators, and each pair's sum becomes a
     QRatFn once."""
-    rs, delta = ctx.rs, ctx.delta.terms
+    rs, delta = ctx.rs, ctx.delta
     # bar on g's numerators here, on its denominators once per group below
     g_bar = [(star(rs, w), [(-e, x) for e, x in _terms(c)], c.den)
              for w, c in g.terms.items()]
@@ -286,27 +296,33 @@ def inner_product_k(ctx: MacdonaldContext, f: WPoly, g: WPoly) -> QRatFn:
     for (den_a, den_b), by_weight in groups.items():
         acc: dict[int, int] = {}
         for w, num in by_weight.items():
-            _add_product(acc, num.items(), _terms(delta[w]))
+            _add_product(acc, num.items(), delta[w])
         # den_b(1/v) = v^(1 - len den_b) (den_b reversed)(v)
-        total = total + _ratio(acc, _pmul(den_a, den_b[::-1]), len(den_b) - 1)
+        total = total + _ratio(acc.items(), _pmul(den_a, den_b[::-1]),
+                               len(den_b) - 1)
     return total * Fraction(ctx.sigma, ctx.group_order)
 
 
 def macdonald_polynomial(ctx: MacdonaldContext, lam: Weight) -> WPoly:
     """P_lam at generic q: unit leading coefficient, orthogonal to all
-    dominance-lower polynomials."""
+    dominance-lower polynomials.
+
+    P_lam = m_lam - sum over mu < lam of <m_lam, P_mu> / <P_mu, P_mu> P_mu.
+    Each overlap pairs the monomial sum m_lam, whose coefficients are 1,
+    and not the partly reduced polynomial: the P_mu are orthogonal, so the
+    two overlaps are equal."""
     if not is_dominant(lam):
         raise ValueError(f"need a dominant weight, got {lam}")
     cached = ctx._polys.get(lam)
     if cached is not None:
         return cached
     rs = ctx.rs
-    poly = monomial_sum(rs, lam)
+    m_lam = poly = monomial_sum(rs, lam)
     for mu in dominant_weights_below(rs, lam):
         if mu == lam:
             continue
         p_mu = macdonald_polynomial(ctx, mu)
-        overlap = inner_product_k(ctx, poly, p_mu)
+        overlap = inner_product_k(ctx, m_lam, p_mu)
         if overlap.is_zero():
             continue
         poly = poly - p_mu.scale(overlap / macdonald_norm(ctx, mu))
@@ -315,11 +331,12 @@ def macdonald_polynomial(ctx: MacdonaldContext, lam: Weight) -> WPoly:
 
 
 def macdonald_norm(ctx: MacdonaldContext, lam: Weight) -> QRatFn:
-    """(P_lam, P_lam) at generic q, from the constant-term pairing."""
+    """<P_lam, P_lam> at generic q, computed as <m_lam, P_lam>: P_lam - m_lam
+    is a sum of lower P_mu, all orthogonal to P_lam."""
     cached = ctx._norms.get(lam)
     if cached is None:
-        p = macdonald_polynomial(ctx, lam)
-        cached = inner_product_k(ctx, p, p)
+        cached = inner_product_k(ctx, monomial_sum(ctx.rs, lam),
+                                 macdonald_polynomial(ctx, lam))
         ctx._norms[lam] = cached
     return cached
 

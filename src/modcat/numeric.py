@@ -2,8 +2,9 @@
 
 One polynomial kernel over ascending lists of ``int`` coefficients
 (``_strip``, ``_pmul``, ``_padd``, and ``_pdivexact`` and ``_poly_gcd``,
-exact division and gcd in Z[x]; ``_clear_denominators`` turns ``Fraction``
-input into integers once) carries three domains:
+exact division and gcd in Z[x]; ``_clear_denominators`` turns the
+``Fraction`` coefficients read by ``from_json_obj`` into integers once)
+carries three domains:
 
 * ``CycNum`` -- an element of the cyclotomic field Q(zeta_L), stored over
   the power basis {zeta_L^e : 0 <= e < phi(L)} with an integer coefficient
@@ -25,10 +26,10 @@ input into integers once) carries three domains:
 
 * ``QRatFn`` -- a rational function v^low num(v) / den(v) over Q in a
   formal variable v standing for a square root of q, the one format of
-  every generic-q scalar.  num and den are integer coefficient tuples,
-  divided exactly by their gcd in Z[v] and by the gcd of all their
-  coefficients, with nonzero constant terms and den[-1] > 0; so the form
-  is unique.  The bar involution sends v to 1/v; evaluation at
+  every generic-q scalar.  The constructor takes int coefficients only.
+  num and den are integer coefficient tuples, divided exactly by their gcd
+  in Z[v] and by the gcd of all their coefficients, with nonzero constant
+  terms and den[-1] > 0; so the form is unique.  The bar involution sends v to 1/v; evaluation at
   v = eps^(1/2) is one ``CycNum.from_tally`` each for num and den.
 
 * plain ``complex`` -- the float mode used for cross-checks only, with a
@@ -662,16 +663,16 @@ class QRatFn:
     __slots__ = ("low", "num", "den")
 
     def __init__(self, num, den=(1,), low: int = 0, _reduced: bool = False):
-        """Reduce v^low num(v) / den(v), for ascending coefficient
-        sequences of ints or Fractions; _reduced takes them as they are."""
+        """Reduce v^low num(v) / den(v), for ascending sequences of int
+        coefficients; _reduced takes them as they are.  Any other
+        coefficient (a Fraction, a float) raises TypeError from math.gcd,
+        which every path below reaches."""
         if not _reduced:
             num, den = _strip(list(num)), _strip(list(den))
             if not den:
                 raise ZeroDivisionError("zero denominator")
-            top = len(num)
-            ints, _ = _clear_denominators(num + den)
-            num, den = ints[:top], ints[top:]
             if not num:
+                gcd(*den)       # the type check of the other paths
                 low, den = 0, [1]
             else:
                 # the powers of v dividing num or den go into low
@@ -828,7 +829,8 @@ class QRatFn:
     def from_json_obj(obj) -> "QRatFn":
         low_num, num = _dense((e, Fraction(s)) for e, s in obj["num"])
         low_den, den = _dense((e, Fraction(s)) for e, s in obj["den"])
-        return QRatFn(num, den, low_num - low_den)
+        ints, _ = _clear_denominators(num + den)
+        return QRatFn(ints[:len(num)], ints[len(num):], low_num - low_den)
 
     def __repr__(self) -> str:
         obj = self.to_json_obj()

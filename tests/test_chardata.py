@@ -14,8 +14,8 @@ from modcat.lie import (_gram_vector, build_root_system, form,
 from modcat.fusion import classical_tensor
 from modcat.macdonald import build_context, d_coefficient, d_prefactor
 from modcat.modular import twist
-from modcat.numeric import (CycNum, QRatFn, _prime_factors, epsilon_power,
-                            sqrt_of_int)
+from modcat.numeric import (CycNum, QRatFn, _clear_denominators,
+                            _prime_factors, epsilon_power, sqrt_of_int)
 from modcat.weyl import (enumerate_alcove, fold_to_alcove, make_dominant,
                          star, weyl_orbit)
 
@@ -402,7 +402,8 @@ def test_tally_callers_match_term_by_term_loops(series, rank, kappa):
                   for _ in range(rng.randrange(0, 9))]
         # a Laurent polynomial with rational coefficients: an integer
         # numerator tally over a constant denominator
-        poly = QRatFn(coeffs, (1,), low)
+        nums, den = _clear_denominators(coeffs)
+        poly = QRatFn(nums, (den,), low)
         got = poly.eval_at_epsilon(rs.lacing, kappa)
         want, order = loop_eval_eps_half(
             [(low + i, c) for i, c in enumerate(coeffs) if c],

@@ -4,15 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from modcat.chardata import weight_multiplicities
+from modcat.chardata import dominant_weights_below, weight_multiplicities
 from modcat.lie import build_root_system, form, wadd, wneg, wscale
 from modcat.macdonald import (WPoly, build_context, build_su_data,
                               d_coefficient, delta_k_product, dominance_leq,
                               inner_product_k, macdonald_norm,
                               macdonald_polynomial, monomial_sum,
                               norm_formula, verify_section5)
-from modcat.numeric import (CycNum, QRatFn, cyclotomic_polynomial,
-                            epsilon_power, q_number)
+from modcat.numeric import (CycNum, QRatFn, _clear_denominators,
+                            cyclotomic_polynomial, epsilon_power, q_number)
 from modcat.weyl import enumerate_ck, star
 
 A1 = build_root_system("A", 1)
@@ -313,9 +313,10 @@ def test_wpoly_invariance_checker():
 
 # -- the generic suite's witnesses ----------------------------------------------
 #
-# verify_generic_macdonald(3, 2, 2) on a context whose P_(1,1) is perturbed:
-# no grid weight lies above (1, 1), so no other P_lam is built from it and
-# only the checks that read P_(1,1) fail.
+# verify_generic_macdonald(3, 2, 2) on a context whose P_(1,1) is perturbed
+# to P': no grid weight lies above (1, 1), so no other P_lam is built from it
+# and only the checks that read P_(1,1) fail.  The norm check prints
+# <m_(1,1), P'>, which equals <P', P'> only when P' is P_(1,1).
 
 ORTHOGONALITY = "pairwise orthogonality"
 NORMS = "constant-term norms equal the closed product"
@@ -340,9 +341,10 @@ def _failed_checks(rep):
             "((0, 0), (1, 1)): QRatFn(-1/3*v^-12 + -5/6*v^-8 + -7/6*v^-4 + "
             "-4/3 + -7/6*v^4 + -5/6*v^8 + -1/3*v^12) vs 0"),
         NORMS: (
-            "(1, 1): QRatFn((7/6*v^-12 + 5/6*v^-8 + 8/3*v^-4 + 5/3 + "
-            "13/6*v^4 + 2*v^8 + 13/6*v^12 + 5/3*v^16 + 8/3*v^20 + 5/6*v^24 + "
-            "7/6*v^28) / (1 + 1*v^4 + 1*v^8 + 1*v^12 + 1*v^16)) vs " + NORM_11),
+            "(1, 1): QRatFn((11/6*v^-12 + 23/6*v^-8 + 9*v^-4 + 37/3 + "
+            "33/2*v^4 + 53/3*v^8 + 33/2*v^12 + 37/3*v^16 + 9*v^20 + "
+            "23/6*v^24 + 11/6*v^28) / (1 + 1*v^4 + 1*v^8 + 1*v^12 + "
+            "1*v^16)) vs " + NORM_11),
         WEYL: "(1, 1): P_lam is not invariant under the simple reflections",
     }),
     # one term above (1, 1) in dominance
@@ -352,8 +354,8 @@ def _failed_checks(rep):
             "((0, 0), (1, 1)): QRatFn(1/3*v^-12 + 1*v^-8 + 5/3*v^-4 + 2 + "
             "5/3*v^4 + 1*v^8 + 1/3*v^12) vs 0"),
         NORMS: (
-            "(1, 1): QRatFn((1/3*v^-12 + -1/6*v^-8 + 1*v^-4 + 1 + 11/6*v^4 + "
-            "2*v^8 + 11/6*v^12 + 1*v^16 + 1*v^20 + -1/6*v^24 + 1/3*v^28) / "
+            "(1, 1): QRatFn((-8/3*v^-8 + -16/3*v^-4 + -32/3 + -43/3*v^4 + "
+            "-16*v^8 + -43/3*v^12 + -32/3*v^16 + -16/3*v^20 + -8/3*v^24) / "
             "(1 + 1*v^4 + 1*v^8 + 1*v^12 + 1*v^16)) vs " + NORM_11),
         "bar sends P_lam to P_{lam*}": "(1, 1): bar P_lam differs from P_(1, 1)",
         WEYL: "(1, 1): P_lam is not invariant under the simple reflections",
@@ -400,6 +402,10 @@ def test_non_hermitian_pairing_witnesses(monkeypatch):
 # pairing).  These copies normalise after every step instead: the density as
 # a WPoly product of its factors, the pairing as the full product f bar(g)
 # matched against delta, and the norm as a running q-number quotient.
+# macdonald_polynomial pairs each P_mu with the monomial sum m_lam and
+# macdonald_norm is <m_lam, P_lam>; the reference is modified Gram-Schmidt,
+# which pairs P_mu with the partly reduced polynomial, with norms
+# <P_lam, P_lam>.
 
 def stepwise_delta(rs, k):
     out = WPoly.one(rs.rank)
@@ -413,9 +419,10 @@ def stepwise_delta(rs, k):
 
 def full_product_pairing(ctx, f, g):
     h = f * g.bar(ctx.rs)
+    delta = delta_k_product(ctx.rs, ctx.k)
     acc = QRatFn.zero()
     for w, c in h.terms.items():
-        d = ctx.delta.terms.get(wneg(w))
+        d = delta.terms.get(wneg(w))
         if d is not None:
             acc = acc + c * d
     return acc * Fraction(ctx.sigma, ctx.group_order)
@@ -429,6 +436,38 @@ def stepwise_norm(rs, k, lam):
         for i in range(1, k):
             out = out * q_number(x + i) / q_number(x - i)
     return out
+
+
+def modified_gram_schmidt(ctx):
+    """(polys, norms) over the alcove of ctx, each P_lam reduced in turn
+    against every lower P_mu, and each norm <P_lam, P_lam>."""
+    polys, norms = {}, {}
+
+    def build(lam):
+        if lam in polys:
+            return polys[lam]
+        p = monomial_sum(ctx.rs, lam)
+        for mu in dominant_weights_below(ctx.rs, lam):
+            if mu != lam:
+                p_mu = build(mu)
+                p = p - p_mu.scale(inner_product_k(ctx, p, p_mu) / norms[mu])
+        polys[lam] = p
+        norms[lam] = inner_product_k(ctx, p, p)
+        return p
+
+    for lam in ctx.alcove:
+        build(lam)
+    return polys, norms
+
+
+@pytest.mark.parametrize("n,k,bound", [(2, 3, 4), (3, 2, 3), (3, 3, 2),
+                                       (4, 2, 2)])
+def test_polynomials_match_modified_gram_schmidt(n, k, bound):
+    ctx = build_context(n, k, bound)
+    polys, norms = modified_gram_schmidt(ctx)
+    for lam, p in polys.items():
+        assert macdonald_polynomial(ctx, lam) == p, lam
+        assert macdonald_norm(ctx, lam) == norms[lam], lam
 
 
 # A1-A3 with k = 1-3, except A3 at k = 3, whose stepwise density alone
@@ -506,7 +545,8 @@ def _random_coefficient(rng):
     if not any(num):
         low, num = 0, [1]
     den_low, den = rng.choice(dens)
-    return QRatFn(num, den, low - den_low)
+    ints, _ = _clear_denominators(num + list(den))
+    return QRatFn(ints[:len(num)], ints[len(num):], low - den_low)
 
 
 @pytest.mark.parametrize("n,k", [(2, 2), (3, 1), (3, 2), (4, 2)])

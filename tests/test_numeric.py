@@ -12,7 +12,8 @@ from fractions import Fraction
 import pytest
 
 from modcat.numeric import (CycNum, InternalConsistencyError,
-                            PoleAtEpsilonError, QRatFn, _pack, _pdivexact,
+                            PoleAtEpsilonError, QRatFn, _clear_denominators,
+                            _pack, _pdivexact,
                             _phi, _pmul, _poly_gcd, _residues, _strip,
                             approx_eq, cyclotomic_polynomial, epsilon_power,
                             matrix_product, q_number, sqrt_of_int)
@@ -626,12 +627,13 @@ def test_qratfn_field_ops():
 
     def rand_fn():
         low = rng.randrange(-3, 1)
-        num = [Fraction(rng.randrange(-4, 5)) for _ in range(4)]
+        num = [rng.randrange(-4, 5) for _ in range(4)]
         if rng.random() < 0.4:
             # one term: a non-unit coefficient times a power of v
             c = Fraction(rng.choice((-3, -1, 2, 5)), rng.randrange(1, 4))
             e = rng.randrange(-3, 4)
-            f = QRatFn(num, (c,), low - e)
+            f = QRatFn([x * c.denominator for x in num], (c.numerator,),
+                       low - e)
             if any(num):
                 # a constant denominator, the numerator num v^(low-e) / c
                 lead = next(i for i, x in enumerate(num) if x)
@@ -639,8 +641,7 @@ def test_qratfn_field_ops():
                 assert ([Fraction(x, f.den[0]) for x in f.num]
                         == _strip([x / c for x in num[lead:]]))
             return f
-        den = (Fraction(rng.randrange(1, 5)), Fraction(rng.randrange(0, 3)),
-               Fraction(1))
+        den = (rng.randrange(1, 5), rng.randrange(0, 3), 1)
         return QRatFn(num, den, low)
 
     for _ in range(40):
@@ -660,12 +661,32 @@ def test_qratfn_reduction_canonical():
     assert (f.low, f.num, f.den) == (0, (1, 1), (1,))
     # the power of v in the denominator goes into low, and 3 / 2 is
     # integers over a positive denominator
-    g = QRatFn((3,), (0, Fraction(2)))
+    g = QRatFn((3,), (0, 2))
     assert (g.low, g.num, g.den) == (-1, (3,), (2,))
     assert g.is_polynomial() and repr(g) == "QRatFn(3/2*v^-1)"
     # a negative leading coefficient of the denominator changes both signs
-    h = QRatFn((Fraction(1, 2), 0, -1), (Fraction(-4, 3), 0, -2), 3)
+    h = QRatFn((3, 0, -6), (-8, 0, -12), 3)
     assert (h.low, h.num, h.den) == (3, (-3, 0, 6), (8, 0, 12))
+
+
+@pytest.mark.parametrize("num,den", [
+    ((Fraction(1, 2),), (1,)),          # one-term denominator
+    ((1, 1), (Fraction(2), 1)),          # through the gcd in Z[v]
+    ((1, 0, 1), (1, Fraction(1, 3))),
+    ((), (Fraction(1, 2),)),             # the zero numerator
+    ((1.0,), (1,)),
+])
+def test_qratfn_takes_int_coefficients_only(num, den):
+    with pytest.raises(TypeError):
+        QRatFn(num, den)
+
+
+def test_qratfn_from_json_reads_rational_coefficients():
+    # (1/2 - 3/4 v^3) / (2/3 v^-1 + 1) has the integer form
+    # v^1 (6 - 9 v^3) / (8 + 12 v)
+    f = QRatFn.from_json_obj({"num": [[0, "1/2"], [3, "-3/4"]],
+                              "den": [[-1, "2/3"], [0, "1"]]})
+    assert (f.low, f.num, f.den) == (1, (6, 0, 0, -9), (8, 12))
 
 
 def test_qratfn_eval_and_pole():
@@ -711,7 +732,8 @@ def _random_qratfn(rng):
         common = poly()
         if any(common):
             num, den = _pmul(num, common), _pmul(den, common)
-    return QRatFn(num, den, rng.randrange(-4, 5))
+    ints, _ = _clear_denominators(num + den)
+    return QRatFn(ints[:len(num)], ints[len(num):], rng.randrange(-4, 5))
 
 
 def _assert_canonical(f):
