@@ -278,8 +278,9 @@ def inner_product_k(ctx: MacdonaldContext, f: WPoly, g: WPoly) -> QRatFn:
     b* of bar(g) whose weights match a delta term at -(a + b*).  The
     integer numerators of the coefficients are multiplied and summed per
     pair of their integer denominators, and each pair's sum becomes a
-    QRatFn once."""
+    QRatFn once, over its denominator times sigma |W|."""
     rs, delta = ctx.rs, ctx.delta
+    scale = ctx.sigma * ctx.group_order
     # bar on g's numerators here, on its denominators once per group below
     g_bar = [(star(rs, w), [(-e, x) for e, x in _terms(c)], c.den)
              for w, c in g.terms.items()]
@@ -298,9 +299,9 @@ def inner_product_k(ctx: MacdonaldContext, f: WPoly, g: WPoly) -> QRatFn:
         for w, num in by_weight.items():
             _add_product(acc, num.items(), delta[w])
         # den_b(1/v) = v^(1 - len den_b) (den_b reversed)(v)
-        total = total + _ratio(acc.items(), _pmul(den_a, den_b[::-1]),
-                               len(den_b) - 1)
-    return total * Fraction(ctx.sigma, ctx.group_order)
+        den = _pmul(den_a, [scale * x for x in reversed(den_b)])
+        total = total + _ratio(acc.items(), den, len(den_b) - 1)
+    return total
 
 
 def macdonald_polynomial(ctx: MacdonaldContext, lam: Weight) -> WPoly:
