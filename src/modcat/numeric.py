@@ -29,8 +29,9 @@ carries three domains:
   every generic-q scalar.  The constructor takes int coefficients only.
   num and den are integer coefficient tuples, divided exactly by their gcd
   in Z[v] and by the gcd of all their coefficients, with nonzero constant
-  terms and den[-1] > 0; so the form is unique.  The bar involution sends v to 1/v; evaluation at
-  v = eps^(1/2) is one ``CycNum.from_tally`` each for num and den.
+  terms and den[-1] > 0; so the form is unique.  The bar involution sends
+  v to 1/v; evaluation at v = eps^(1/2) is one ``CycNum.from_tally`` each
+  for num and den.
 
 * plain ``complex`` -- the float mode used for cross-checks only, with a
   global default tolerance.  Floats never decide a pass/fail verdict when
