@@ -4,12 +4,13 @@ quantum dimensions.
 Evaluation points are always weights mu standing for the point eps^mu, so
 everything stays inside one cyclotomic field: a group-ring element
 f = sum a_lam e^lam takes the value sum a_lam eps^((lam, mu)') there, each
-exponent an integer over the Gram denominator D.  Alternating sums run over
-the signed Weyl orbit of weyl.weyl_orbit; products of binomials
-prod (zeta^a - zeta^b) (the Weyl denominator, macdonald's d_lam) share one
-kernel; quantum dimensions are delta(-2(lam + rho)) / delta(-2 rho), with
-no orbit.  Each such sum or product of powers of eps is tallied as integer
-counts per exponent and made into a CycNum once, by CycNum.from_tally.
+exponent an integer over the Gram denominator D.  A character value and
+an alternating sum both fold their weight to the dominant chamber and sum
+powers of eps over a weight diagram or a signed Weyl orbit, in one loop;
+products of binomials prod (zeta^a - zeta^b) (the Weyl denominator,
+macdonald's d_lam) share one kernel; quantum dimensions are
+delta(-2(lam + rho)) / delta(-2 rho), with no orbit.  Each such sum or
+product of powers of eps is made into a CycNum once, by CycNum.from_tally.
 dominant_weights_below lists weights in depth order, as Freudenthal's
 recursion and Gram-Schmidt need.
 """
@@ -18,12 +19,12 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import lru_cache
-from itertools import chain
-from operator import mul
+from itertools import chain, compress
+from operator import mul, sub
 from types import MappingProxyType
 
 from .lie import (RootSystemData, Weight, _dot, _form_num, _gram_vector, wadd,
-                  wscale)
+                  wscale, wsub)
 from .numeric import CycNum, InternalConsistencyError
 from .weyl import make_dominant, weyl_orbit
 
@@ -137,19 +138,17 @@ def _eps_order(rs: RootSystemData, kappa: int) -> int:
 
 def _binomial_product(order: int, pairs) -> CycNum:
     """prod (zeta^a - zeta^b) over integer pairs (a, b), zeta = zeta_order,
-    multiplied out as an int map over Z / order and reduced once."""
+    multiplied out as counts over Z / order and reduced once; a nonzero
+    count sits at a sum of factor exponents, whose gcd from_tally reads."""
     pairs = [(a % order, b % order) for a, b in pairs]
-    prod = {0: 1}
+    prod = [1] + [0] * (order - 1)
     for a, b in pairs:
         if a == b:
             return CycNum.zero()
-        nxt: dict[int, int] = {}
-        for e, c in prod.items():
-            up, down = (e + a) % order, (e + b) % order
-            nxt[up] = nxt.get(up, 0) + c
-            nxt[down] = nxt.get(down, 0) - c
-        prod = nxt
-    return CycNum.from_tally(order, prod, exponents=chain(*pairs))
+        # the counts of zeta^a x and zeta^b x: x rotated right by a and b
+        prod = list(map(sub, prod[-a:] + prod[:-a], prod[-b:] + prod[:-b]))
+    return CycNum.from_tally(order, compress(enumerate(prod), prod),
+                             exponents=chain(*pairs))
 
 
 def weyl_denominator_value(rs: RootSystemData, kappa: int,
@@ -158,6 +157,18 @@ def weyl_denominator_value(rs: RootSystemData, kappa: int,
     v = _gram_vector(rs, point)
     exps = [_dot(alpha, v) for alpha in rs.positive_roots]
     return _binomial_product(2 * _eps_order(rs, kappa), [(e, -e) for e in exps])
+
+
+def _weight_sum(rs: RootSystemData, kappa: int, terms, point: Weight) -> CycNum:
+    """sum c eps^((w, point)') over the terms (w, int c), tallied here, not
+    by from_tally, since this loop carries every Weyl orbit."""
+    order = _eps_order(rs, kappa)
+    v = _gram_vector(rs, point)
+    tally: dict[int, int] = {}
+    for w, c in terms:
+        e = sum(map(mul, w, v)) % order  # _dot, inlined in the hot loop
+        tally[e] = tally.get(e, 0) + c
+    return CycNum.from_tally(order, tally.items())
 
 
 def alternating_sum(rs: RootSystemData, kappa: int, xi: Weight,
@@ -171,36 +182,23 @@ def alternating_sum(rs: RootSystemData, kappa: int, xi: Weight,
     dom, parity = make_dominant(rs, xi)
     if not all(dom):
         return CycNum.zero()
-    order = _eps_order(rs, kappa)
-    v = _gram_vector(rs, point)
-    tally: dict[int, int] = {}
-    for image, sign in weyl_orbit(rs, dom):
-        e = sum(map(mul, image, v)) % order  # _dot, inlined in the hot loop
-        tally[e] = tally.get(e, 0) + sign * parity
-    return CycNum.from_tally(order, tally)
+    return parity * _weight_sum(rs, kappa, weyl_orbit(rs, dom), point)
 
 
 def char_value(rs: RootSystemData, kappa: int, lam: Weight,
                point: Weight) -> CycNum:
-    """Character of lam (defined for any lam in P) at the point eps^point.
+    """Character of any lam in P at the point eps^point.
 
-    Prefers the alternating-sum ratio; falls back to the weight sum when
-    the denominator vanishes, which covers every dominant lam.
+    lam + rho folds to its dominant point dom with parity p.  By the Weyl
+    character formula ch_lam = p ch_(dom - rho), and ch_lam = 0 when dom
+    lies on a wall; so the value is p times the weight-diagram sum of
+    dom - rho, at every point, singular or not.
     """
-    den = weyl_denominator_value(rs, kappa, point)
-    if not den.is_zero():
-        return alternating_sum(rs, kappa, wadd(lam, rs.rho), point) / den
-    if not is_dominant(lam):
-        raise ValueError(
-            f"character of non-dominant {lam} at a singular point: fold to "
-            "the alcove first")
-    order = _eps_order(rs, kappa)
-    v = _gram_vector(rs, point)
-    tally: dict[int, int] = {}
-    for mu, mult in weight_multiplicities(rs, lam).items():
-        e = _dot(mu, v) % order
-        tally[e] = tally.get(e, 0) + mult
-    return CycNum.from_tally(order, tally)
+    dom, parity = make_dominant(rs, wadd(lam, rs.rho))
+    if not all(dom):
+        return CycNum.zero()
+    mults = weight_multiplicities(rs, wsub(dom, rs.rho))
+    return parity * _weight_sum(rs, kappa, mults.items(), point)
 
 
 def quantum_dim(rs: RootSystemData, kappa: int, lam: Weight) -> CycNum:

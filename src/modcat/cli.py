@@ -61,13 +61,20 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _fmt_complex(z: complex) -> str:
+def _float(x) -> complex:
+    """The float value of a CycNum, with imaginary part 0 if it is real."""
+    z = x.to_complex()
+    return complex(z.real, 0) if x == x.conjugate() else z
+
+
+def _fmt_complex(x) -> str:
+    z = _float(x)
     return f"{z.real:.12g}{z.imag:+.12g}j"
 
 
 def _cyc_out(x, mode: str):
     if mode == "float":
-        z = x.to_complex()
+        z = _float(x)
         return [z.real, z.imag]
     return x.to_json_obj()
 
@@ -146,7 +153,7 @@ def _cmd_dims(args) -> dict | str:
             f"{'.'.join(map(str, lam))},{d.to_complex().real:.12g}"
             for lam, d in zip(weights, dims)])
     if args.format == "pretty":
-        return "\n".join(f"{lam}: {_fmt_complex(d.to_complex())}"
+        return "\n".join(f"{lam}: {_fmt_complex(d)}"
                          for lam, d in zip(weights, dims))
     return {"algebra": f"{rs.series}{rs.rank}", "kappa": args.kappa,
             "mode": args.mode,
@@ -161,17 +168,15 @@ def _cmd_modular(args) -> dict | str:
         labels = [".".join(map(str, lam)) for lam in md.alcove]
         for label, mat in (("s", md.smatrix), ("t", md.tmatrix)):
             lines += [f"# matrix {label}", ",".join([label] + labels)]
-            lines += [",".join([lam] + [_fmt_complex(x.to_complex())
-                                        for x in row])
+            lines += [",".join([lam, *map(_fmt_complex, row)])
                       for lam, row in zip(labels, mat)]
         return "\n".join(lines)
     if args.format == "pretty":
         lines = [f"alcove: {[list(w) for w in md.alcove]}"]
         for label, mat in (("s", md.smatrix), ("t", md.tmatrix)):
             lines.append(f"{label}:")
-            lines += ["  " + "  ".join(_fmt_complex(x.to_complex())
-                                       for x in row) for row in mat]
-        lines.append(f"D^2 = {_fmt_complex(md.d_squared.to_complex())}, "
+            lines += ["  " + "  ".join(map(_fmt_complex, row)) for row in mat]
+        lines.append(f"D^2 = {_fmt_complex(md.d_squared)}, "
                      f"central charge = {md.central_charge}")
         return "\n".join(lines)
     mode = args.mode

@@ -35,9 +35,9 @@ from .chardata import (_binomial_product, _eps_order, _rho_denominator_inverse,
 from .lie import (RootSystemData, Weight, _coroot_pairing, _dot, _gram_vector,
                   build_root_system, form, lattice_index, root_alpha_coords,
                   theta_pairing, wadd, wneg, wscale)
-from .numeric import (CycNum, InternalConsistencyError, PoleAtEpsilonError,
-                      QRatFn, _dense, _pmul, approx_eq, cyclotomic_polynomial,
-                      default_tolerance, epsilon_power, matrix_product,
+from .numeric import (DEFAULT_TOLERANCE, CycNum, InternalConsistencyError,
+                      PoleAtEpsilonError, QRatFn, _dense, _pmul, approx_eq,
+                      cyclotomic_polynomial, epsilon_power, matrix_product,
                       sqrt_of_int)
 from .report import VerificationReport, mismatches
 from .weyl import (enumerate_ck, make_dominant, reflect, star,
@@ -444,11 +444,9 @@ def build_su_data(ctx: MacdonaldContext) -> SUData:
 
 
 def verify_section5(ctx: MacdonaldContext,
-                    tol: float | None = None) -> VerificationReport:
+                    tol: float = DEFAULT_TOLERANCE) -> VerificationReport:
     """All exact identities of the intertwiner modular action, plus the
     float cross-checks against the category data."""
-    if tol is None:
-        tol = default_tolerance()
     rep = VerificationReport(suite="section5")
     rs, k, kappa = ctx.rs, ctx.k, ctx.kappa
     alcove = ctx.alcove

@@ -29,7 +29,7 @@ from .chardata import (_eps_order, _rho_denominator_inverse, alternating_sum,
                        quantum_dim)
 from .lie import (RootSystemData, Weight, _form_num, form, lattice_index, wadd,
                   wscale)
-from .numeric import (CycNum, approx_eq, default_tolerance, epsilon_power,
+from .numeric import (DEFAULT_TOLERANCE, CycNum, approx_eq, epsilon_power,
                       matrix_product, solve)
 from .report import VerificationReport, mismatches
 from .weyl import enumerate_alcove, star_positions
@@ -133,11 +133,9 @@ def det_s_is_nonzero(md: ModularData) -> bool:
 
 # -- the verification suite -----------------------------------------------------
 
-def verify_modular_relations(md: ModularData,
-                             tol: float | None = None) -> VerificationReport:
+def verify_modular_relations(
+        md: ModularData, tol: float = DEFAULT_TOLERANCE) -> VerificationReport:
     """Exact checks of the defining relations of the modular data."""
-    if tol is None:
-        tol = default_tolerance()
     rep = VerificationReport(suite="modular")
     rs, kappa = md.rs, md.kappa
     labels = md.alcove

@@ -18,8 +18,9 @@ carries three domains:
   Fast paths keep to that form: equal orders need no lift, a rational
   operand scales the coordinates, and c zeta^e inverts to (1/c) zeta^-e.
   ``CycNum.from_tally`` makes a sum or product of powers of one root of
-  unity from an integer tally {e mod M: c} with one reduction, at
-  M / gcd(M, every exponent tallied): the lcm of the term orders.
+  unity from its integer terms (e, c), any e and repeats summed, with one
+  reduction, at M / gcd(M, every exponent tallied): the lcm of the term
+  orders.
   ``matrix_product`` multiplies CycNum matrices over one field and reduces
   each entry once; ``_pack``/``_unpack`` are the one Kronecker packing.
   ``_residues`` maps entries into Z/q by zeta -> 2^w, exact by a norm bound.
@@ -33,9 +34,10 @@ carries three domains:
   v to 1/v; evaluation at v = eps^(1/2) is one ``CycNum.from_tally`` each
   for num and den.
 
-* plain ``complex`` -- the float mode used for cross-checks only, with a
-  global default tolerance.  Floats never decide a pass/fail verdict when
-  an exact route exists.
+* plain ``complex`` -- the float mode used for cross-checks only, with the
+  default tolerance ``DEFAULT_TOLERANCE``; only the CLI reads an override
+  from the environment, by ``default_tolerance``.  Floats never decide a
+  pass/fail verdict when an exact route exists.
 
 ``solve`` is the one Gaussian elimination, for Fraction or CycNum
 entries alike: it gives det a and the solution of a x = b, or only det a.
@@ -48,9 +50,9 @@ from __future__ import annotations
 
 import cmath
 import os
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd, isfinite, lcm
 from operator import mul
 
@@ -80,9 +82,7 @@ def default_tolerance() -> float:
                          f"number, got {env!r}") from None
 
 
-def approx_eq(a: complex, b: complex, tol: float | None = None) -> bool:
-    if tol is None:
-        tol = default_tolerance()
+def approx_eq(a: complex, b: complex, tol: float = DEFAULT_TOLERANCE) -> bool:
     return abs(a - b) <= tol
 
 
@@ -254,24 +254,26 @@ class CycNum:
     @staticmethod
     def root_of_unity(order: int, exponent: int) -> "CycNum":
         """zeta_order^exponent, stored at the smallest sufficient order."""
-        return CycNum.from_tally(order, {exponent % order: 1})
+        return CycNum.from_tally(order, [(exponent, 1)])
 
     @staticmethod
-    def from_tally(order: int, tally: dict, exponents=()) -> "CycNum":
-        """sum c zeta_order^e over the integer tally {e: c}.
+    def from_tally(order: int, terms, exponents=()) -> "CycNum":
+        """sum c zeta_order^e over the integer terms (e, c), any e and
+        repeats summed.
 
-        The value is stored at order / gcd(order, every key of tally and
+        The value is stored at order / gcd(order, every e of terms and
         every one of exponents): the lcm of the orders of the terms, which
-        is where adding or multiplying them one at a time ends up.  Keys
-        whose counts cancel still count; a product passes its factor
-        exponents, since the keys of a product can share a larger gcd.
+        is where adding or multiplying them one at a time ends up.  A term
+        of count 0, or whose counts cancel, still counts; a product passes
+        its factor exponents, since the terms of a product can share a
+        larger gcd.
         """
-        g = gcd(order, *tally, *exponents)
-        pairs = tally.items()
+        terms = list(terms)
+        g = gcd(order, *(e for e, _ in terms), *exponents)
         if g > 1:
             order //= g
-            pairs = ((e // g, c) for e, c in pairs)
-        return CycNum(order, tuple(_reduce_exponents(order, pairs)), 1)
+            terms = [(e // g, c) for e, c in terms]
+        return CycNum(order, tuple(_reduce_exponents(order, terms)), 1)
 
     # -- canonical form helpers --------------------------------------------
 
@@ -598,7 +600,7 @@ def sqrt_of_int(n: int) -> CycNum:
         if p == 2:
             root = CycNum.root_of_unity(8, 1) + CycNum.root_of_unity(8, 7)
         else:
-            gauss = CycNum.from_tally(p, Counter(t * t % p for t in range(p)))
+            gauss = CycNum.from_tally(p, [(t * t, 1) for t in range(p)])
             if p % 4 == 1:
                 root = gauss
             else:
@@ -802,24 +804,18 @@ class QRatFn:
 
     def eval_at_epsilon(self, lacing: int, kappa: int) -> CycNum:
         """Value at v = eps^(1/2) = zeta_M, M = 4 lacing kappa: num and den
-        are one tally each.  Raises PoleAtEpsilonError on a pole."""
+        are one tally each, of their nonzero terms only, since every term
+        tallied counts in the order stored.  Raises PoleAtEpsilonError on a
+        pole."""
         order = 4 * lacing * kappa
-
-        def value(low, coeffs):
-            tally: dict[int, int] = {}
-            for e, c in enumerate(coeffs, low):
-                if c:
-                    e %= order
-                    tally[e] = tally.get(e, 0) + c
-            return CycNum.from_tally(order, tally)
-
-        den = value(0, self.den)
+        den = CycNum.from_tally(order, compress(enumerate(self.den), self.den))
         if den.is_zero():
             raise PoleAtEpsilonError(
                 f"pole at the root of unity (lacing {lacing}, kappa {kappa}): "
                 f"denominator {_poly_text(self.to_json_obj()['den'])} "
                 "vanishes")
-        return value(self.low, self.num) / den
+        return CycNum.from_tally(
+            order, compress(enumerate(self.num, self.low), self.num)) / den
 
     def to_json_obj(self):
         lead = self.den[-1]

@@ -95,20 +95,21 @@ def test_char_examples():
 
 
 def test_char_ratio_matches_weight_sum():
-    # both evaluation routes agree where both are defined
+    # the Weyl ratio, numerator over denominator, equals the weight sum at
+    # the regular points of the s-matrix
     for rs, kappa in [(A1, 4), (A2, 5), (B2, 4)]:
         alcove = enumerate_alcove(rs, kappa)
         for lam in alcove:
             mults = weight_multiplicities(rs, lam)
             for mu in alcove:
                 point = wscale(-2, wadd(mu, rs.rho))
-                ratio = char_value(rs, kappa, lam, point)
+                ratio = (alternating_sum(rs, kappa, wadd(lam, rs.rho), point)
+                         / weyl_denominator_value(rs, kappa, point))
                 direct = CycNum.zero()
                 for w, mult in sorted(mults.items()):
-                    from modcat.numeric import epsilon_power
                     direct = direct + epsilon_power(
                         form(rs, w, point, "primed"), rs.lacing, kappa) * mult
-                assert ratio == direct
+                assert ratio == direct == char_value(rs, kappa, lam, point)
 
 
 def test_char_affine_invariance():
@@ -124,9 +125,26 @@ def test_char_affine_invariance():
         assert char_value(rs, kappa, lam, p1) == char_value(rs, kappa, lam, p2)
 
 
-def test_char_non_dominant_singular_point_rejected():
-    with pytest.raises(ValueError):
-        char_value(A1, 3, (-3,), (0,))
+def test_char_fold_of_non_dominant_weights():
+    # ch_lam = sign ch_(dom - rho) for lam + rho folded to dom, also at a
+    # singular point: on A1, ch_-3 = -ch_1, whose value at eps^0 is -dim
+    assert char_value(A1, 3, (-3,), (0,)) == -2
+    # lam + rho on a wall gives zero
+    assert char_value(A1, 3, (-1,), (0,)).is_zero()
+    assert char_value(A1, 3, (-1,), (1,)).is_zero()
+    # the fold equals the Weyl ratio wherever the denominator is nonzero
+    rng = random.Random("fold")
+    for rs, kappa in [(A2, 5), (B2, 4), (G2, 5)]:
+        regular = 0
+        while regular < 8:
+            lam = tuple(rng.randrange(-5, 3) for _ in range(rs.rank))
+            point = tuple(rng.randrange(-6, 7) for _ in range(rs.rank))
+            den = weyl_denominator_value(rs, kappa, point)
+            if den.is_zero() or is_dominant(lam):
+                continue
+            regular += 1
+            ratio = alternating_sum(rs, kappa, wadd(lam, rs.rho), point) / den
+            assert char_value(rs, kappa, lam, point) == ratio, (lam, point)
 
 
 def test_quantum_dim_examples():
@@ -228,14 +246,14 @@ def fraction_alternating_sum(rs, kappa, xi, point):
 
 
 def fraction_char_value(rs, kappa, lam, point):
-    den = fraction_denominator(rs, kappa, point)
-    if not den.is_zero():
-        return fraction_alternating_sum(rs, kappa, wadd(lam, rs.rho),
-                                        point) / den
+    dom, parity = make_dominant(rs, wadd(lam, rs.rho))
     acc = CycNum.zero()
-    for mu, mult in sorted(weight_multiplicities(rs, lam).items()):
+    if not all(dom):
+        return acc
+    for mu, mult in sorted(weight_multiplicities(rs, wsub(dom, rs.rho))
+                           .items()):
         acc = acc + epsilon_power(fraction_form(rs, mu, point), rs.lacing,
-                                  kappa) * mult
+                                  kappa) * (parity * mult)
     return acc
 
 
@@ -264,7 +282,7 @@ def test_integer_exponents_match_fraction_formulas(series, rank, kappa):
 
     # random points, points of the s-matrix (-2 rho is regular), and points
     # where the Weyl denominator vanishes (zero and multiples of 2 m kappa),
-    # so that char_value takes both branches
+    # so that weyl_denominator_value is checked at both kinds of point
     points = ([weight(-4, 5) for _ in range(4)] + [wscale(-2, rs.rho)]
               + [wscale(-2, wadd(weight(0, 2), rs.rho)) for _ in range(2)]
               + [rs.zero, wscale(2 * rs.lacing * kappa, weight(-1, 2))])
@@ -276,7 +294,7 @@ def test_integer_exponents_match_fraction_formulas(series, rank, kappa):
         xi = weight(-3, 4)
         assert (exact(alternating_sum(rs, kappa, xi, point))
                 == exact(fraction_alternating_sum(rs, kappa, xi, point)))
-        lam = weight(0, 2)
+        lam = weight(-2, 2)
         assert (exact(char_value(rs, kappa, lam, point))
                 == exact(fraction_char_value(rs, kappa, lam, point)))
     assert branches == {True, False}

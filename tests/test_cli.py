@@ -7,7 +7,10 @@ import time
 import pytest
 
 from modcat.cli import main
-from modcat.numeric import CycNum
+from modcat.lie import build_root_system
+from modcat.macdonald import build_context, verify_section5
+from modcat.modular import build_modular_data, verify_modular_relations
+from modcat.numeric import CycNum, approx_eq
 
 
 def run_cli(capsys, *argv):
@@ -382,6 +385,32 @@ def test_tolerance_env_override(capsys, monkeypatch):
         code, _, err = run_cli(capsys, "verify", "--suite", "modular",
                                "--algebra", "A1", "--kappa", "3")
         assert code == 2 and "MODCAT_TOLERANCE" in err
+
+
+def test_library_reads_no_tolerance_from_the_environment(capsys,
+                                                         monkeypatch):
+    # only the CLI reads MODCAT_TOLERANCE; the library uses its default
+    monkeypatch.setenv("MODCAT_TOLERANCE", "abc")
+    assert approx_eq(1.0, 1.0 + 1e-12) and not approx_eq(1.0, 1.0 + 1e-6)
+    md = build_modular_data(build_root_system("A", 1), 3)
+    assert verify_modular_relations(md).passed
+    assert verify_section5(build_context(2, 1, 2)).passed
+    code, _, err = run_cli(capsys, "verify", "--suite", "modular",
+                           "--algebra", "A1", "--kappa", "3")
+    assert code == 2 and "MODCAT_TOLERANCE" in err
+
+
+def test_real_values_print_with_imaginary_part_zero(capsys):
+    # an exactly real value carries no float residue of cmath.exp
+    _, out, _ = run_cli(capsys, "dims", "--algebra", "A2", "--kappa", "5",
+                        "--format", "pretty")
+    assert "(0, 1): 1.61803398875+0j" in out.splitlines()
+    _, out, _ = run_cli(capsys, "dims", "--algebra", "A2", "--kappa", "5",
+                        "--mode", "float")
+    assert all(d["dim"][1] == 0 for d in json.loads(out)["dims"])
+    _, out, _ = run_cli(capsys, "modular", "--algebra", "B2", "--kappa", "4",
+                        "--format", "csv")
+    assert "0.1,1.41421356237+0j,0+0j,-1.41421356237+0j" in out.splitlines()
 
 
 def test_weyl_cap_refused_fast(capsys):

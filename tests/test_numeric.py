@@ -494,27 +494,31 @@ def test_galois_automorphisms():
 def test_from_tally_order_rule():
     # a sum is stored at the lcm of the orders of its terms: zeta_12^3 = i
     # has order 4 and zeta_12^4 order 3, so their sum lies at order 12
-    got = CycNum.from_tally(12, {3: 1, 4: 1})
+    got = CycNum.from_tally(12, [(3, 1), (4, 1)])
     assert got.order == 12
     assert got == CycNum.root_of_unity(4, 1) + CycNum.root_of_unity(3, 1)
-    # keys whose counts cancel still count: i - i + zeta_3 is zeta_3 at
+    # any exponent is read mod the order, and repeats are summed
+    assert (exact(CycNum.from_tally(12, [(-9, 1), (16, 2), (4, -1)]))
+            == exact(got))
+    # terms whose counts cancel still count: i - i + zeta_3 is zeta_3 at
     # order 12, where adding the terms one at a time passes through 0 and
     # restarts from order 1, to end at order 3
     running = CycNum.zero()
     for term in (CycNum.root_of_unity(12, 3), -CycNum.root_of_unity(12, 3),
                  CycNum.root_of_unity(12, 4)):
         running = running + term
-    tally = CycNum.from_tally(12, {3: 0, 4: 1})
-    assert running == tally
-    assert (running.order, tally.order) == (3, 12)
+    for terms in ([(3, 0), (4, 1)], [(3, 1), (4, 1), (15, -1)]):
+        tally = CycNum.from_tally(12, terms)
+        assert running == tally
+        assert (running.order, tally.order) == (3, 12)
     # a product passes its factor exponents: (zeta_8 - zeta_8^-1)^2 = -2
-    # has keys {2, 0, 6} of gcd 2 with 8, but its factors have order 8
-    square = CycNum.from_tally(8, {2: 1, 0: -2, 6: 1}, exponents=(1, 7))
+    # has terms at {2, 0, 6} of gcd 2 with 8, but its factors have order 8
+    square = CycNum.from_tally(8, [(2, 1), (0, -2), (6, 1)], exponents=(1, 7))
     step = CycNum.root_of_unity(8, 1) - CycNum.root_of_unity(8, 7)
     assert exact(square) == exact(step * step)
     assert square.order == 8 and square == -2
-    # an empty tally is zero
-    assert exact(CycNum.from_tally(24, {})) == (1, (0,), 1)
+    # no terms is zero
+    assert exact(CycNum.from_tally(24, [])) == (1, (0,), 1)
 
 
 def test_epsilon_power_examples():
