@@ -3,7 +3,7 @@ with a type-A Macdonald polynomial engine and identity-verification suites.
 """
 
 from .lie import (RootSystemData, Weight, build_root_system, form,
-                  lattice_index, pairing, theta_pairing)
+                  lattice_index, pairing)
 from .numeric import (CycNum, PoleAtEpsilonError, QRatFn, approx_eq,
                       default_tolerance, epsilon_power, q_number, sqrt_of_int)
 from .weyl import (AffineFoldResult, enumerate_alcove, enumerate_ck,

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import lru_cache
-from itertools import chain, compress
-from operator import mul, sub
+from itertools import chain
+from operator import mul
 from types import MappingProxyType
 
-from .lie import (RootSystemData, Weight, _dot, _form_num, _gram_vector, wadd,
-                  wscale, wsub)
+from .lie import (RootSystemData, Weight, _dot, _form_num, _gram_vector,
+                  root_alpha_coords, wadd, wscale, wsub)
 from .numeric import CycNum, InternalConsistencyError
 from .weyl import make_dominant, weyl_orbit
 
@@ -50,13 +50,6 @@ def is_dominant(lam: Weight) -> bool:
     return all(c >= 0 for c in lam)
 
 
-def _root_floor(rs: RootSystemData, w: Weight) -> list[int]:
-    """Floors of the simple-root coordinates of w, exact for w in Q: the
-    i-th is (omega_i, w)' / d_i, and (omega_i, w)' = (gram w)_i / D."""
-    return [x // (rs.denominator * d)
-            for x, d in zip(_gram_vector(rs, w), rs.symmetrizers)]
-
-
 def dominant_weights_below(rs: RootSystemData, lam: Weight) -> list[Weight]:
     """Dominant mu with lam - mu a non-negative integer root sum, ordered by
     depth (the sum of the root coordinates of lam - mu), then by mu, so that
@@ -64,7 +57,7 @@ def dominant_weights_below(rs: RootSystemData, lam: Weight) -> list[Weight]:
 
     These are exactly the dominant weights of the irreducible V_lam.
     """
-    bounds = _root_floor(rs, lam)
+    bounds = [c // 1 for c in root_alpha_coords(rs, lam)]
     out = []
 
     def rec(i: int, partial: Weight, depth: int):
@@ -138,17 +131,21 @@ def _eps_order(rs: RootSystemData, kappa: int) -> int:
 
 def _binomial_product(order: int, pairs) -> CycNum:
     """prod (zeta^a - zeta^b) over integer pairs (a, b), zeta = zeta_order,
-    multiplied out as counts over Z / order and reduced once; a nonzero
-    count sits at a sum of factor exponents, whose gcd from_tally reads."""
+    multiplied out as a sparse map of counts over Z / order and reduced
+    once; each exponent is a sum of factor exponents, whose gcd from_tally
+    reads."""
     pairs = [(a % order, b % order) for a, b in pairs]
-    prod = [1] + [0] * (order - 1)
+    prod = {0: 1}
     for a, b in pairs:
         if a == b:
             return CycNum.zero()
-        # the counts of zeta^a x and zeta^b x: x rotated right by a and b
-        prod = list(map(sub, prod[-a:] + prod[:-a], prod[-b:] + prod[:-b]))
-    return CycNum.from_tally(order, compress(enumerate(prod), prod),
-                             exponents=chain(*pairs))
+        nxt: dict[int, int] = {}
+        for e, c in prod.items():
+            up, down = (e + a) % order, (e + b) % order
+            nxt[up] = nxt.get(up, 0) + c
+            nxt[down] = nxt.get(down, 0) - c
+        prod = nxt
+    return CycNum.from_tally(order, prod.items(), exponents=chain(*pairs))
 
 
 def weyl_denominator_value(rs: RootSystemData, kappa: int,

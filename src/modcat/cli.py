@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
+from fractions import Fraction
 
 from .fusion import (FusionConsistencyError, build_fusion_table,
                      fusion_coefficients, verify_fusion, verify_grothendieck)
@@ -36,18 +38,17 @@ class UsageError(Exception):
 
 def _parse_algebra(text: str):
     text = text.strip()
-    if not (text[:1].isalpha() and text[1:].isdigit()):
+    if not re.fullmatch("[A-Za-z][0-9]+", text):
         raise UsageError(f"bad algebra name {text!r}; expected e.g. A2, B2, G2")
     return build_root_system(text[0], int(text[1:]))
 
 
 def _parse_weight(text: str, rank: int):
     parts = text.replace(" ", "").split(",")
-    try:
-        coords = tuple(int(p) for p in parts)
-    except ValueError as exc:
+    if not all(re.fullmatch("[+-]?[0-9]+", p) for p in parts):
         raise UsageError(f"bad weight {text!r}; expected comma-separated "
-                         "integers") from exc
+                         "integers")
+    coords = tuple(map(int, parts))
     if len(coords) != rank:
         raise UsageError(f"weight {text!r} has {len(coords)} coordinates, "
                          f"expected {rank}")
@@ -117,7 +118,8 @@ def _cmd_lie_info(args) -> dict | str:
         "symmetrizers": list(rs.symmetrizers),
         "weight_to_root_index": rs.cartan_index,
         "dim_adjoint": rs.dim_adjoint,
-        "gram_primed": [[str(x) for x in row] for row in rs.gram_primed],
+        "gram_primed": [[str(Fraction(x, rs.denominator)) for x in row]
+                        for row in rs.gram],
     }
     if args.format == "pretty":
         return "\n".join(f"{k}: {v}" for k, v in obj.items())
@@ -132,6 +134,8 @@ def _cmd_alcove(args) -> dict | str:
         obj = {"algebra": f"{rs.series}{rs.rank}", "kappa": args.kappa,
                "weights": [list(w) for w in weights]}
     elif None not in mac and cat == (None, None):
+        if args.n < 2:
+            raise UsageError("need n >= 2")
         rs = build_root_system("A", args.n - 1)
         weights = enumerate_ck(rs, args.level)
         obj = {"n": args.n, "K": args.level,

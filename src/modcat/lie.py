@@ -2,11 +2,12 @@
 
 Weights are integer coordinate vectors in the fundamental-weight basis.
 Roots live in the same basis: the j-th simple root is the j-th column of
-the Cartan matrix.  The "normalized" form gives the highest root squared
-length 2, the "primed" form gives short roots squared length 2.  The primed
-form is an integer Gram matrix over its least common denominator D, so a
-form value is an integer dot product over D: an exact Fraction from the
-public functions, the integer numerator on the hot paths.
+the Cartan matrix.  The invariant form gives the highest root squared
+length 2; the primed form, lacing times it, gives short roots squared
+length 2 and is an integer Gram matrix over its least common denominator
+D.  So a form value is an integer dot product over D: an exact Fraction
+from form and root_alpha_coords, the integer numerator on the hot paths,
+and the coroot pairing <lam, alpha^vee> is an integer.
 
 The Cartan matrix A is inverted once, by numeric.solve, which also gives
 |det A| = |P/Q|; the Gram matrix is D d_i (A^-1)_ij, so simple-root
@@ -57,12 +58,13 @@ def wscale(c: int, a: Weight) -> Weight:
 class RootSystemData(namedtuple("RootSystemData", (
         "series rank cartan simple_roots fundamental_weights positive_roots "
         "rho highest_root dual_coxeter lacing symmetrizers cartan_index "
-        "dim_adjoint gram_primed gram denominator"))):
+        "dim_adjoint gram denominator"))):
     """Immutable tables for one simple Lie type.
 
     lacing is m: 1, 2 or 3; symmetrizers are d_i = (alpha_i, alpha_i)'/2;
-    cartan_index is N = |P/Q|; gram is D (omega_i, omega_j)', where
-    denominator is D, the least that makes gram integral.
+    cartan_index is N = |P/Q|; gram is the integer matrix
+    D (omega_i, omega_j)', where denominator is D, the least that makes it
+    integral; positive_roots are sorted by (height, weight).
     """
 
     @property
@@ -72,12 +74,12 @@ class RootSystemData(namedtuple("RootSystemData", (
     @cached_property
     def comarks(self) -> tuple[int, ...]:
         """<omega_i, theta^vee>, so that <lam, theta^vee> = comarks . lam."""
-        return tuple(_coroot_pairing(self, omega, self.highest_root)
+        return tuple(pairing(self, omega, self.highest_root)
                      for omega in self.fundamental_weights)
 
     def __hash__(self) -> int:
         # build_root_system is cached, so (series, rank) fixes every other
-        # field; hashing them all would rehash both Gram matrices per lookup
+        # field; hashing them all would rehash the Gram matrix per lookup
         return hash((self.series, self.rank))
 
     def __repr__(self) -> str:
@@ -141,28 +143,28 @@ def _symmetrizers(cartan: list[list[int]]) -> list[int]:
     return [x // g for x in ints]
 
 
-def _positive_roots(cartan: list[list[int]], alpha_coords) -> list[Weight]:
+def _positive_roots(cartan: list[list[int]]) -> list[Weight]:
+    """The positive roots sorted by (height, weight).  A positive root w
+    with c = <w, alpha_i^vee> < 0 has the higher positive root
+    s_i(w) = w - c alpha_i, and every positive root but a simple one is
+    such an image, so these steps from the simple roots find them all.
+    Each root carries its simple-root coordinates a; the step raises a_i
+    by -c."""
     rank = len(cartan)
-    simple = [tuple(cartan[i][j] for i in range(rank)) for j in range(rank)]
-
-    def reflect(i: int, w: Weight) -> Weight:
-        return tuple(w[k] - w[i] * cartan[k][i] for k in range(rank))
-
-    roots: set[Weight] = set(simple)
-    frontier = list(simple)
+    roots = {tuple(cartan[i][j] for i in range(rank)):
+             tuple(int(i == j) for i in range(rank)) for j in range(rank)}
+    frontier = list(roots.items())
     while frontier:
         nxt = []
-        for w in frontier:
-            for i in range(rank):
-                r = reflect(i, w)
-                if r not in roots:
-                    roots.add(r)
-                    nxt.append(r)
+        for w, a in frontier:
+            for i, c in enumerate(w):
+                if c < 0:
+                    r = tuple(x - c * row[i] for x, row in zip(w, cartan))
+                    if r not in roots:
+                        roots[r] = b = a[:i] + (a[i] - c,) + a[i + 1:]
+                        nxt.append((r, b))
         frontier = nxt
-
-    positive = [w for w in roots if all(c >= 0 for c in alpha_coords(w))]
-    positive.sort(key=lambda w: (sum(alpha_coords(w)), w))
-    return positive
+    return [w for _, w in sorted((sum(a), w) for w, a in roots.items())]
 
 
 @lru_cache(maxsize=None)
@@ -187,25 +189,18 @@ def build_root_system(series: str, rank: int) -> RootSystemData:
                              for i in range(rank)])
     if inv_cartan is None:
         raise InternalConsistencyError(f"singular Cartan matrix {cartan}")
-    # (omega_i, omega_j)' = d_i * (A^{-1})_{ij}
-    gram_primed = tuple(
-        tuple(d[i] * inv_cartan[i][j] for j in range(rank))
-        for i in range(rank))
-    denominator = lcm(*(x.denominator for row in gram_primed for x in row))
-    gram = tuple(tuple(int(x * denominator) for x in row)
-                 for row in gram_primed)
+    # (omega_i, omega_j)' = d_i * (A^{-1})_{ij}, over its least denominator
+    exact = [[d[i] * x for x in row] for i, row in enumerate(inv_cartan)]
+    denominator = lcm(*(x.denominator for row in exact for x in row))
+    gram = tuple(tuple(int(x * denominator) for x in row) for row in exact)
 
-    positive = _positive_roots(
-        cartan, lambda w: _alpha_coords(gram, denominator, d, w))
+    positive = _positive_roots(cartan)
     # highest root: the unique root of greatest height, last in that order
     theta = positive[-1]
     rho = (1,) * rank
-
-    def primed(a: Weight, b: Weight) -> int:
-        return sum(a[i] * gram[i][j] * b[j]
-                   for i in range(rank) for j in range(rank))
-
-    hvee = Fraction(2 * primed(rho, theta), primed(theta, theta)) + 1
+    # h^vee = <rho, theta^vee> + 1, through v = gram theta
+    v = [_dot(row, theta) for row in gram]
+    hvee = Fraction(2 * _dot(rho, v), _dot(theta, v)) + 1
     if hvee.denominator != 1:
         raise InternalConsistencyError(f"dual Coxeter number {hvee}")
 
@@ -225,7 +220,6 @@ def build_root_system(series: str, rank: int) -> RootSystemData:
         symmetrizers=tuple(d),
         cartan_index=int(abs(det)),
         dim_adjoint=rank + 2 * len(positive),
-        gram_primed=gram_primed,
         gram=gram,
         denominator=denominator,
     )
@@ -271,51 +265,33 @@ def _form_num(rs: RootSystemData, lam: Weight, mu: Weight) -> int:
     return _dot(lam, _gram_vector(rs, mu))
 
 
-def _coroot_pairing(rs: RootSystemData, lam: Weight, alpha: Weight) -> int:
-    """<lam, alpha^vee> for a weight lam and a root alpha, an integer."""
-    q, r = divmod(2 * _form_num(rs, lam, alpha), _form_num(rs, alpha, alpha))
-    if r:
-        raise InternalConsistencyError(
-            f"<{lam}, {alpha}^vee> = {pairing(rs, lam, alpha)} not integral")
-    return q
-
-
-def form(rs: RootSystemData, lam: Weight, mu: Weight,
-         variant: str = "normalized") -> Fraction:
-    """Invariant bilinear form (lam, mu); primed = lacing * normalized."""
+def form(rs: RootSystemData, lam: Weight, mu: Weight) -> Fraction:
+    """Invariant bilinear form (lam, mu), normalized by (theta, theta) = 2."""
     if len(lam) != rs.rank or len(mu) != rs.rank:
         raise ValueError(f"rank mismatch: expected {rs.rank} coordinates")
-    if variant not in ("primed", "normalized"):
-        raise ValueError(f"unknown form variant {variant!r}")
-    scale = rs.lacing if variant == "normalized" else 1
-    return Fraction(_form_num(rs, lam, mu), rs.denominator * scale)
+    return Fraction(_form_num(rs, lam, mu), rs.denominator * rs.lacing)
 
 
-def pairing(rs: RootSystemData, lam: Weight, alpha: Weight) -> Fraction:
-    """<lam, alpha^vee> = 2 (lam, alpha) / (alpha, alpha) for a root alpha."""
+def pairing(rs: RootSystemData, lam: Weight, alpha: Weight) -> int:
+    """<lam, alpha^vee> = 2 (lam, alpha) / (alpha, alpha), an integer for a
+    weight lam and a root alpha."""
     if len(lam) != rs.rank or len(alpha) != rs.rank:
         raise ValueError(f"rank mismatch: expected {rs.rank} coordinates")
-    alpha2 = _form_num(rs, alpha, alpha)
+    num, alpha2 = 2 * _form_num(rs, lam, alpha), _form_num(rs, alpha, alpha)
     if alpha2 == 0:
         raise ValueError("pairing against the zero vector")
-    return Fraction(2 * _form_num(rs, lam, alpha), alpha2)
-
-
-def theta_pairing(rs: RootSystemData, lam: Weight) -> Fraction:
-    """<lam, theta^vee> against the highest root."""
-    return pairing(rs, lam, rs.highest_root)
-
-
-def _alpha_coords(gram, denominator: int, d, w: Weight) -> tuple[Fraction, ...]:
-    # gram_ij = D (omega_i, omega_j)' = D d_i (A^-1)_ij
-    return tuple(Fraction(_dot(row, w), denominator * di)
-                 for row, di in zip(gram, d))
+    q, r = divmod(num, alpha2)
+    if r:
+        raise ValueError(
+            f"<{lam}, {alpha}^vee> = {Fraction(num, alpha2)} is not an integer")
+    return q
 
 
 def root_alpha_coords(rs: RootSystemData, w: Weight) -> tuple[Fraction, ...]:
     """Coordinates of w in the simple-root basis (exact, possibly
     fractional), (A^-1 w)_i = (gram w)_i / (D d_i)."""
-    return _alpha_coords(rs.gram, rs.denominator, rs.symmetrizers, w)
+    return tuple(Fraction(x, rs.denominator * d)
+                 for x, d in zip(_gram_vector(rs, w), rs.symmetrizers))
 
 
 def lattice_index(rs: RootSystemData, kappa: int) -> int:

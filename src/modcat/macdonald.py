@@ -32,9 +32,9 @@ from itertools import chain
 from .chardata import (_binomial_product, _eps_order, _rho_denominator_inverse,
                        dominant_weights_below, is_dominant, quantum_dim,
                        weight_multiplicities)
-from .lie import (RootSystemData, Weight, _coroot_pairing, _dot, _gram_vector,
-                  build_root_system, form, lattice_index, root_alpha_coords,
-                  theta_pairing, wadd, wneg, wscale)
+from .lie import (RootSystemData, Weight, _dot, _gram_vector,
+                  build_root_system, form, lattice_index, pairing,
+                  root_alpha_coords, wadd, wneg, wscale)
 from .numeric import (DEFAULT_TOLERANCE, CycNum, InternalConsistencyError,
                       PoleAtEpsilonError, QRatFn, _dense, _pmul, approx_eq,
                       cyclotomic_polynomial, epsilon_power, matrix_product,
@@ -194,7 +194,7 @@ def norm_formula(rs: RootSystemData, k: int, lam: Weight) -> QRatFn:
     count: Counter[int] = Counter()
     shifted = wadd(lam, wscale(k, rs.rho))
     for alpha in rs.positive_roots:
-        x = _coroot_pairing(rs, shifted, alpha)
+        x = pairing(rs, shifted, alpha)
         for i in range(1, k):
             if x == i:
                 raise ZeroDivisionError(
@@ -370,7 +370,7 @@ def _d_pairs(ctx: MacdonaldContext, lam: Weight, first: int = 0):
     d_lam, x = <lam + k rho, alpha^vee>, alpha > 0, first <= i < k."""
     shifted = wadd(lam, wscale(ctx.k, ctx.rs.rho))
     for alpha in ctx.rs.positive_roots:
-        x = _coroot_pairing(ctx.rs, shifted, alpha)
+        x = pairing(ctx.rs, shifted, alpha)
         for i in range(first, ctx.k):
             yield -x, x - 2 * i
 
@@ -525,7 +525,7 @@ def verify_section5(ctx: MacdonaldContext,
     # the shifted weight stays inside the open alcove
     def criterion_failures():
         for lam in enumerate_ck(rs, ctx.level + k - 1):
-            inside = theta_pairing(rs, lam) <= ctx.level
+            inside = _dot(rs.comarks, lam) <= ctx.level
             try:
                 value = norm_formula(rs, k, lam).eval_at_epsilon(1, kappa)
             except PoleAtEpsilonError as exc:

@@ -97,7 +97,7 @@ def build_modular_data(rs: RootSystemData, kappa: int) -> ModularData:
 
     hvee = rs.dual_coxeter
     zeta = epsilon_power(
-        Fraction(kappa - hvee, hvee) * form(rs, rs.rho, rs.rho, "primed"),
+        Fraction(kappa - hvee, hvee) * form(rs, rs.rho, rs.rho) * rs.lacing,
         rs.lacing, kappa)
     central = Fraction((kappa - hvee) * rs.dim_adjoint, kappa)
 

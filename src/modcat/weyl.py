@@ -17,8 +17,8 @@ from collections import namedtuple
 from functools import lru_cache
 from math import factorial
 
-from .lie import (RootSystemData, Weight, _coroot_pairing, _dot, wadd, wneg,
-                  wscale, wsub)
+from .lie import (RootSystemData, Weight, _dot, pairing, wadd, wneg, wscale,
+                  wsub)
 from .numeric import InternalConsistencyError
 
 DEFAULT_WEYL_CAP = 10 ** 6
@@ -159,7 +159,7 @@ def enumerate_ck(rs: RootSystemData, bound: int) -> tuple[Weight, ...]:
     kappa = bound + rs.dual_coxeter
     for lam in out:
         shifted = wadd(lam, rs.rho)
-        if not all(_coroot_pairing(rs, shifted, alpha) < kappa
+        if not all(pairing(rs, shifted, alpha) < kappa
                    for alpha in rs.positive_roots):
             raise InternalConsistencyError(
                 f"sub-alcove weight {lam} fails <lam+rho, alpha> < {kappa}")

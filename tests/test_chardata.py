@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -108,7 +109,7 @@ def test_char_ratio_matches_weight_sum():
                 direct = CycNum.zero()
                 for w, mult in sorted(mults.items()):
                     direct = direct + epsilon_power(
-                        form(rs, w, point, "primed"), rs.lacing, kappa) * mult
+                        fraction_form(rs, w, point), rs.lacing, kappa) * mult
                 assert ratio == direct == char_value(rs, kappa, lam, point)
 
 
@@ -214,11 +215,31 @@ def test_vanishing_criterion_matches_dimension(rs, kappa):
 
 
 # The Fraction-exponent formulas the integer Gram matrix replaced, kept as
-# the reference: every exponent is a Fraction from gram_primed, and every
-# root of unity goes through epsilon_power.
+# the reference: every exponent is a Fraction from a Gram matrix the test
+# builds itself, and every root of unity goes through epsilon_power.
+
+@functools.lru_cache(maxsize=None)
+def fraction_gram(rs):
+    """(omega_i, omega_j)' = d_i (A^-1)_ij as Fractions, A^-1 by the
+    test's own Gauss-Jordan elimination, not from rs.gram."""
+    n = rs.rank
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j))
+                                         for j in range(n)]
+           for i, row in enumerate(rs.cartan)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            f = aug[r][col]
+            if r != col and f:
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [[d * x for x in row[n:]] for d, row in zip(rs.symmetrizers, aug)]
+
 
 def fraction_form(rs, lam, mu):
-    return sum(lam[i] * rs.gram_primed[i][j] * mu[j]
+    gram = fraction_gram(rs)
+    return sum(lam[i] * gram[i][j] * mu[j]
                for i in range(rs.rank) for j in range(rs.rank))
 
 

@@ -199,7 +199,8 @@ def test_verify_failing_check_carries_its_witness(capsys, monkeypatch):
 
 
 def test_bad_algebra_names(capsys):
-    for name in ("2A", "Ax", "A", ""):
+    # ASCII digits only: no Arabic-Indic digit, no superscript
+    for name in ("2A", "Ax", "A", "", "A\u0661", "A\u00b2"):
         code, out, err = run_cli(capsys, "lie-info", "--algebra", name)
         assert code == 2 and out == "" and "bad algebra name" in err, name
     code, out, _ = run_cli(capsys, "lie-info", "--algebra", " g2 ")
@@ -208,10 +209,20 @@ def test_bad_algebra_names(capsys):
 
 def test_bad_weights(capsys):
     for lhs, message in (("1,x", "bad weight '1,x'"),
+                         ("1_0", "bad weight '1_0'"),
+                         ("\u0663", "bad weight '\u0663'"),
                          ("1,0", "weight '1,0' has 2 coordinates")):
         code, out, err = run_cli(capsys, "fusion", "--algebra", "A1",
                                  "--kappa", "4", "--lhs", lhs, "--rhs", "1")
         assert code == 2 and out == "" and message in err, lhs
+
+
+def test_signed_weights_and_alcove_rank(capsys):
+    code, out, _ = run_cli(capsys, "fusion", "--algebra", "A1", "--kappa",
+                           "4", "--lhs", "+1", "--rhs", "1")
+    assert code == 0 and json.loads(out)["lambda"] == [1]
+    code, out, err = run_cli(capsys, "alcove", "--n", "1", "--K", "2")
+    assert (code, out, err) == (2, "", "error: need n >= 2\n")
 
 
 def test_macdonald_poly_rejects_non_dominant_weight(capsys):

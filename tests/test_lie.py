@@ -6,7 +6,7 @@ from operator import mul
 import pytest
 
 from modcat.lie import (build_root_system, form, lattice_index, pairing,
-                        root_alpha_coords, theta_pairing, wadd, wscale)
+                        root_alpha_coords, wadd, wscale)
 from modcat.numeric import solve
 
 ALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3),
@@ -51,7 +51,7 @@ def test_a2_constants():
     rs = build_root_system("A", 2)
     assert rs.cartan_index == 3
     assert len(rs.positive_roots) == 3
-    assert theta_pairing(rs, rs.rho) == 2
+    assert pairing(rs, rs.rho, rs.highest_root) == 2
 
 
 def test_invalid_types_rejected():
@@ -75,7 +75,7 @@ def test_table_invariants(series, rank):
     # <rho, alpha_i^vee> = 1 and <rho, theta^vee> = h^vee - 1
     for alpha in rs.simple_roots:
         assert pairing(rs, rs.rho, alpha) == 1
-    assert theta_pairing(rs, rs.rho) == rs.dual_coxeter - 1
+    assert pairing(rs, rs.rho, rs.highest_root) == rs.dual_coxeter - 1
     # sum of positive roots is 2 rho
     total = rs.zero
     for alpha in rs.positive_roots:
@@ -91,7 +91,7 @@ def test_pairing_integral_on_weights(series, rank):
     for _ in range(25):
         lam = tuple(rng.randrange(-4, 5) for _ in range(rank))
         for alpha in rs.positive_roots:
-            assert pairing(rs, lam, alpha).denominator == 1
+            assert type(pairing(rs, lam, alpha)) is int
 
 
 @pytest.mark.parametrize("series,rank", ALL_TYPES)
@@ -102,7 +102,7 @@ def test_primed_form_denominator_divides_index(series, rank):
     for _ in range(25):
         lam = tuple(rng.randrange(-4, 5) for _ in range(rank))
         mu = tuple(rng.randrange(-4, 5) for _ in range(rank))
-        value = form(rs, lam, mu, "primed")
+        value = form(rs, lam, mu) * rs.lacing
         assert rs.cartan_index % value.denominator == 0
 
 
@@ -124,12 +124,12 @@ def test_a1_form_values():
 def test_g2_primed_long_root():
     rs = build_root_system("G", 2)
     theta = rs.highest_root
-    assert form(rs, theta, theta, "primed") == 6
+    assert form(rs, theta, theta) * rs.lacing == 6
 
 
 def test_a2_shifted_theta_pairing():
     rs = build_root_system("A", 2)
-    assert theta_pairing(rs, wadd(rs.rho, (1, 0))) == 3
+    assert pairing(rs, wadd(rs.rho, (1, 0)), rs.highest_root) == 3
 
 
 def test_pairing_rejects_zero_root():
@@ -285,7 +285,6 @@ def test_integer_gram_over_least_denominator(series, rank):
         for j, x in enumerate(row):
             assert type(x) is int
             assert Fraction(x, rs.denominator) == ref[i][j]
-            assert rs.gram_primed[i][j] == ref[i][j]
             g = gcd(g, x)
     assert g == 1
 
@@ -300,12 +299,31 @@ def test_form_and_pairings_against_fraction_reference(series, rank):
         mu = tuple(rng.randrange(-5, 6) for _ in range(rank))
         primed = sum(lam[i] * ref[i][j] * mu[j]
                      for i in range(rank) for j in range(rank))
-        assert form(rs, lam, mu, "primed") == primed
         assert form(rs, lam, mu) == primed / rs.lacing
     for i in range(rank):
         for j, alpha in enumerate(rs.simple_roots):
             assert pairing(rs, alpha, rs.simple_roots[i]) == rs.cartan[i][j]
-    assert len(rs.comarks) == rank
-    for c, omega in zip(rs.comarks, rs.fundamental_weights):
-        assert type(c) is int and c > 0
-        assert c == theta_pairing(rs, omega)
+    # <omega_i, theta^vee> = 2 (omega_i, theta)' / (theta, theta)'
+    theta = rs.highest_root
+    ref_theta = [sum(map(mul, row, theta)) for row in ref]
+    theta2 = sum(map(mul, theta, ref_theta))
+    assert rs.comarks == tuple(2 * x / theta2 for x in ref_theta)
+    assert all(type(c) is int and c > 0 for c in rs.comarks)
+
+
+@pytest.mark.parametrize("series,rank", SUPPORTED)
+def test_root_order_coordinates_and_integer_pairing(series, rank):
+    rs = build_root_system(series, rank)
+    coords = [root_alpha_coords(rs, alpha) for alpha in rs.positive_roots]
+    for c in coords:
+        assert all(x.denominator == 1 and x >= 0 for x in c)
+    keys = [(sum(c), alpha) for c, alpha in zip(coords, rs.positive_roots)]
+    assert keys == sorted(keys)
+    rng = random.Random(rank)
+    lam = tuple(rng.randrange(-5, 6) for _ in range(rank))
+    for alpha in rs.positive_roots:
+        assert type(pairing(rs, lam, alpha)) is int
+    # 3 theta is no root: <theta, (3 theta)^vee> = 2/3
+    theta = rs.highest_root
+    with pytest.raises(ValueError, match="2/3 is not an integer"):
+        pairing(rs, theta, wscale(3, theta))

@@ -295,6 +295,32 @@ def test_norm_criterion_detects_boundary():
     assert outside.is_zero()
 
 
+NORM_CRITERION = "norm at the root of unity vanishes exactly off the sub-alcove"
+
+
+@pytest.mark.parametrize("norm,witness", [
+    # a nonzero norm just beyond the sub-alcove
+    (QRatFn.one(), "(3,): norm nonzero True vs in sub-alcove False"),
+    # a norm with a pole at v = eps^(1/2)
+    (QRatFn((1,), cyclotomic_polynomial(24)),
+     "pole at (3,): pole at the root of unity (lacing 1, kappa 6): "
+     "denominator 1 + -1*v^4 + 1*v^8 vanishes"),
+], ids=["nonzero", "pole"])
+def test_norm_criterion_witnesses(monkeypatch, norm, witness):
+    # the box of the criterion reaches (3,), outside the sub-alcove and so
+    # read by no other check
+    import modcat.macdonald as macdonald
+
+    closed = macdonald.norm_formula
+    monkeypatch.setattr(macdonald, "norm_formula", lambda rs, k, lam: (
+        norm if lam == (3,) else closed(rs, k, lam)))
+    ctx = build_context(2, 2, 2)
+    assert (3,) not in ctx.alcove
+    failed = {c.name: c.witness for c in verify_section5(ctx).checks
+              if c.status == "fail"}
+    assert failed == {NORM_CRITERION: witness}
+
+
 def test_invalid_context_arguments():
     with pytest.raises(ValueError):
         build_context(1, 1, 1)

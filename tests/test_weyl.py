@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from modcat.lie import build_root_system, form, theta_pairing, wadd, wneg
+from modcat.lie import build_root_system, form, pairing, wadd, wneg
 from modcat.numeric import InternalConsistencyError
 from modcat.weyl import (enumerate_alcove, enumerate_ck, fold_to_alcove,
                          make_dominant, reflect, star, weyl_orbit, weyl_order)
@@ -151,10 +151,10 @@ def test_alcove_ordering_and_membership():
     assert list(alcove) == sorted(alcove)
     assert alcove[0] == (0, 0)
     for lam in alcove:
-        assert theta_pairing(a2, wadd(lam, a2.rho)) < 6
+        assert pairing(a2, wadd(lam, a2.rho), a2.highest_root) < 6
     # completeness against the box
     expect = {lam for lam in itertools.product(range(6), repeat=2)
-              if theta_pairing(a2, wadd(lam, a2.rho)) < 6}
+              if pairing(a2, wadd(lam, a2.rho), a2.highest_root) < 6}
     assert set(alcove) == expect
 
 
@@ -218,9 +218,9 @@ def test_fold_fundamental_domain(series, rank, kappa):
         r = fold_to_alcove(rs, kappa, lam)
         shifted = wadd(r.representative, rs.rho)
         assert all(c >= 0 for c in shifted)
-        assert theta_pairing(rs, shifted) <= kappa
+        assert pairing(rs, shifted, rs.highest_root) <= kappa
         if all(c >= 0 for c in wadd(lam, rs.rho)) and \
-                theta_pairing(rs, wadd(lam, rs.rho)) <= kappa:
+                pairing(rs, wadd(lam, rs.rho), rs.highest_root) <= kappa:
             assert r.representative == lam
 
 
@@ -240,7 +240,7 @@ def test_fold_sign_composition_with_generators():
             assert moved.representative == base.representative
             assert moved.sign == -base.sign
         # affine generator: s_Gamma(x) = x - (<x, theta^vee> - kappa) theta
-        h = int(theta_pairing(a2, shifted))
+        h = pairing(a2, shifted, theta)
         img = wadd(shifted, tuple(-(h - kappa) * t for t in theta))
         moved = fold_to_alcove(a2, kappa, wadd(img, wneg(a2.rho)))
         assert moved.representative == base.representative
