@@ -6,13 +6,14 @@ everything stays inside one cyclotomic field: a group-ring element
 f = sum a_lam e^lam takes the value sum a_lam eps^((lam, mu)') there, each
 exponent an integer over the Gram denominator D.  A character value and
 an alternating sum both fold their weight to the dominant chamber and sum
-powers of eps over a weight diagram or a signed Weyl orbit, in one loop;
-products of binomials prod (zeta^a - zeta^b) (the Weyl denominator,
-macdonald's d_lam) share one kernel; quantum dimensions are
-delta(-2(lam + rho)) / delta(-2 rho), with no orbit.  Each such sum or
-product of powers of eps is made into a CycNum once, by CycNum.from_tally.
-dominant_weights_below lists weights in depth order, as Freudenthal's
-recursion and Gram-Schmidt need.
+powers of eps over a weight diagram or a signed Weyl orbit in one loop,
+_weight_sum; macdonald's special values P_lam(x_mu) sum there each class
+of weights that share a coefficient of P_lam.  Products of binomials
+prod (zeta^a - zeta^b) (the Weyl denominator, macdonald's d_lam) share one
+kernel; quantum dimensions are delta(-2(lam + rho)) / delta(-2 rho), with
+no orbit.  Each such sum or product of powers of eps is made into a CycNum
+once, by CycNum.from_tally.  dominant_weights_below lists weights in depth
+order, as Freudenthal's recursion and Gram-Schmidt need.
 """
 
 from __future__ import annotations
@@ -158,7 +159,8 @@ def weyl_denominator_value(rs: RootSystemData, kappa: int,
 
 def _weight_sum(rs: RootSystemData, kappa: int, terms, point: Weight) -> CycNum:
     """sum c eps^((w, point)') over the terms (w, int c), tallied here, not
-    by from_tally, since this loop carries every Weyl orbit."""
+    by from_tally, since this loop carries every Weyl orbit and every
+    coefficient class of the section-5 special values."""
     order = _eps_order(rs, kappa)
     v = _gram_vector(rs, point)
     tally: dict[int, int] = {}

@@ -28,15 +28,10 @@ from .numeric import InternalConsistencyError, solve
 
 Weight = tuple[int, ...]
 
-_RANK_RANGES = {
-    "A": (1, 512),
-    "B": (2, 512),
-    "C": (2, 512),
-    "D": (4, 512),
-    "E": (6, 8),
-    "F": (4, 4),
-    "G": (2, 2),
-}
+_RANK_RANGES = {"A": (1, 512), "B": (2, 512), "C": (2, 512), "D": (4, 512),
+                "E": (6, 8), "F": (4, 4), "G": (2, 2)}
+_VALID_TYPES = ", ".join(f"{s}{lo}" + (f"-{s}{hi}" if hi > lo else "")
+                         for s, (lo, hi) in _RANK_RANGES.items())
 
 
 def wadd(a: Weight, b: Weight) -> Weight:
@@ -173,13 +168,11 @@ def build_root_system(series: str, rank: int) -> RootSystemData:
     series = series.upper()
     if series not in _RANK_RANGES:
         raise ValueError(
-            f"unknown series {series!r}; valid types are "
-            "A(n>=1), B(n>=2), C(n>=2), D(n>=4), E(6..8), F4, G2")
+            f"unknown series {series!r}; valid types are {_VALID_TYPES}")
     lo, hi = _RANK_RANGES[series]
     if not lo <= rank <= hi:
-        raise ValueError(
-            f"invalid rank {rank} for series {series}; valid types are "
-            "A(n>=1), B(n>=2), C(n>=2), D(n>=4), E(6..8), F4, G2")
+        raise ValueError(f"invalid rank {rank} for series {series}; "
+                         f"valid types are {_VALID_TYPES}")
 
     cartan = _cartan_matrix(series, rank)
     d = _symmetrizers(cartan)

@@ -9,17 +9,15 @@ overlaps with the partly reduced polynomial and <P_lam, P_lam>.  The
 pairing is a constant-term sum over matching weights: each term of f meets
 each term of bar(g) whose weight sum is minus a weight of the density.
 Its sums run over the integer numerators (QRatFn.low, QRatFn.num) of the
-coefficients, one running sum per pair of coefficient denominators
-QRatFn.den, and each pair is normalised to a QRatFn once.  The density is
-multiplied out in integers and kept so, as the integer Laurent terms the
-pairing reads; the closed-form norm is one q-number quotient, built
-already reduced.  Everything is exact: rational functions of
-v = q^(1/2) at generic q, cyclotomic numbers at the root of unity.  The
-modular matrices on the intertwiner basis are assembled from the special
-values P_lam(x_mu) (SUData.values), which _special_values alone computes
-by evaluating each coefficient of P_lam at the root of unity once, and
-from d_lam, one binomial product of chardata; they are checked against all
-the symmetry, conjugation and modular-group identities they satisfy.
+coefficients, one running sum per pair of denominators QRatFn.den, each
+made a QRatFn once.  The density is multiplied out in integers and kept
+so; the closed-form norm is one q-number quotient, built reduced.  All is
+exact: rational functions of v = q^(1/2) at generic q, cyclotomic numbers
+at the root of unity.  The modular matrices on the intertwiner basis come
+from d_lam, one binomial product of chardata, and the special values
+P_lam(x_mu) (SUData.values): each coefficient of P_lam, evaluated once,
+times chardata._weight_sum over the weights that carry it.  They are
+checked against every symmetry, conjugation and modular-group identity.
 """
 
 from __future__ import annotations
@@ -29,12 +27,12 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain
 
-from .chardata import (_binomial_product, _eps_order, _rho_denominator_inverse,
-                       dominant_weights_below, is_dominant, quantum_dim,
-                       weight_multiplicities)
-from .lie import (RootSystemData, Weight, _dot, _gram_vector,
-                  build_root_system, form, lattice_index, pairing,
-                  root_alpha_coords, wadd, wneg, wscale)
+from .chardata import (_binomial_product, _rho_denominator_inverse,
+                       _weight_sum, dominant_weights_below, is_dominant,
+                       quantum_dim, weight_multiplicities)
+from .lie import (RootSystemData, Weight, _dot, build_root_system, form,
+                  lattice_index, pairing, root_alpha_coords, wadd, wneg,
+                  wscale)
 from .numeric import (DEFAULT_TOLERANCE, CycNum, InternalConsistencyError,
                       PoleAtEpsilonError, QRatFn, _dense, _pmul, approx_eq,
                       cyclotomic_polynomial, epsilon_power, matrix_product,
@@ -384,26 +382,28 @@ def d_coefficient(ctx: MacdonaldContext, lam: Weight) -> CycNum:
 def _special_values(ctx: MacdonaldContext, points) -> tuple:
     """values[l][m] = P_l(eps^points[m]) over the alcove weights l.
 
-    Each coefficient of P_l is evaluated at v = eps^(1/2) once and the terms
-    are summed in sorted weight order, which fixes the printed form of the
-    sum; a pole raises PoleAtEpsilonError naming l and the weight."""
+    Each coefficient of P_l is evaluated at v = eps^(1/2) once and scales
+    the weight sum over the class of weights carrying it, in sorted order
+    of first weight; a pole names l and that class's first weight."""
     rs, kappa = ctx.rs, ctx.kappa
-    order = _eps_order(rs, kappa)
-    vectors = [_gram_vector(rs, x) for x in points]
     rows = []
     for lam in ctx.alcove:
-        terms = []
+        classes: dict[tuple, tuple[QRatFn, list]] = {}
         for w, c in macdonald_polynomial(ctx, lam).sorted_terms():
+            classes.setdefault((c.low, c.num, c.den), (c, []))[1].append(
+                (w, 1))
+        terms = []
+        for c, weights in classes.values():
             try:
                 x = c.eval_at_epsilon(1, kappa)
             except PoleAtEpsilonError as exc:
-                raise PoleAtEpsilonError(
-                    f"{lam}: coefficient at weight {w}: {exc}") from None
+                raise PoleAtEpsilonError(f"{lam}: coefficient at weight "
+                                         f"{weights[0][0]}: {exc}") from None
             if x:
-                terms.append((w, x))
-        rows.append(tuple(sum((x * CycNum.root_of_unity(order, _dot(w, v))
-                               for w, x in terms), CycNum.zero())
-                          for v in vectors))
+                terms.append((x, weights))
+        rows.append(tuple(sum((x * _weight_sum(rs, kappa, weights, p)
+                               for x, weights in terms), CycNum.zero())
+                          for p in points))
     return tuple(rows)
 
 

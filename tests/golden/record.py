@@ -74,7 +74,8 @@ COMMANDS = {
     # s-matrix numerators summed over a |W| = 51,840 signed orbit
     "modular-E6-k13": ["modular", "--algebra", "E6", "--kappa", "13"],
     # section-5 S entries of orders 1, 36 and 108, whose printed form
-    # depends on the order in which the special values are summed
+    # depends on the order in which the special values add their
+    # coefficient classes
     "macdonald-su-n3-k2-K3": ["macdonald", "su", "--n", "3", "--k", "2",
                               "--K", "3"],
     # the pretty view of each command that has one, bar verify, whose

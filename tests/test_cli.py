@@ -40,6 +40,19 @@ def test_alcove_needs_arguments(capsys):
     assert code == 2 and "alcove needs" in err
 
 
+@pytest.mark.parametrize("argv,refusal", [
+    (("lie-info", "--algebra", "A513"), "invalid rank 513 for series A"),
+    (("alcove", "--n", "514", "--K", "0"), "invalid rank 513 for series A"),
+    (("lie-info", "--algebra", "E9"), "invalid rank 9 for series E"),
+    (("lie-info", "--algebra", "H3"), "unknown series 'H'"),
+], ids=["A513", "n514", "E9", "H3"])
+def test_refusals_state_every_rank_bound(capsys, argv, refusal):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err == (f"error: {refusal}; valid types are A1-A512, B2-B512, "
+                   "C2-C512, D4-D512, E6-E8, F4, G2\n")
+
+
 def test_dims_json_and_csv(capsys):
     code, out, _ = run_cli(capsys, "dims", "--algebra", "A1", "--kappa", "4")
     assert code == 0

@@ -610,3 +610,59 @@ def test_section5_evaluates_each_special_value_once(monkeypatch):
     monkeypatch.setattr(macdonald, "_special_values", counted)
     assert verify_section5(ctx).passed
     assert len(calls) == 1 and len(calls[0]) == len(ctx.alcove)
+
+
+def section5_points(ctx):
+    """The points x_m = eps^(-2(m + k rho)) of build_su_data."""
+    shift = wscale(ctx.k, ctx.rs.rho)
+    return [wscale(-2, wadd(lam, shift)) for lam in ctx.alcove]
+
+
+def term_by_term_values(ctx, points):
+    """P_l(x_m) as the sum of x zeta^e over the sorted terms of P_l, one
+    power of the root of unity per weight."""
+    from modcat.chardata import _eps_order
+    from modcat.lie import _dot, _gram_vector
+
+    order = _eps_order(ctx.rs, ctx.kappa)
+    vectors = [_gram_vector(ctx.rs, p) for p in points]
+    rows = []
+    for lam in ctx.alcove:
+        terms = [(w, c.eval_at_epsilon(1, ctx.kappa))
+                 for w, c in macdonald_polynomial(ctx, lam).sorted_terms()]
+        rows.append(tuple(
+            sum((x * CycNum.root_of_unity(order, _dot(w, v))
+                 for w, x in terms), CycNum.zero())
+            for v in vectors))
+    return tuple(rows)
+
+
+# the section-5 cases of the macdonald-generic benchmark, and (3, 1, 5)
+@pytest.mark.parametrize("n,k,level", [
+    (2, 1, 2), (2, 2, 2), (2, 3, 1), (3, 2, 1), (3, 2, 2), (3, 1, 5)])
+def test_special_values_match_term_by_term_sums(n, k, level):
+    from modcat.macdonald import _special_values
+
+    ctx = build_context(n, k, level)
+    points = section5_points(ctx)
+    assert _special_values(ctx, points) == term_by_term_values(ctx, points)
+
+
+def test_special_values_of_a_polynomial_that_is_not_w_invariant():
+    # the coefficient [2] spans weights of the orbits of w1 and w2, the orbit
+    # of w1 carries both [2] and 3, and Phi_{4 kappa}(v) vanishes at the root
+    # of unity: the classes of equal coefficients are not the orbits
+    from modcat.macdonald import _special_values
+
+    ctx = build_context(3, 2, 2)
+    for lam in ctx.alcove:
+        macdonald_polynomial(ctx, lam)
+    two, three = q_number(2), QRatFn.from_rational(3)
+    poly = WPoly({(1, 0): two, (0, 1): two, (-1, 1): three, (0, -1): three,
+                  (1, 1): QRatFn(cyclotomic_polynomial(4 * ctx.kappa))})
+    assert not poly.is_w_invariant(ctx.rs)
+    ctx._polys[ctx.alcove[-1]] = poly
+    points = section5_points(ctx)
+    got = _special_values(ctx, points)
+    assert got == term_by_term_values(ctx, points)
+    assert any(not x.is_zero() for x in got[-1])
