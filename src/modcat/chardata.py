@@ -24,8 +24,8 @@ from itertools import chain
 from operator import mul
 from types import MappingProxyType
 
-from .lie import (RootSystemData, Weight, _dot, _form_num, _gram_vector,
-                  root_alpha_coords, wadd, wscale, wsub)
+from .lie import (RootSystemData, Weight, _check_rank, _dot, _form_num,
+                  _gram_vector, root_alpha_coords, wadd, wscale, wsub)
 from .numeric import CycNum, InternalConsistencyError
 from .weyl import make_dominant, weyl_orbit
 
@@ -34,6 +34,7 @@ from .weyl import make_dominant, weyl_orbit
 def weyl_dimension(rs: RootSystemData, lam: Weight) -> int:
     """Classical dimension of the irreducible with highest weight lam:
     prod (lam + rho, alpha)' / prod (rho, alpha)' over positive alpha."""
+    _check_rank(rs, lam)
     shifted = _gram_vector(rs, wadd(lam, rs.rho))
     rho = _gram_vector(rs, rs.rho)
     num = den = 1
@@ -152,6 +153,7 @@ def _binomial_product(order: int, pairs) -> CycNum:
 def weyl_denominator_value(rs: RootSystemData, kappa: int,
                            point: Weight) -> CycNum:
     """prod over positive alpha of (eps^((alpha, point)'/2) - eps^(-...))."""
+    _check_rank(rs, point)
     v = _gram_vector(rs, point)
     exps = [_dot(alpha, v) for alpha in rs.positive_roots]
     return _binomial_product(2 * _eps_order(rs, kappa), [(e, -e) for e in exps])
@@ -178,6 +180,7 @@ def alternating_sum(rs: RootSystemData, kappa: int, xi: Weight,
     point lies on a wall, and p times the sum over its signed orbit
     otherwise.
     """
+    _check_rank(rs, xi, point)
     dom, parity = make_dominant(rs, xi)
     if not all(dom):
         return CycNum.zero()
@@ -193,6 +196,7 @@ def char_value(rs: RootSystemData, kappa: int, lam: Weight,
     lies on a wall; so the value is p times the weight-diagram sum of
     dom - rho, at every point, singular or not.
     """
+    _check_rank(rs, lam, point)
     dom, parity = make_dominant(rs, wadd(lam, rs.rho))
     if not all(dom):
         return CycNum.zero()
@@ -208,6 +212,7 @@ def quantum_dim(rs: RootSystemData, kappa: int, lam: Weight) -> CycNum:
     -2 (lam + rho) over the denominator at -2 rho (the signs (-1)^|R+| of
     the two cancel), O(|R+|) and no orbit.
     """
+    _check_rank(rs, lam)
     if not is_dominant(lam):
         raise ValueError(f"quantum dimension needs a dominant weight, got {lam}")
     return (weyl_denominator_value(rs, kappa, wscale(-2, wadd(lam, rs.rho)))
@@ -222,6 +227,7 @@ def _rho_denominator_inverse(rs: RootSystemData, kappa: int) -> CycNum:
 
 def vanishing_criterion(rs: RootSystemData, kappa: int, lam: Weight) -> bool:
     """True when dim_eps V_lam = 0: some (lam+rho, alpha) lies in kappa Z."""
+    _check_rank(rs, lam)
     if not is_dominant(lam):
         raise ValueError(f"criterion needs a dominant weight, got {lam}")
     # (lam + rho, alpha) = (gram (lam + rho)) . alpha / (D m)

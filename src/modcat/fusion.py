@@ -157,8 +157,15 @@ def _associativity_failures(table: FusionTable):
                     yield f"N_{alcove[j]} N_{alcove[i]} {x}"
 
 
+def _check_same_category(md: ModularData, table: FusionTable) -> None:
+    if (md.rs, md.kappa) != (table.rs, table.kappa):
+        raise ValueError(f"modular data of {md.rs!r} at kappa {md.kappa}, "
+                         f"fusion table of {table.rs!r} at kappa {table.kappa}")
+
+
 def verify_fusion(md: ModularData, table: FusionTable) -> VerificationReport:
     """Folding vs s-matrix diagonalization, plus the ring axioms."""
+    _check_same_category(md, table)
     rep = VerificationReport(suite="fusion")
     alcove, mats = table.alcove, table.matrices
     idx = range(len(alcove))
@@ -198,6 +205,7 @@ def verify_fusion(md: ModularData, table: FusionTable) -> VerificationReport:
 def verify_grothendieck(md: ModularData,
                         table: FusionTable) -> VerificationReport:
     """The character map diagonalizes the fusion ring pointwise."""
+    _check_same_category(md, table)
     rep = VerificationReport(suite="grothendieck")
 
     # f_{V_lam}(mu) = ch V_lam (eps^{-2(mu+rho)}) = s_{lam mu} / dim_mu, so

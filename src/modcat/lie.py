@@ -13,14 +13,18 @@ The Cartan matrix A is inverted once, by numeric.solve, which also gives
 |det A| = |P/Q|; the Gram matrix is D d_i (A^-1)_ij, so simple-root
 coordinates are read off it.  In weight coordinates the simple coroots are
 (m/d_i) alpha_i, m being the lacing, so the lattice index
-|P / kappa Q^vee| = kappa^rank |P/Q| prod m/d_i in closed form.
+|P / kappa Q^vee| = kappa^rank |P/Q| prod m/d_i in closed form.  The search
+for the positive roots keeps their simple-root coordinates; those of the
+highest root theta are the marks a_i, so |W| = rank! prod a_i |P/Q|.  As
+rho = sum omega_i, h^vee = 1 + sum of the comarks <omega_i, theta^vee>,
+which are (gram theta)_i / (D m).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -52,10 +56,12 @@ def wscale(c: int, a: Weight) -> Weight:
 
 class RootSystemData(namedtuple("RootSystemData", (
         "series rank cartan simple_roots fundamental_weights positive_roots "
-        "rho highest_root dual_coxeter lacing symmetrizers cartan_index "
-        "dim_adjoint gram denominator"))):
+        "rho highest_root marks comarks dual_coxeter lacing symmetrizers "
+        "cartan_index dim_adjoint gram denominator"))):
     """Immutable tables for one simple Lie type.
 
+    marks are the a_i with theta = sum a_i alpha_i; comarks are
+    <omega_i, theta^vee>, so that <lam, theta^vee> = comarks . lam;
     lacing is m: 1, 2 or 3; symmetrizers are d_i = (alpha_i, alpha_i)'/2;
     cartan_index is N = |P/Q|; gram is the integer matrix
     D (omega_i, omega_j)', where denominator is D, the least that makes it
@@ -65,12 +71,6 @@ class RootSystemData(namedtuple("RootSystemData", (
     @property
     def zero(self) -> Weight:
         return (0,) * self.rank
-
-    @cached_property
-    def comarks(self) -> tuple[int, ...]:
-        """<omega_i, theta^vee>, so that <lam, theta^vee> = comarks . lam."""
-        return tuple(pairing(self, omega, self.highest_root)
-                     for omega in self.fundamental_weights)
 
     def __hash__(self) -> int:
         # build_root_system is cached, so (series, rank) fixes every other
@@ -86,35 +86,27 @@ def _cartan_matrix(series: str, rank: int) -> list[list[int]]:
 
     def chain(upto: int) -> None:
         for i in range(upto):
-            a[i][i + 1] = -1
-            a[i + 1][i] = -1
+            a[i][i + 1] = a[i + 1][i] = -1
 
     if series == "A":
         chain(rank - 1)
-    elif series == "B":
+    elif series == "B":    # last node short
         chain(rank - 2)
-        a[rank - 2][rank - 1] = -1
-        a[rank - 1][rank - 2] = -2    # last node short
-    elif series == "C":
+        a[rank - 2][rank - 1], a[rank - 1][rank - 2] = -1, -2
+    elif series == "C":    # last node long
         chain(rank - 2)
-        a[rank - 2][rank - 1] = -2    # last node long
-        a[rank - 1][rank - 2] = -1
+        a[rank - 2][rank - 1], a[rank - 1][rank - 2] = -2, -1
     elif series == "D":
         chain(rank - 2)
-        a[rank - 3][rank - 1] = -1
-        a[rank - 1][rank - 3] = -1
+        a[rank - 3][rank - 1] = a[rank - 1][rank - 3] = -1
     elif series == "E":
         chain(rank - 2)
-        a[rank - 4][rank - 1] = -1
-        a[rank - 1][rank - 4] = -1
+        a[rank - 4][rank - 1] = a[rank - 1][rank - 4] = -1
     elif series == "F":
-        a[0][1] = a[1][0] = -1
-        a[1][2] = -1
+        chain(3)
         a[2][1] = -2
-        a[2][3] = a[3][2] = -1
     elif series == "G":
-        a[0][1] = -3
-        a[1][0] = -1
+        a[0][1], a[1][0] = -3, -1
     return a
 
 
@@ -138,13 +130,12 @@ def _symmetrizers(cartan: list[list[int]]) -> list[int]:
     return [x // g for x in ints]
 
 
-def _positive_roots(cartan: list[list[int]]) -> list[Weight]:
-    """The positive roots sorted by (height, weight).  A positive root w
-    with c = <w, alpha_i^vee> < 0 has the higher positive root
-    s_i(w) = w - c alpha_i, and every positive root but a simple one is
-    such an image, so these steps from the simple roots find them all.
-    Each root carries its simple-root coordinates a; the step raises a_i
-    by -c."""
+def _positive_roots(cartan: list[list[int]]) -> list[tuple[Weight, Weight]]:
+    """The positive roots with their simple-root coordinates, sorted by
+    (height, weight).  A positive root w with c = <w, alpha_i^vee> < 0 has
+    the higher positive root s_i(w) = w - c alpha_i, and every positive root
+    but a simple one is such an image, so these steps from the simple roots
+    find them all; each step raises the coordinate a_i by -c."""
     rank = len(cartan)
     roots = {tuple(cartan[i][j] for i in range(rank)):
              tuple(int(i == j) for i in range(rank)) for j in range(rank)}
@@ -159,7 +150,7 @@ def _positive_roots(cartan: list[list[int]]) -> list[Weight]:
                         roots[r] = b = a[:i] + (a[i] - c,) + a[i + 1:]
                         nxt.append((r, b))
         frontier = nxt
-    return [w for _, w in sorted((sum(a), w) for w, a in roots.items())]
+    return sorted(roots.items(), key=lambda wa: (sum(wa[1]), wa[0]))
 
 
 @lru_cache(maxsize=None)
@@ -177,9 +168,9 @@ def build_root_system(series: str, rank: int) -> RootSystemData:
     cartan = _cartan_matrix(series, rank)
     d = _symmetrizers(cartan)
     m = max(d)
+    identity = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
     det, inv_cartan = solve([[Fraction(x) for x in row] for row in cartan],
-                            [[int(i == j) for j in range(rank)]
-                             for i in range(rank)])
+                            identity)
     if inv_cartan is None:
         raise InternalConsistencyError(f"singular Cartan matrix {cartan}")
     # (omega_i, omega_j)' = d_i * (A^{-1})_{ij}, over its least denominator
@@ -189,26 +180,22 @@ def build_root_system(series: str, rank: int) -> RootSystemData:
 
     positive = _positive_roots(cartan)
     # highest root: the unique root of greatest height, last in that order
-    theta = positive[-1]
-    rho = (1,) * rank
-    # h^vee = <rho, theta^vee> + 1, through v = gram theta
-    v = [_dot(row, theta) for row in gram]
-    hvee = Fraction(2 * _dot(rho, v), _dot(theta, v)) + 1
-    if hvee.denominator != 1:
-        raise InternalConsistencyError(f"dual Coxeter number {hvee}")
+    theta, marks = positive[-1]
+    # <omega_i, theta^vee> = (omega_i, theta)' / m = (gram theta)_i / (D m)
+    comarks = tuple(_dot(row, theta) // (denominator * m) for row in gram)
 
     rs = RootSystemData(
         series=series,
         rank=rank,
         cartan=tuple(tuple(row) for row in cartan),
-        simple_roots=tuple(tuple(cartan[i][j] for i in range(rank))
-                           for j in range(rank)),
-        fundamental_weights=tuple(tuple(int(i == j) for i in range(rank))
-                                  for j in range(rank)),
-        positive_roots=tuple(positive),
-        rho=rho,
+        simple_roots=tuple(zip(*cartan)),
+        fundamental_weights=tuple(identity),
+        positive_roots=tuple(w for w, _ in positive),
+        rho=(1,) * rank,
         highest_root=theta,
-        dual_coxeter=int(hvee),
+        marks=marks,
+        comarks=comarks,
+        dual_coxeter=1 + sum(comarks),
         lacing=m,
         symmetrizers=tuple(d),
         cartan_index=int(abs(det)),
@@ -225,23 +212,27 @@ def _check_tables(rs: RootSystemData) -> None:
     if theta2 != 2:
         raise InternalConsistencyError(
             f"highest root normalization broke: {theta2}")
-    g = gcd(*rs.symmetrizers)
-    if g != 1:
-        raise InternalConsistencyError(f"symmetrizers have gcd {g}")
     if any(rs.lacing % d for d in rs.symmetrizers):
         raise InternalConsistencyError(
             f"symmetrizers {rs.symmetrizers} do not divide the lacing "
             f"{rs.lacing}")
-    if len(rs.positive_roots) != (rs.dim_adjoint - rs.rank) // 2:
+    paired = tuple(pairing(rs, omega, rs.highest_root)
+                   for omega in rs.fundamental_weights)
+    if rs.comarks != paired:
         raise InternalConsistencyError(
-            f"{len(rs.positive_roots)} positive roots for dimension "
-            f"{rs.dim_adjoint}")
-    two_rho = rs.zero
-    for alpha in rs.positive_roots:
-        two_rho = wadd(two_rho, alpha)
+            f"comarks {rs.comarks}, but <omega_i, theta^vee> = {paired}")
+    two_rho = tuple(map(sum, zip(*rs.positive_roots)))
     if two_rho != wscale(2, rs.rho):
         raise InternalConsistencyError(
             f"positive roots sum to {two_rho}, not 2 rho")
+
+
+def _check_rank(rs: RootSystemData, *weights: Weight) -> None:
+    """Refuse any weight whose length is not the rank, as zip truncates."""
+    for w in weights:
+        if len(w) != rs.rank:
+            raise ValueError(f"rank mismatch: expected {rs.rank} "
+                             f"coordinates, got {w}")
 
 
 def _gram_vector(rs: RootSystemData, mu: Weight) -> tuple[int, ...]:
@@ -260,16 +251,14 @@ def _form_num(rs: RootSystemData, lam: Weight, mu: Weight) -> int:
 
 def form(rs: RootSystemData, lam: Weight, mu: Weight) -> Fraction:
     """Invariant bilinear form (lam, mu), normalized by (theta, theta) = 2."""
-    if len(lam) != rs.rank or len(mu) != rs.rank:
-        raise ValueError(f"rank mismatch: expected {rs.rank} coordinates")
+    _check_rank(rs, lam, mu)
     return Fraction(_form_num(rs, lam, mu), rs.denominator * rs.lacing)
 
 
 def pairing(rs: RootSystemData, lam: Weight, alpha: Weight) -> int:
     """<lam, alpha^vee> = 2 (lam, alpha) / (alpha, alpha), an integer for a
     weight lam and a root alpha."""
-    if len(lam) != rs.rank or len(alpha) != rs.rank:
-        raise ValueError(f"rank mismatch: expected {rs.rank} coordinates")
+    _check_rank(rs, lam, alpha)
     num, alpha2 = 2 * _form_num(rs, lam, alpha), _form_num(rs, alpha, alpha)
     if alpha2 == 0:
         raise ValueError("pairing against the zero vector")
@@ -283,6 +272,7 @@ def pairing(rs: RootSystemData, lam: Weight, alpha: Weight) -> int:
 def root_alpha_coords(rs: RootSystemData, w: Weight) -> tuple[Fraction, ...]:
     """Coordinates of w in the simple-root basis (exact, possibly
     fractional), (A^-1 w)_i = (gram w)_i / (D d_i)."""
+    _check_rank(rs, w)
     return tuple(Fraction(x, rs.denominator * d)
                  for x, d in zip(_gram_vector(rs, w), rs.symmetrizers))
 

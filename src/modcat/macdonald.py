@@ -30,9 +30,9 @@ from itertools import chain
 from .chardata import (_binomial_product, _rho_denominator_inverse,
                        _weight_sum, dominant_weights_below, is_dominant,
                        quantum_dim, weight_multiplicities)
-from .lie import (RootSystemData, Weight, _dot, build_root_system, form,
-                  lattice_index, pairing, root_alpha_coords, wadd, wneg,
-                  wscale)
+from .lie import (RootSystemData, Weight, _check_rank, _dot,
+                  build_root_system, form, lattice_index, pairing,
+                  root_alpha_coords, wadd, wneg, wscale)
 from .numeric import (DEFAULT_TOLERANCE, CycNum, InternalConsistencyError,
                       PoleAtEpsilonError, QRatFn, _dense, _pmul, approx_eq,
                       cyclotomic_polynomial, epsilon_power, matrix_product,
@@ -49,6 +49,7 @@ def dominance_leq(rs: RootSystemData, lam: Weight, mu: Weight) -> bool:
 
     Weights in different root-lattice classes are incomparable (False).
     """
+    _check_rank(rs, lam, mu)
     coords = root_alpha_coords(rs, wadd(mu, wneg(lam)))
     return all(c.denominator == 1 and c >= 0 for c in coords)
 
@@ -189,6 +190,7 @@ def norm_formula(rs: RootSystemData, k: int, lam: Weight) -> QRatFn:
     e | 4m, e not dividing 4, and [-m] = -[m]; cancelling the counts of
     each cyclotomic factor Phi_e leaves two coprime sides, which are
     multiplied out in integers into an already reduced ratio."""
+    _check_rank(rs, lam)
     count: Counter[int] = Counter()
     shifted = wadd(lam, wscale(k, rs.rho))
     for alpha in rs.positive_roots:
@@ -375,6 +377,7 @@ def _d_pairs(ctx: MacdonaldContext, lam: Weight, first: int = 0):
 
 def d_coefficient(ctx: MacdonaldContext, lam: Weight) -> CycNum:
     """The row normalization d_lam of the S-matrix."""
+    _check_rank(ctx.rs, lam)
     return d_prefactor(ctx.n, ctx.kappa) * _binomial_product(
         2 * ctx.kappa, _d_pairs(ctx, lam))
 

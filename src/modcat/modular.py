@@ -27,8 +27,8 @@ from itertools import chain
 
 from .chardata import (_eps_order, _rho_denominator_inverse, alternating_sum,
                        quantum_dim)
-from .lie import (RootSystemData, Weight, _form_num, form, lattice_index, wadd,
-                  wscale)
+from .lie import (RootSystemData, Weight, _check_rank, _form_num, form,
+                  lattice_index, wadd, wscale)
 from .numeric import (DEFAULT_TOLERANCE, CycNum, approx_eq, epsilon_power,
                       matrix_product, solve)
 from .report import VerificationReport, mismatches
@@ -61,6 +61,7 @@ class ModularData(namedtuple("ModularData", (
 
 def twist(rs: RootSystemData, kappa: int, lam: Weight) -> CycNum:
     """theta_lam = eps^((lam, lam + 2 rho)')."""
+    _check_rank(rs, lam)
     exp = _form_num(rs, lam, wadd(lam, wscale(2, rs.rho)))
     return CycNum.root_of_unity(_eps_order(rs, kappa), exp)
 
@@ -68,6 +69,7 @@ def twist(rs: RootSystemData, kappa: int, lam: Weight) -> CycNum:
 def s_entry_extended(rs: RootSystemData, kappa: int, lam: Weight,
                      mu: Weight) -> CycNum:
     """The s-matrix formula extended to arbitrary weight pairs."""
+    _check_rank(rs, lam, mu)
     return (alternating_sum(rs, kappa, wadd(lam, rs.rho),
                             wscale(-2, wadd(mu, rs.rho)))
             * _rho_denominator_inverse(rs, kappa))

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
-from .lie import (RootSystemData, Weight, _dot, pairing, wadd, wneg, wscale,
-                  wsub)
+from .lie import (RootSystemData, Weight, _check_rank, _dot, pairing, wadd,
+                  wneg, wscale, wsub)
 from .numeric import InternalConsistencyError
 
 DEFAULT_WEYL_CAP = 10 ** 6
@@ -42,19 +42,9 @@ def reflect(rs: RootSystemData, i: int, w: Weight) -> Weight:
 
 
 def weyl_order(rs: RootSystemData) -> int:
-    """Order of the Weyl group from the classical formulas."""
-    n = rs.rank
-    if rs.series == "A":
-        return factorial(n + 1)
-    if rs.series in ("B", "C"):
-        return 2 ** n * factorial(n)
-    if rs.series == "D":
-        return 2 ** (n - 1) * factorial(n)
-    if rs.series == "E":
-        return {6: 51840, 7: 2903040, 8: 696729600}[n]
-    if rs.series == "F":
-        return 1152
-    return 12  # G2
+    """|W| = rank! a_1 ... a_rank |P/Q| from the marks a_i (Bourbaki, Lie
+    Groups and Lie Algebras, ch. VI, 2.4)."""
+    return factorial(rs.rank) * prod(rs.marks) * rs.cartan_index
 
 
 @lru_cache(maxsize=None)
@@ -68,6 +58,9 @@ def weyl_orbit(rs: RootSystemData,
     (-1)^|R+|).  Such an orbit has |W| points and is refused beyond
     DEFAULT_WEYL_CAP before any work.
     """
+    _check_rank(rs, lam)
+    if min(lam) < 0:
+        raise ValueError(f"the Weyl orbit needs a dominant weight, got {lam}")
     order = weyl_order(rs)
     if all(lam) and order > DEFAULT_WEYL_CAP:
         raise ValueError(
@@ -91,6 +84,7 @@ def make_dominant(rs: RootSystemData, lam: Weight) -> tuple[Weight, int]:
     Parity is the usual sign (-1)^(number of reflections used); it is only
     meaningful when the orbit is regular.
     """
+    _check_rank(rs, lam)
     cur, parity = lam, 1
     while (i := next((k for k, c in enumerate(cur) if c < 0), -1)) >= 0:
         cur, parity = reflect(rs, i, cur), -parity
@@ -106,6 +100,7 @@ def _star_perm(rs: RootSystemData) -> tuple[int, ...]:
 
 def star(rs: RootSystemData, lam: Weight) -> Weight:
     """The duality involution lam -> -w0(lam), a permutation of coordinates."""
+    _check_rank(rs, lam)
     return tuple(lam[p] for p in _star_perm(rs))
 
 
@@ -139,12 +134,15 @@ def _theta_bounded_dominant(rs: RootSystemData, bound) -> list[Weight]:
     return out
 
 
+def _check_level(rs: RootSystemData, kappa: int) -> None:
+    if kappa < rs.dual_coxeter:
+        raise ValueError(f"kappa = {kappa} below the dual Coxeter number "
+                         f"{rs.dual_coxeter} of {rs.series}{rs.rank}")
+
+
 def enumerate_alcove(rs: RootSystemData, kappa: int) -> tuple[Weight, ...]:
     """Dominant weights with <lam+rho, theta^vee> < kappa, lex-ordered."""
-    if kappa < rs.dual_coxeter:
-        raise ValueError(
-            f"kappa = {kappa} below the dual Coxeter number "
-            f"{rs.dual_coxeter} of {rs.series}{rs.rank}")
+    _check_level(rs, kappa)
     return tuple(_theta_bounded_dominant(rs, kappa - rs.dual_coxeter))
 
 
@@ -169,10 +167,8 @@ def enumerate_ck(rs: RootSystemData, bound: int) -> tuple[Weight, ...]:
 def fold_to_alcove(rs: RootSystemData, kappa: int,
                    lam: Weight) -> AffineFoldResult:
     """Fold lam into the closed alcove under the shifted affine action."""
-    if kappa < rs.dual_coxeter:
-        raise ValueError(
-            f"kappa = {kappa} below the dual Coxeter number "
-            f"{rs.dual_coxeter} of {rs.series}{rs.rank}")
+    _check_level(rs, kappa)
+    _check_rank(rs, lam)
     theta, comarks = rs.highest_root, rs.comarks
     nu, parity = make_dominant(rs, wadd(lam, rs.rho))
     height = _dot(comarks, nu)

@@ -78,6 +78,14 @@ COMMANDS = {
     # coefficient classes
     "macdonald-su-n3-k2-K3": ["macdonald", "su", "--n", "3", "--k", "2",
                               "--K", "3"],
+    # the root-system tables of every other series: h^vee, the roots and
+    # the Gram matrix, with lie-info-E6 and lie-info-G2-pretty
+    "lie-info-B3": ["lie-info", "--algebra", "B3"],
+    "lie-info-C4": ["lie-info", "--algebra", "C4"],
+    "lie-info-D5": ["lie-info", "--algebra", "D5"],
+    "lie-info-E7": ["lie-info", "--algebra", "E7"],
+    "lie-info-E8": ["lie-info", "--algebra", "E8"],
+    "lie-info-F4": ["lie-info", "--algebra", "F4"],
     # the pretty view of each command that has one, bar verify, whose
     # pretty lines carry durations
     "lie-info-G2-pretty": ["lie-info", "--algebra", "G2", "--format",

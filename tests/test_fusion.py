@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -462,3 +463,14 @@ def test_broken_table_witnesses(name):
            for rep in (verify_fusion(md, bad), verify_grothendieck(md, bad))
            for c in rep.checks if c.status == "fail"}
     assert got == want
+
+
+@pytest.mark.parametrize("verify", [verify_fusion, verify_grothendieck])
+@pytest.mark.parametrize("data,table", [
+    ((A1, 4), (A1, 5)), ((A1, 5), (A1, 4)), ((A1, 5), (A2, 5))])
+def test_verify_refuses_data_and_table_of_two_categories(verify, data, table):
+    md, ft = build_modular_data(*data), build_fusion_table(*table)
+    with pytest.raises(ValueError, match=re.escape(
+            f"modular data of {data[0]!r} at kappa {data[1]}, "
+            f"fusion table of {table[0]!r} at kappa {table[1]}")):
+        verify(md, ft)

@@ -1,13 +1,23 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 from operator import mul
 
 import pytest
 
+from modcat.chardata import (alternating_sum, char_value,
+                             dominant_weights_below, quantum_dim,
+                             vanishing_criterion, weight_multiplicities,
+                             weyl_denominator_value, weyl_dimension)
+from modcat.fusion import classical_tensor, fusion_coefficients
 from modcat.lie import (build_root_system, form, lattice_index, pairing,
                         root_alpha_coords, wadd, wscale)
+from modcat.macdonald import (build_context, d_coefficient, dominance_leq,
+                              monomial_sum, norm_formula)
+from modcat.modular import s_entry_extended, twist
 from modcat.numeric import solve
+from modcat.weyl import (fold_to_alcove, make_dominant, star, star_positions,
+                         weyl_orbit, weyl_order)
 
 ALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3),
              ("D", 4), ("E", 6), ("F", 4), ("G", 2)]
@@ -17,6 +27,12 @@ SUPPORTED = [(series, rank) for series, ranks in [
     ("A", range(1, 9)), ("B", range(2, 9)), ("C", range(2, 9)),
     ("D", range(4, 9)), ("E", range(6, 9)), ("F", [4]), ("G", [2])]
     for rank in ranks]
+
+# every supported type up to rank 12, and A-D at ranks 20 and 31
+WIDE = [(series, rank) for series, ranks in [
+    ("A", range(1, 13)), ("B", range(2, 13)), ("C", range(2, 13)),
+    ("D", range(4, 13)), ("E", range(6, 9)), ("F", [4]), ("G", [2])]
+    for rank in ranks] + [(s, r) for s in "ABCD" for r in (20, 31)]
 
 
 def brute_det(mat):
@@ -142,6 +158,53 @@ def test_form_rejects_rank_mismatch():
     rs = build_root_system("A", 2)
     with pytest.raises(ValueError):
         form(rs, (1,), (1, 0))
+
+
+A2 = build_root_system("A", 2)
+RANK_CHECKED = {
+    "root_alpha_coords": lambda w: root_alpha_coords(A2, w),
+    "make_dominant": lambda w: make_dominant(A2, w),
+    "weyl_orbit": lambda w: weyl_orbit(A2, w),
+    "star": lambda w: star(A2, w),
+    "star_positions": lambda w: star_positions(A2, ((0, 0), w)),
+    "fold_to_alcove": lambda w: fold_to_alcove(A2, 5, w),
+    "weyl_dimension": lambda w: weyl_dimension(A2, w),
+    "dominant_weights_below": lambda w: dominant_weights_below(A2, w),
+    "weight_multiplicities": lambda w: weight_multiplicities(A2, w),
+    "weyl_denominator_value": lambda w: weyl_denominator_value(A2, 5, w),
+    "alternating_sum xi": lambda w: alternating_sum(A2, 5, w, (1, 1)),
+    "alternating_sum point": lambda w: alternating_sum(A2, 5, (1, 1), w),
+    "char_value lam": lambda w: char_value(A2, 5, w, (1, 1)),
+    "char_value point": lambda w: char_value(A2, 5, (0, 0), w),
+    "quantum_dim": lambda w: quantum_dim(A2, 5, w),
+    "vanishing_criterion": lambda w: vanishing_criterion(A2, 5, w),
+    "classical_tensor lam": lambda w: classical_tensor(A2, w, (1, 0)),
+    "classical_tensor mu": lambda w: classical_tensor(A2, (1, 0), w),
+    "fusion_coefficients": lambda w: fusion_coefficients(A2, 5, (1, 0), w),
+    "twist": lambda w: twist(A2, 5, w),
+    "s_entry_extended lam": lambda w: s_entry_extended(A2, 5, w, (0, 0)),
+    "s_entry_extended mu": lambda w: s_entry_extended(A2, 5, (0, 0), w),
+    "dominance_leq lam": lambda w: dominance_leq(A2, w, (1, 1)),
+    "dominance_leq mu": lambda w: dominance_leq(A2, (0, 0), w),
+    "monomial_sum": lambda w: monomial_sum(A2, w),
+}
+
+
+@pytest.mark.parametrize("weight", [(1,), (1, 0, 0)], ids=["short", "long"])
+@pytest.mark.parametrize("name", sorted(RANK_CHECKED))
+def test_weight_of_the_wrong_length_is_refused(name, weight):
+    # zip would truncate such a weight, or an index read past it
+    with pytest.raises(ValueError, match="rank mismatch: expected 2"):
+        RANK_CHECKED[name](weight)
+
+
+@pytest.mark.parametrize("name,call", [
+    ("norm_formula", lambda w: norm_formula(A2, 2, w)),
+    ("d_coefficient", lambda w: d_coefficient(build_context(3, 2, 2), w))])
+def test_long_weight_is_refused_where_pairing_read_it_cut(name, call):
+    # a short one already stopped in pairing
+    with pytest.raises(ValueError, match="rank mismatch: expected 2"):
+        call((1, 0, 0))
 
 
 def coroot_basis(rs, kappa):
@@ -327,3 +390,42 @@ def test_root_order_coordinates_and_integer_pairing(series, rank):
     theta = rs.highest_root
     with pytest.raises(ValueError, match="2/3 is not an integer"):
         pairing(rs, theta, wscale(3, theta))
+
+
+# h^vee and |W| by series from the classical tables: the oracles for the
+# values read off the comarks and the marks
+def classical_dual_coxeter(series, n):
+    if series == "E":
+        return {6: 12, 7: 18, 8: 30}[n]
+    return {"A": n + 1, "B": 2 * n - 1, "C": n + 1, "D": 2 * n - 2,
+            "F": 9, "G": 4}[series]
+
+
+def classical_weyl_order(series, n):
+    if series == "A":
+        return factorial(n + 1)
+    if series in ("B", "C"):
+        return 2 ** n * factorial(n)
+    if series == "D":
+        return 2 ** (n - 1) * factorial(n)
+    if series == "E":
+        return {6: 51840, 7: 2903040, 8: 696729600}[n]
+    if series == "F":
+        return 1152
+    return 12  # G2
+
+
+@pytest.mark.parametrize("series,rank", WIDE)
+def test_marks_comarks_and_the_orders_they_give(series, rank):
+    rs = build_root_system(series, rank)
+    theta = rs.highest_root
+    # theta = sum a_i alpha_i, read two ways
+    assert rs.marks == root_alpha_coords(rs, theta)
+    assert tuple(map(sum, zip(*(wscale(a, alpha) for a, alpha
+                                in zip(rs.marks, rs.simple_roots))))) == theta
+    assert rs.comarks == tuple(pairing(rs, omega, theta)
+                               for omega in rs.fundamental_weights)
+    assert all(type(c) is int and c > 0 for c in rs.marks + rs.comarks)
+    assert rs.dual_coxeter == pairing(rs, rs.rho, theta) + 1
+    assert rs.dual_coxeter == classical_dual_coxeter(series, rank)
+    assert weyl_order(rs) == classical_weyl_order(series, rank)

@@ -47,7 +47,7 @@ def test_root_system_hash_and_identity():
     assert hash(rs) == hash((rs.series, rs.rank))
     assert build_root_system("A", 2) is rs
     assert repr(rs) == "RootSystemData(A2)"
-    assert rs.comarks == (1, 1) and set(vars(rs)) == {"comarks"}
+    assert rs.comarks == (1, 1) and set(vars(rs)) == set()
 
 
 def test_mutable_records_keep_their_own_state():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from modcat.lie import build_root_system, form, pairing, wadd, wneg
+from modcat.macdonald import monomial_sum
 from modcat.numeric import InternalConsistencyError
 from modcat.weyl import (enumerate_alcove, enumerate_ck, fold_to_alcove,
                          make_dominant, reflect, star, weyl_orbit, weyl_order)
@@ -54,6 +55,19 @@ def test_enumeration_cap():
         weyl_orbit(e8, e8.rho)
     # a singular orbit is smaller than W and is not refused: the roots
     assert len(weyl_orbit(e8, e8.highest_root)) == 2 * len(e8.positive_roots)
+
+
+def test_weyl_orbit_refuses_a_weight_that_is_not_dominant():
+    # the search only goes down from lam, so it would miss part of the orbit
+    a1, a2 = build_root_system("A", 1), build_root_system("A", 2)
+    for rs, lam in [(a2, (1, -1)), (a1, (-1,))]:
+        with pytest.raises(ValueError, match="needs a dominant weight"):
+            weyl_orbit(rs, lam)
+        with pytest.raises(ValueError, match="needs a dominant weight"):
+            monomial_sum(rs, lam)
+    orbit = {w for w, _ in weyl_orbit(a2, make_dominant(a2, (1, -1))[0])}
+    assert orbit == {(0, 1), (1, -1), (-1, 0)}
+    assert {w for w, _ in weyl_orbit(a1, (1,))} == {(1,), (-1,)}
 
 
 @pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2), ("G", 2)])
