@@ -6,9 +6,8 @@ from .lie import (RootSystemData, Weight, build_root_system, form,
                   lattice_index, pairing)
 from .numeric import (CycNum, PoleAtEpsilonError, QRatFn, approx_eq,
                       default_tolerance, epsilon_power, q_number, sqrt_of_int)
-from .weyl import (AffineFoldResult, enumerate_alcove, enumerate_ck,
-                   fold_to_alcove, make_dominant, reflect, star,
-                   star_positions, weyl_orbit)
+from .weyl import (AffineFoldResult, enumerate_alcove, fold_to_alcove,
+                   make_dominant, star, star_positions, weyl_orbit)
 from .chardata import (char_value, quantum_dim,
                        vanishing_criterion, weight_multiplicities,
                        weyl_denominator_value, weyl_dimension)

@@ -24,7 +24,7 @@ from .macdonald import (build_context, build_su_data, macdonald_polynomial,
 from .modular import build_modular_data, verify_modular_relations
 from .numeric import (InternalConsistencyError, check_tolerance,
                       default_tolerance)
-from .weyl import enumerate_alcove, enumerate_ck
+from .weyl import enumerate_alcove
 from .chardata import quantum_dim
 
 USAGE_ERROR = 2
@@ -136,8 +136,11 @@ def _cmd_alcove(args) -> dict | str:
     elif None not in mac and cat == (None, None):
         if args.n < 2:
             raise UsageError("need n >= 2")
+        if args.level < 0:
+            raise UsageError(f"negative level bound {args.level}")
+        # the sub-alcove C_K is the alcove of A_(n-1) at kappa = K + n
         rs = build_root_system("A", args.n - 1)
-        weights = enumerate_ck(rs, args.level)
+        weights = enumerate_alcove(rs, args.level + rs.dual_coxeter)
         obj = {"n": args.n, "K": args.level,
                "weights": [list(w) for w in weights]}
     else:

@@ -111,7 +111,8 @@ def _cartan_matrix(series: str, rank: int) -> list[list[int]]:
 
 
 def _symmetrizers(cartan: list[list[int]]) -> list[int]:
-    # Minimal positive integers d with d_i a_ij = d_j a_ji, gcd 1.
+    # Minimal positive integers d with d_i a_ij = d_j a_ji, gcd 1.  Every
+    # Dynkin diagram is connected, so the search from node 0 sets each d_j.
     rank = len(cartan)
     d: list[Fraction | None] = [None] * rank
     d[0] = Fraction(1)
@@ -122,8 +123,6 @@ def _symmetrizers(cartan: list[list[int]]) -> list[int]:
             if i != j and cartan[i][j] != 0 and d[j] is None:
                 d[j] = d[i] * cartan[i][j] / cartan[j][i]
                 queue.append(j)
-    if any(x is None for x in d):
-        raise InternalConsistencyError("Cartan matrix not connected")
     denom = lcm(*(x.denominator for x in d))
     ints = [int(x * denom) for x in d]
     g = gcd(*ints)

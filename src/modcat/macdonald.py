@@ -38,7 +38,7 @@ from .numeric import (DEFAULT_TOLERANCE, CycNum, InternalConsistencyError,
                       cyclotomic_polynomial, epsilon_power, matrix_product,
                       sqrt_of_int)
 from .report import VerificationReport, mismatches
-from .weyl import (enumerate_ck, make_dominant, reflect, star,
+from .weyl import (_reflect, enumerate_alcove, make_dominant, star,
                    star_positions, weyl_orbit, weyl_order)
 
 from .modular import build_modular_data, dagger, monomial_matrix
@@ -115,7 +115,7 @@ class WPoly:
     def is_w_invariant(self, rs: RootSystemData) -> bool:
         for i in range(rs.rank):
             for w, c in self.terms.items():
-                ci = self.terms.get(reflect(rs, i, w))
+                ci = self.terms.get(_reflect(rs, i, w))
                 if ci is None or not (ci == c):
                     return False
         return True
@@ -267,8 +267,8 @@ def build_context(n: int, k: int, level: int) -> MacdonaldContext:
             f"{raw!r} is not +- the closed-form norm {want!r}")
     return MacdonaldContext(
         n=n, k=k, level=level, kappa=kappa, rs=rs,
-        alcove=enumerate_ck(rs, level), sigma=sigma, delta=delta,
-        group_order=order)
+        alcove=enumerate_alcove(rs, level + rs.dual_coxeter), sigma=sigma,
+        delta=delta, group_order=order)
 
 
 def inner_product_k(ctx: MacdonaldContext, f: WPoly, g: WPoly) -> QRatFn:
@@ -279,11 +279,9 @@ def inner_product_k(ctx: MacdonaldContext, f: WPoly, g: WPoly) -> QRatFn:
     integer numerators of the coefficients are multiplied and summed per
     pair of their integer denominators, and each pair's sum becomes a
     QRatFn once, over its denominator times sigma |W|."""
-    rs, delta = ctx.rs, ctx.delta
+    delta = ctx.delta
     scale = ctx.sigma * ctx.group_order
-    # bar on g's numerators here, on its denominators once per group below
-    g_bar = [(star(rs, w), [(-e, x) for e, x in _terms(c)], c.den)
-             for w, c in g.terms.items()]
+    g_bar = [(w, _terms(c), c.den) for w, c in g.bar(ctx.rs).terms.items()]
     # (denominator of f's term, of g's term) -> weight -w -> numerator sum
     groups: dict[tuple, dict[Weight, dict[int, int]]] = {}
     for wa, a in f.terms.items():
@@ -298,9 +296,8 @@ def inner_product_k(ctx: MacdonaldContext, f: WPoly, g: WPoly) -> QRatFn:
         acc: dict[int, int] = {}
         for w, num in by_weight.items():
             _add_product(acc, num.items(), delta[w])
-        # den_b(1/v) = v^(1 - len den_b) (den_b reversed)(v)
-        den = _pmul(den_a, [scale * x for x in reversed(den_b)])
-        total = total + _ratio(acc.items(), den, len(den_b) - 1)
+        den = _pmul(den_a, [scale * x for x in den_b])
+        total = total + _ratio(acc.items(), den)
     return total
 
 
@@ -360,9 +357,11 @@ class SUData(namedtuple("SUData", (
 
 @lru_cache(maxsize=None)
 def d_prefactor(n: int, kappa: int) -> CycNum:
-    """i^(n(n-1)/2) / sqrt(n kappa^(n-1)), exact."""
+    """i^(n(n-1)/2) / sqrt|P/kappa Q^vee| for A_(n-1), where the index is
+    n kappa^(n-1), exact."""
     phase = CycNum.root_of_unity(4, (n * (n - 1) // 2) % 4)
-    return phase * sqrt_of_int(n * kappa ** (n - 1)).inverse()
+    index = lattice_index(build_root_system("A", n - 1), kappa)
+    return phase * sqrt_of_int(index).inverse()
 
 
 def _d_pairs(ctx: MacdonaldContext, lam: Weight, first: int = 0):
@@ -527,7 +526,8 @@ def verify_section5(ctx: MacdonaldContext,
     # norm is nonzero exactly on the sub-alcove, over the whole region where
     # the shifted weight stays inside the open alcove
     def criterion_failures():
-        for lam in enumerate_ck(rs, ctx.level + k - 1):
+        region = ctx.level + k - 1 + rs.dual_coxeter
+        for lam in enumerate_alcove(rs, region):
             inside = _dot(rs.comarks, lam) <= ctx.level
             try:
                 value = norm_formula(rs, k, lam).eval_at_epsilon(1, kappa)

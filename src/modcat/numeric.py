@@ -798,9 +798,15 @@ class QRatFn:
     __hash__ = None
 
     def bar(self) -> "QRatFn":
-        """The involution v -> 1/v with rational coefficients untouched."""
-        return QRatFn(self.num[::-1], self.den[::-1],
-                      len(self.den) - len(self.num) - self.low)
+        """The involution v -> 1/v with rational coefficients untouched.
+        Reversing num and den keeps them coprime with gcd 1, so the reduced
+        form needs only den[-1] > 0 restored."""
+        if not self.num:
+            return self
+        sign = 1 if self.den[0] > 0 else -1
+        return QRatFn(tuple(sign * x for x in reversed(self.num)),
+                      tuple(sign * x for x in reversed(self.den)),
+                      len(self.den) - len(self.num) - self.low, _reduced=True)
 
     def eval_at_epsilon(self, lacing: int, kappa: int) -> CycNum:
         """Value at v = eps^(1/2) = zeta_M, M = 4 lacing kappa: num and den

@@ -1,5 +1,5 @@
-"""Weyl group orders, signed Weyl orbits, the star involution, and
-level-kappa affine folding.
+"""Weyl group orders, signed Weyl orbits, the star involution, the
+level-kappa alcove and affine folding into it.
 
 W is never built as a group: everything goes through the simple
 reflections acting on fundamental-weight coordinates.  For a strictly
@@ -8,7 +8,8 @@ orbit found by breadth-first search, with parities, stands for W with its
 signs in every alternating sum.  The shifted affine action of W extended by
 kappa * Q^vee translations is realized by the folding routine, which drives
 both the wall-vanishing bookkeeping and the fusion-rule computation
-downstream.
+downstream.  The alcove of A_(n-1) at kappa = K + n is also the sub-alcove
+C_K that indexes the intertwiner basis of the Macdonald section.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from collections import namedtuple
 from functools import lru_cache
 from math import factorial, prod
 
-from .lie import (RootSystemData, Weight, _check_rank, _dot, pairing, wadd,
-                  wneg, wscale, wsub)
+from .lie import (RootSystemData, Weight, _check_rank, _dot, wadd, wneg,
+                  wscale, wsub)
 from .numeric import InternalConsistencyError
 
 DEFAULT_WEYL_CAP = 10 ** 6
@@ -33,8 +34,9 @@ class AffineFoldResult(namedtuple("AffineFoldResult", "representative sign")):
     """
 
 
-def reflect(rs: RootSystemData, i: int, w: Weight) -> Weight:
-    """The simple reflection s_i(w) = w - w_i alpha_i."""
+def _reflect(rs: RootSystemData, i: int, w: Weight) -> Weight:
+    """The simple reflection s_i(w) = w - w_i alpha_i, unchecked: the loops
+    that repeat it check the rank of their input once."""
     c = w[i]
     if not c:
         return w
@@ -71,7 +73,7 @@ def weyl_orbit(rs: RootSystemData,
     for w, parity in out:  # out grows as it is read: the BFS queue
         for i in range(rs.rank):
             if w[i] > 0:
-                r = reflect(rs, i, w)
+                r = _reflect(rs, i, w)
                 if r not in seen:
                     seen.add(r)
                     out.append((r, -parity))
@@ -87,7 +89,7 @@ def make_dominant(rs: RootSystemData, lam: Weight) -> tuple[Weight, int]:
     _check_rank(rs, lam)
     cur, parity = lam, 1
     while (i := next((k for k, c in enumerate(cur) if c < 0), -1)) >= 0:
-        cur, parity = reflect(rs, i, cur), -parity
+        cur, parity = _reflect(rs, i, cur), -parity
     return cur, parity
 
 
@@ -107,7 +109,7 @@ def star(rs: RootSystemData, lam: Weight) -> Weight:
 def star_positions(rs: RootSystemData,
                    weights: tuple[Weight, ...]) -> tuple[int, ...]:
     """p with weights[p[i]] = star(weights[i]), for star-closed weights
-    such as the alcove and the sub-alcove."""
+    such as the alcove."""
     position = {w: i for i, w in enumerate(weights)}
     try:
         return tuple(position[star(rs, w)] for w in weights)
@@ -116,8 +118,17 @@ def star_positions(rs: RootSystemData,
             f"star image {exc.args[0]} is not among the weights") from None
 
 
-def _theta_bounded_dominant(rs: RootSystemData, bound) -> list[Weight]:
-    """Dominant weights with <lam, theta^vee> at most the bound."""
+def _check_level(rs: RootSystemData, kappa: int) -> None:
+    if kappa < rs.dual_coxeter:
+        raise ValueError(f"kappa = {kappa} below the dual Coxeter number "
+                         f"{rs.dual_coxeter} of {rs.series}{rs.rank}")
+
+
+def enumerate_alcove(rs: RootSystemData, kappa: int) -> tuple[Weight, ...]:
+    """Dominant weights with <lam+rho, theta^vee> < kappa, lex-ordered: those
+    with <lam, theta^vee> <= kappa - h^vee.  For A_(n-1) at kappa = K + n
+    this is the sub-alcove C_K of the intertwiner basis."""
+    _check_level(rs, kappa)
     comarks = rs.comarks
     out: list[Weight] = []
 
@@ -129,38 +140,7 @@ def _theta_bounded_dominant(rs: RootSystemData, bound) -> list[Weight]:
         for v in range(left // c + 1):
             rec(prefix + [v], left - v * c)
 
-    rec([], bound)
-    out.sort()
-    return out
-
-
-def _check_level(rs: RootSystemData, kappa: int) -> None:
-    if kappa < rs.dual_coxeter:
-        raise ValueError(f"kappa = {kappa} below the dual Coxeter number "
-                         f"{rs.dual_coxeter} of {rs.series}{rs.rank}")
-
-
-def enumerate_alcove(rs: RootSystemData, kappa: int) -> tuple[Weight, ...]:
-    """Dominant weights with <lam+rho, theta^vee> < kappa, lex-ordered."""
-    _check_level(rs, kappa)
-    return tuple(_theta_bounded_dominant(rs, kappa - rs.dual_coxeter))
-
-
-def enumerate_ck(rs: RootSystemData, bound: int) -> tuple[Weight, ...]:
-    """Type-A sub-alcove: dominant weights with <lam, theta^vee> <= bound."""
-    if rs.series != "A":
-        raise ValueError("the sub-alcove is defined for type A only")
-    if bound < 0:
-        raise ValueError(f"negative level bound {bound}")
-    out = _theta_bounded_dominant(rs, bound)
-    # cross-check against the second characterization with k = 1
-    kappa = bound + rs.dual_coxeter
-    for lam in out:
-        shifted = wadd(lam, rs.rho)
-        if not all(pairing(rs, shifted, alpha) < kappa
-                   for alpha in rs.positive_roots):
-            raise InternalConsistencyError(
-                f"sub-alcove weight {lam} fails <lam+rho, alpha> < {kappa}")
+    rec([], kappa - rs.dual_coxeter)  # ascending coordinates: lex order
     return tuple(out)
 
 

@@ -3,17 +3,15 @@
     python3 tests/golden/record.py [outdir]
 
 Runs each command of COMMANDS once through modcat.cli.main and writes its
-stdout to <outdir>/<name>.out, plus manifest.json mapping each name to its
-argv.  outdir defaults to this directory; point it elsewhere to compare
-another interpreter's outputs with the recorded ones by diff.  Every command
-is exact-mode json, csv or pretty, whose bytes carry no durations.  Record
-only from a commit whose outputs are known to be right; the test trusts
-these files.
+stdout to <outdir>/<name>.out.  outdir defaults to this directory; point it
+elsewhere to compare another interpreter's outputs with the recorded ones by
+diff.  Every command is exact-mode json, csv or pretty, whose bytes carry no
+durations.  Record only from a commit whose outputs are known to be right;
+the test trusts these files.
 """
 
 import contextlib
 import io
-import json
 import os
 import sys
 
@@ -117,10 +115,6 @@ def main(argv):
         with open(os.path.join(outdir, f"{name}.out"), "w",
                   encoding="utf-8", newline="") as fh:
             fh.write(out)
-    with open(os.path.join(outdir, "manifest.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(COMMANDS, fh, indent=1)
-        fh.write("\n")
     print(f"{outdir}: {len(COMMANDS)} outputs")
 
 

@@ -35,6 +35,11 @@ def test_alcove_both_flavors(capsys):
     assert json.loads(out)["weights"] == [[0], [1], [2]]
 
 
+def test_alcove_refuses_negative_level_bound(capsys):
+    code, out, err = run_cli(capsys, "alcove", "--n", "3", "--K", "-1")
+    assert (code, out, err) == (2, "", "error: negative level bound -1\n")
+
+
 def test_alcove_needs_arguments(capsys):
     code, _, err = run_cli(capsys, "alcove", "--algebra", "A2")
     assert code == 2 and "alcove needs" in err

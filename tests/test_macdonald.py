@@ -13,7 +13,7 @@ from modcat.macdonald import (WPoly, build_context, build_su_data,
                               norm_formula, verify_section5)
 from modcat.numeric import (CycNum, QRatFn, _clear_denominators,
                             cyclotomic_polynomial, epsilon_power, q_number)
-from modcat.weyl import enumerate_ck, star
+from modcat.weyl import enumerate_alcove, star
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
@@ -109,7 +109,7 @@ def test_rank_one_k2_worked_polynomial():
 
 def test_k1_polynomials_are_characters():
     ctx = build_context(3, 1, 2)
-    for lam in enumerate_ck(A2, 2):
+    for lam in enumerate_alcove(A2, 2 + A2.dual_coxeter):
         want = WPoly({w: QRatFn.from_rational(m)
                       for w, m in weight_multiplicities(A2, lam).items()})
         assert macdonald_polynomial(ctx, lam) == want
@@ -128,13 +128,13 @@ def test_norm_formula_values():
 def test_norms_match_closed_form():
     for n, k, bound in [(2, 2, 4), (2, 3, 3), (3, 2, 2)]:
         ctx = build_context(n, k, bound)
-        for lam in enumerate_ck(ctx.rs, bound):
+        for lam in enumerate_alcove(ctx.rs, bound + ctx.rs.dual_coxeter):
             assert macdonald_norm(ctx, lam) == norm_formula(ctx.rs, k, lam)
 
 
 def test_orthogonality_grid():
     ctx = build_context(2, 2, 4)
-    grid = enumerate_ck(A1, 4)
+    grid = enumerate_alcove(A1, 4 + A1.dual_coxeter)
     for a, lam in enumerate(grid):
         for mu in grid[a + 1:]:
             val = inner_product_k(ctx, macdonald_polynomial(ctx, lam),
@@ -510,7 +510,7 @@ def test_delta_matches_stepwise_product(n, k):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_norm_formula_matches_stepwise_quotient(n, k):
     rs = build_root_system("A", n - 1)
-    for lam in enumerate_ck(rs, 3 - n + k):
+    for lam in enumerate_alcove(rs, 3 - n + k + rs.dual_coxeter):
         assert norm_formula(rs, k, lam) == stepwise_norm(rs, k, lam)
 
 
@@ -544,8 +544,8 @@ def _denominators(p):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_pairing_matches_full_product_on_polynomials(n, k, bound):
     ctx = build_context(n, k, bound)
-    polys = [macdonald_polynomial(ctx, lam)
-             for lam in enumerate_ck(ctx.rs, bound)]
+    polys = [macdonald_polynomial(ctx, lam) for lam in
+             enumerate_alcove(ctx.rs, bound + ctx.rs.dual_coxeter)]
     # a sum of two polynomials whose coefficients carry different
     # non-trivial denominators, so that one pairing sums several groups
     mixed = [p + q.scale(q_number(2)) for p in polys for q in polys

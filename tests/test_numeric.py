@@ -771,6 +771,25 @@ def test_qratfn_canonical_form_is_unique():
                 _assert_canonical(x)
 
 
+def test_qratfn_bar_is_reduced_without_the_gcd():
+    # bar reverses a reduced form in place; the normalising constructor on
+    # the reversed coefficients is the reference
+    rng = random.Random(33)
+    pinned = [QRatFn((1, 2), (-3, 1)), QRatFn((2, 0, -1), (-1, 0, 4), -2),
+              QRatFn.monomial(-3, Fraction(-2, 5)), QRatFn.monomial(4),
+              QRatFn.zero(), q_number(3) / q_number(2)]
+    fns = pinned + [_random_qratfn(rng) for _ in range(200)]
+    assert any(f.den[0] < 0 for f in fns)
+    for f in fns:
+        want = QRatFn(f.num[::-1], f.den[::-1],
+                      len(f.den) - len(f.num) - f.low)
+        got = f.bar()
+        assert (got.low, got.num, got.den) == (want.low, want.num, want.den)
+        _assert_canonical(got)
+        back = got.bar()
+        assert (back.low, back.num, back.den) == (f.low, f.num, f.den)
+
+
 def test_qratfn_json_round_trip_random():
     rng = random.Random(32)
     for _ in range(200):

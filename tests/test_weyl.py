@@ -7,8 +7,8 @@ import pytest
 from modcat.lie import build_root_system, form, pairing, wadd, wneg
 from modcat.macdonald import monomial_sum
 from modcat.numeric import InternalConsistencyError
-from modcat.weyl import (enumerate_alcove, enumerate_ck, fold_to_alcove,
-                         make_dominant, reflect, star, weyl_orbit, weyl_order)
+from modcat.weyl import (_reflect, enumerate_alcove, fold_to_alcove,
+                         make_dominant, star, weyl_orbit, weyl_order)
 
 ORBIT_ALGEBRAS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
                   ("B", 4), ("C", 3), ("D", 4), ("D", 5), ("G", 2), ("F", 4),
@@ -27,8 +27,8 @@ def brute_det(mat):
 
 
 def reflection_matrix(rs, i):
-    # column j is reflect applied to the j-th fundamental weight
-    cols = [reflect(rs, i, tuple(int(k == j) for k in range(rs.rank)))
+    # column j is _reflect applied to the j-th fundamental weight
+    cols = [_reflect(rs, i, tuple(int(k == j) for k in range(rs.rank)))
             for j in range(rs.rank)]
     return [[cols[j][k] for j in range(rs.rank)] for k in range(rs.rank)]
 
@@ -74,7 +74,7 @@ def test_weyl_orbit_refuses_a_weight_that_is_not_dominant():
 def test_sign_is_determinant_and_form_invariance(series, rank):
     # compose the reflections that take each orbit point back to rho: the
     # product's determinant is the BFS parity, and the form is invariant
-    # under it and under each reflect
+    # under it and under each _reflect
     rs = build_root_system(series, rank)
     rng = random.Random(5)
     for i in range(rank):
@@ -82,14 +82,14 @@ def test_sign_is_determinant_and_form_invariance(series, rank):
         for _ in range(5):
             lam = tuple(rng.randrange(-3, 4) for _ in range(rank))
             mu = tuple(rng.randrange(-3, 4) for _ in range(rank))
-            assert (form(rs, reflect(rs, i, lam), reflect(rs, i, mu))
+            assert (form(rs, _reflect(rs, i, lam), _reflect(rs, i, mu))
                     == form(rs, lam, mu))
     for image, parity in weyl_orbit(rs, rs.rho):
         mat = [[int(r == c) for c in range(rank)] for r in range(rank)]
         cur = image
         while (i := next((k for k, c in enumerate(cur) if c < 0),
                          None)) is not None:
-            cur = reflect(rs, i, cur)
+            cur = _reflect(rs, i, cur)
             refl = reflection_matrix(rs, i)
             mat = [[sum(refl[r][k] * mat[k][c] for k in range(rank))
                     for c in range(rank)] for r in range(rank)]
@@ -178,28 +178,58 @@ def test_alcove_rejects_small_kappa():
         enumerate_alcove(g2, 3)
 
 
+def sub_alcove(rs, bound):
+    # C_K = {lam dominant : <lam, theta^vee> <= K}, the alcove at K + h^vee
+    return enumerate_alcove(rs, bound + rs.dual_coxeter)
+
+
 def test_sub_alcove_examples():
     a1 = build_root_system("A", 1)
-    assert enumerate_ck(a1, 2) == ((0,), (1,), (2,))
+    assert sub_alcove(a1, 2) == ((0,), (1,), (2,))
     a2 = build_root_system("A", 2)
-    assert enumerate_ck(a2, 1) == ((0, 0), (0, 1), (1, 0))
+    assert sub_alcove(a2, 1) == ((0, 0), (0, 1), (1, 0))
     a3 = build_root_system("A", 3)
-    assert enumerate_ck(a3, 0) == ((0, 0, 0),)
+    assert sub_alcove(a3, 0) == ((0, 0, 0),)
 
 
 def test_sub_alcove_star_stable():
     a2 = build_root_system("A", 2)
-    grid = enumerate_ck(a2, 3)
+    grid = sub_alcove(a2, 3)
     assert {star(a2, lam) for lam in grid} == set(grid)
 
 
 def test_sub_alcove_rejects():
-    b2 = build_root_system("B", 2)
-    with pytest.raises(ValueError):
-        enumerate_ck(b2, 2)
+    # K = -1 puts kappa below h^vee
     a2 = build_root_system("A", 2)
     with pytest.raises(ValueError):
-        enumerate_ck(a2, -1)
+        sub_alcove(a2, -1)
+
+
+@pytest.mark.parametrize("rank", range(1, 6))
+def test_alcove_below_kappa_on_every_positive_coroot(rank):
+    # type A: <lam+rho, alpha^vee> < kappa for every positive alpha, not
+    # only for theta
+    rs = build_root_system("A", rank)
+    for bound in range(5):
+        kappa = bound + rs.dual_coxeter
+        for lam in enumerate_alcove(rs, kappa):
+            shifted = wadd(lam, rs.rho)
+            assert all(pairing(rs, shifted, alpha) < kappa
+                       for alpha in rs.positive_roots), (lam, kappa)
+
+
+@pytest.mark.parametrize("series,rank", [("B", 2), ("C", 3), ("D", 4),
+                                         ("G", 2), ("F", 4)])
+def test_alcove_equals_box_filter(series, rank):
+    # each coordinate of an alcove weight is at most kappa - h^vee, as every
+    # comark is at least 1
+    rs = build_root_system(series, rank)
+    for kappa in range(rs.dual_coxeter, rs.dual_coxeter + 4):
+        box = itertools.product(range(kappa - rs.dual_coxeter + 1),
+                                repeat=rank)
+        want = [lam for lam in box
+                if pairing(rs, wadd(lam, rs.rho), rs.highest_root) < kappa]
+        assert enumerate_alcove(rs, kappa) == tuple(want)
 
 
 def test_fold_examples_rank_one():
@@ -249,7 +279,7 @@ def test_fold_sign_composition_with_generators():
         base = fold_to_alcove(a2, kappa, lam)
         shifted = wadd(lam, a2.rho)
         for i in range(2):
-            img = reflect(a2, i, shifted)
+            img = _reflect(a2, i, shifted)
             moved = fold_to_alcove(a2, kappa, wadd(img, wneg(a2.rho)))
             assert moved.representative == base.representative
             assert moved.sign == -base.sign
