@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -22,8 +23,8 @@ from .lie import build_root_system
 from .macdonald import (build_context, build_su_data, macdonald_polynomial,
                         verify_section5)
 from .modular import build_modular_data, verify_modular_relations
-from .numeric import (InternalConsistencyError, check_tolerance,
-                      default_tolerance)
+from .numeric import (DEFAULT_TOLERANCE, InternalConsistencyError,
+                      check_tolerance)
 from .weyl import enumerate_alcove
 from .chardata import quantum_dim
 
@@ -60,6 +61,19 @@ def _tolerance(text: str) -> float:
         return check_tolerance(float(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _default_tolerance() -> float:
+    """MODCAT_TOLERANCE if set, else DEFAULT_TOLERANCE: the library itself
+    reads no environment variable."""
+    env = os.environ.get("MODCAT_TOLERANCE")
+    if not env:
+        return DEFAULT_TOLERANCE
+    try:
+        return check_tolerance(float(env))
+    except ValueError:
+        raise ValueError("MODCAT_TOLERANCE must be a finite positive "
+                         f"number, got {env!r}") from None
 
 
 def _float(x) -> complex:
@@ -215,11 +229,8 @@ def _cmd_fusion(args) -> dict:
     if (args.lhs is None) != (args.rhs is None):
         raise UsageError("--lhs and --rhs go together")
     if args.lhs is not None:
-        alcove = enumerate_alcove(rs, args.kappa)
         lam = _parse_weight(args.lhs, rs.rank)
         mu = _parse_weight(args.rhs, rs.rank)
-        if lam not in alcove or mu not in alcove:
-            raise UsageError(f"weights must lie in the alcove {list(alcove)}")
         prod = fusion_coefficients(rs, args.kappa, lam, mu)
         return {"algebra": f"{rs.series}{rs.rank}", "kappa": args.kappa,
                 **_product_json(lam, mu, prod)}
@@ -254,7 +265,7 @@ def _cmd_macdonald(args) -> dict:
 
 def _cmd_verify(args) -> tuple[dict | str, int]:
     """The reports and the exit code: VERIFY_ERROR when a suite fails."""
-    tol = args.tolerance if args.tolerance is not None else default_tolerance()
+    tol = args.tolerance or _default_tolerance()  # --tolerance is never 0
     reports = []
     sets = {"--algebra and --kappa": (args.algebra, args.kappa),
             "--n, --k and --K": (args.n, args.k, args.level)}

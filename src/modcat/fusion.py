@@ -1,9 +1,13 @@
 """Fusion rules of the level-kappa category.
 
-The tensor product decomposes classically first (an alternating sum over
-the weight diagram of one factor), then folds into the alcove with signs
-from the shifted affine action (Kac-Walton).  The table holds the folded
-coefficients as integer fusion matrices N_i over alcove positions.
+N_{lam mu}^nu comes from one Kac-Walton fold (Kac, Infinite dimensional
+Lie algebras, Ex. 13.35; Walton, Nucl. Phys. B 340 (1990)): each weight nu
+of V_mu adds its multiplicity, times the sign of the fold, at the alcove
+representative of lam + nu under the shifted affine Weyl group, which
+contains W.  At kappa = h^vee + <lam + mu, theta^vee> + 1 no lam + nu + rho
+reaches the affine wall, as dom(lam + nu + rho) <= lam + mu + rho, so the
+fold is the classical decomposition of V_lam x V_mu.  The table holds the
+folded coefficients as integer fusion matrices N_i over alcove positions.
 
 The folded coefficients are checked against the diagonalization of the
 fusion ring by the s-matrix (Verlinde), N_i s = s diag(s_{ip} / s_{0p}),
@@ -27,12 +31,11 @@ from itertools import chain
 from operator import mul
 
 from .chardata import weight_multiplicities, weyl_dimension
-from .lie import RootSystemData, Weight, wadd, wsub
+from .lie import RootSystemData, Weight, _dot, wadd
 from .modular import ModularData, det_s_is_nonzero
-from .numeric import (CycNum, InternalConsistencyError, _pack, _residues,
-                      _unpack, matrix_product)
+from .numeric import CycNum, _pack, _residues, _unpack, matrix_product
 from .report import VerificationReport, mismatches
-from .weyl import (enumerate_alcove, fold_to_alcove, make_dominant,
+from .weyl import (_check_level, enumerate_alcove, fold_to_alcove,
                    star_positions)
 
 
@@ -58,40 +61,25 @@ class FusionTable(namedtuple("FusionTable", "rs kappa alcove matrices")):
         return {nu: c for nu, c in zip(self.alcove, row) if c}
 
 
-def classical_tensor(rs: RootSystemData, lam: Weight,
-                     mu: Weight) -> dict[Weight, int]:
-    """Generic tensor product decomposition by the weight-diagram fold."""
-    if weyl_dimension(rs, mu) > weyl_dimension(rs, lam):
-        lam, mu = mu, lam
-    out: dict[Weight, int] = {}
-    for nu, mult in weight_multiplicities(rs, mu).items():
-        xi = wadd(wadd(lam, nu), rs.rho)
-        dom, sign = make_dominant(rs, xi)
-        if any(c == 0 for c in dom):
-            continue
-        target = wsub(dom, rs.rho)
-        out[target] = out.get(target, 0) + sign * mult
-    out = {nu: c for nu, c in out.items() if c}
-    if any(c < 0 for c in out.values()):
-        raise InternalConsistencyError(
-            f"negative multiplicity in {lam} x {mu}: {out}")
-    total = sum(c * weyl_dimension(rs, nu) for nu, c in out.items())
-    if total != weyl_dimension(rs, lam) * weyl_dimension(rs, mu):
-        raise InternalConsistencyError(
-            f"summands of {lam} x {mu} have total dimension {total}")
-    return out
-
-
 def fusion_coefficients(rs: RootSystemData, kappa: int, lam: Weight,
                         mu: Weight) -> dict[Weight, int]:
-    """Fold the classical decomposition into the alcove with signs."""
+    """N_{lam mu}^nu by the Kac-Walton fold of lam + each weight of V_mu,
+    for lam and mu in the alcove."""
+    if weyl_dimension(rs, mu) > weyl_dimension(rs, lam):
+        lam, mu = mu, lam
+    _check_level(rs, kappa)
+    bound = kappa - rs.dual_coxeter
+    for w in (lam, mu):
+        if min(w) < 0 or _dot(rs.comarks, w) > bound:
+            raise ValueError(f"weight {w} is outside the alcove at kappa "
+                             f"{kappa}: need it dominant with <lam, "
+                             f"theta^vee> <= {bound}")
     out: dict[Weight, int] = {}
-    for nu, mult in classical_tensor(rs, lam, mu).items():
-        folded = fold_to_alcove(rs, kappa, nu)
-        if folded.sign == 0:
-            continue
-        key = folded.representative
-        out[key] = out.get(key, 0) + folded.sign * mult
+    for nu, mult in weight_multiplicities(rs, mu).items():
+        folded = fold_to_alcove(rs, kappa, wadd(lam, nu))
+        if folded.sign:
+            key = folded.representative
+            out[key] = out.get(key, 0) + folded.sign * mult
     out = {nu: c for nu, c in out.items() if c}
     bad = [(nu, c) for nu, c in out.items() if c < 0]
     if bad:

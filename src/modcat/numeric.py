@@ -35,9 +35,9 @@ carries three domains:
   for num and den.
 
 * plain ``complex`` -- the float mode used for cross-checks only, with the
-  default tolerance ``DEFAULT_TOLERANCE``; only the CLI reads an override
-  from the environment, by ``default_tolerance``.  Floats never decide a
-  pass/fail verdict when an exact route exists.
+  default tolerance ``DEFAULT_TOLERANCE``; nothing here reads the
+  environment.  Floats never decide a pass/fail verdict when an exact
+  route exists.
 
 ``solve`` is the one Gaussian elimination, for Fraction or CycNum
 entries alike: it gives det a and the solution of a x = b, or only det a.
@@ -49,7 +49,6 @@ Broken invariants raise ``InternalConsistencyError``, also under -O.
 from __future__ import annotations
 
 import cmath
-import os
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
@@ -69,17 +68,6 @@ def check_tolerance(tol: float) -> float:
         raise ValueError("tolerance must be a finite positive number, "
                          f"got {tol!r}")
     return tol
-
-
-def default_tolerance() -> float:
-    env = os.environ.get("MODCAT_TOLERANCE")
-    if not env:
-        return DEFAULT_TOLERANCE
-    try:
-        return check_tolerance(float(env))
-    except ValueError:
-        raise ValueError("MODCAT_TOLERANCE must be a finite positive "
-                         f"number, got {env!r}") from None
 
 
 def approx_eq(a: complex, b: complex, tol: float = DEFAULT_TOLERANCE) -> bool:

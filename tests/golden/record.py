@@ -84,6 +84,8 @@ COMMANDS = {
     "lie-info-E7": ["lie-info", "--algebra", "E7"],
     "lie-info-E8": ["lie-info", "--algebra", "E8"],
     "lie-info-F4": ["lie-info", "--algebra", "F4"],
+    # fusion multiplicities above 1: N up to 2 on the 6-object G2 alcove
+    "fusion-G2-k7": ["fusion", "--algebra", "G2", "--kappa", "7"],
     # the pretty view of each command that has one, bar verify, whose
     # pretty lines carry durations
     "lie-info-G2-pretty": ["lie-info", "--algebra", "G2", "--format",

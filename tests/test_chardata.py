@@ -12,7 +12,7 @@ from modcat.chardata import (_binomial_product, alternating_sum, char_value,
                              weyl_denominator_value, weyl_dimension)
 from modcat.lie import (_gram_vector, build_root_system, form,
                         root_alpha_coords, wadd, wscale, wsub)
-from modcat.fusion import classical_tensor
+from modcat.fusion import fusion_coefficients
 from modcat.macdonald import build_context, d_coefficient, d_prefactor
 from modcat.modular import twist
 from modcat.numeric import (CycNum, QRatFn, _clear_denominators,
@@ -56,7 +56,9 @@ def test_cached_multiplicities_are_read_only():
     mults = weight_multiplicities(A2, (1, 0))
     with pytest.raises(TypeError):
         mults[(1, 0)] = 2
-    assert classical_tensor(A2, (1, 0), (1, 0)) == {(2, 0): 1, (0, 1): 1}
+    # kappa_c = h^vee + <(2, 0), theta^vee> + 1 = 6 keeps every summand
+    assert fusion_coefficients(A2, 6, (1, 0), (1, 0)) == {(2, 0): 1,
+                                                          (0, 1): 1}
 
 
 @pytest.mark.parametrize("rs,lam", [

@@ -146,6 +146,11 @@ def test_fusion_rejects_outside_alcove(capsys):
     code, _, err = run_cli(capsys, "fusion", "--algebra", "A1", "--kappa",
                            "3", "--lhs", "2", "--rhs", "1")
     assert code == 2 and "alcove" in err
+    code, out, err = run_cli(capsys, "fusion", "--algebra", "A1", "--kappa",
+                             "4", "--lhs", "9", "--rhs", "1")
+    assert (code, out) == (2, "")
+    assert err == ("error: weight (9,) is outside the alcove at kappa 4: "
+                   "need it dominant with <lam, theta^vee> <= 2\n")
 
 
 def test_macdonald_poly_json(capsys):
@@ -403,14 +408,14 @@ def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
 
 def test_tolerance_env_override(capsys, monkeypatch):
     monkeypatch.setenv("MODCAT_TOLERANCE", "1e-3")
-    from modcat.numeric import default_tolerance
-    assert default_tolerance() == 1e-3
+    from modcat.cli import _default_tolerance
+    assert _default_tolerance() == 1e-3
     monkeypatch.delenv("MODCAT_TOLERANCE")
-    assert default_tolerance() == 1e-9
+    assert _default_tolerance() == 1e-9
     for bad in ("nan", "-1", "inf", "0", "abc"):
         monkeypatch.setenv("MODCAT_TOLERANCE", bad)
         with pytest.raises(ValueError, match="MODCAT_TOLERANCE"):
-            default_tolerance()
+            _default_tolerance()
         code, _, err = run_cli(capsys, "verify", "--suite", "modular",
                                "--algebra", "A1", "--kappa", "3")
         assert code == 2 and "MODCAT_TOLERANCE" in err

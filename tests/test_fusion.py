@@ -4,11 +4,12 @@ import re
 import pytest
 
 from modcat.chardata import weight_multiplicities, weyl_dimension
+from modcat import fusion
 from modcat.fusion import (FusionConsistencyError, FusionTable,
                            _associativity_failures, build_fusion_table,
-                           classical_tensor, fusion_coefficients,
-                           verify_fusion, verify_grothendieck)
-from modcat.lie import build_root_system
+                           fusion_coefficients, verify_fusion,
+                           verify_grothendieck)
+from modcat.lie import build_root_system, pairing, wadd
 from modcat import modular
 from modcat.modular import build_modular_data, verify_modular_relations
 from modcat.numeric import CycNum, QRatFn
@@ -28,6 +29,13 @@ def character(rs, lam):
                   for w, m in weight_multiplicities(rs, lam).items()})
 
 
+def classical_tensor(rs, lam, mu):
+    """V_lam x V_mu: the fold at kappa_c = h^vee + <lam + mu, theta^vee> + 1,
+    where no lam + nu + rho reaches the affine wall."""
+    top = pairing(rs, wadd(lam, mu), rs.highest_root)
+    return fusion_coefficients(rs, rs.dual_coxeter + top + 1, lam, mu)
+
+
 def test_clebsch_gordan():
     assert classical_tensor(A1, (1,), (1,)) == {(0,): 1, (2,): 1}
     assert classical_tensor(A1, (3,), (2,)) == {(1,): 1, (3,): 1, (5,): 1}
@@ -42,18 +50,25 @@ def test_three_times_three_bar():
     assert classical_tensor(A2, (1, 0), (0, 1)) == {(0, 0): 1, (1, 1): 1}
 
 
+def character_product_holds(rs, lam, mu, out):
+    """ch V_lam ch V_mu = sum_nu out[nu] ch V_nu, by exact characters."""
+    product = character(rs, lam) * character(rs, mu)
+    recombined = None
+    for nu, mult in out.items():
+        term = character(rs, nu).scale(QRatFn.from_rational(mult))
+        recombined = term if recombined is None else recombined + term
+    return recombined == product
+
+
 @pytest.mark.parametrize("rs,lam,mu", [
     (A2, (1, 1), (1, 1)), (A2, (2, 0), (1, 1)), (B2, (1, 0), (0, 1)),
     (B2, (1, 1), (0, 1)), (G2, (1, 0), (1, 0)),
+    # (2, 0) + rho + (2, -2) = (5, -1) folds to (4, 1) with sign -1
+    (A2, (2, 0), (0, 2)),
 ])
 def test_classical_tensor_character_oracle(rs, lam, mu):
     # independent oracle: multiply exact characters in the group ring
-    product = character(rs, lam) * character(rs, mu)
-    recombined = None
-    for nu, mult in classical_tensor(rs, lam, mu).items():
-        term = character(rs, nu).scale(QRatFn.from_rational(mult))
-        recombined = term if recombined is None else recombined + term
-    assert recombined == product
+    assert character_product_holds(rs, lam, mu, classical_tensor(rs, lam, mu))
 
 
 def test_classical_tensor_dimension_identity():
@@ -91,10 +106,31 @@ def test_fusion_unit_column():
 
 
 def test_classical_limit():
-    # large kappa keeps every classical summand inside the alcove
+    # large kappa keeps every classical summand inside the alcove, so the
+    # fold is the product of characters
     for rs, lam, mu, kappa in [(A1, (2,), (3,), 12), (A2, (1, 1), (1, 0), 10)]:
-        assert (fusion_coefficients(rs, kappa, lam, mu)
-                == classical_tensor(rs, lam, mu))
+        assert character_product_holds(
+            rs, lam, mu, fusion_coefficients(rs, kappa, lam, mu))
+
+
+@pytest.mark.parametrize("lam,mu", [
+    ((3, 3), (0, 0)), ((7, 0), (1, 0)), ((1, 0), (0, 4)), ((-1, 1), (1, 0)),
+    ((1, 0), (2, -1)),
+])
+def test_fusion_refuses_weights_outside_the_alcove(lam, mu):
+    # the level-5 alcove of A2 has <lam, theta^vee> <= 5 - 3 = 2
+    with pytest.raises(ValueError, match="outside the alcove at kappa 5"):
+        fusion_coefficients(A2, 5, lam, mu)
+
+
+def test_negative_folded_coefficient_is_an_internal_fault(monkeypatch):
+    # the Kac-Walton sum is non-negative for weights in the alcove, so no
+    # real diagram reaches this raise; a patched one does
+    monkeypatch.setattr(fusion, "weight_multiplicities",
+                        lambda rs, mu: {(0,): -1})
+    with pytest.raises(FusionConsistencyError,
+                       match=r"negative folded coefficient .*\(\(1,\), -1\)"):
+        fusion_coefficients(A1, 4, (1,), (1,))
 
 
 def verlinde(md):

@@ -9,7 +9,7 @@ from modcat.chardata import (alternating_sum, char_value,
                              dominant_weights_below, quantum_dim,
                              vanishing_criterion, weight_multiplicities,
                              weyl_denominator_value, weyl_dimension)
-from modcat.fusion import classical_tensor, fusion_coefficients
+from modcat.fusion import fusion_coefficients
 from modcat.lie import (build_root_system, form, lattice_index, pairing,
                         root_alpha_coords, wadd, wscale)
 from modcat.macdonald import (build_context, d_coefficient, dominance_leq,
@@ -178,8 +178,7 @@ RANK_CHECKED = {
     "char_value point": lambda w: char_value(A2, 5, (0, 0), w),
     "quantum_dim": lambda w: quantum_dim(A2, 5, w),
     "vanishing_criterion": lambda w: vanishing_criterion(A2, 5, w),
-    "classical_tensor lam": lambda w: classical_tensor(A2, w, (1, 0)),
-    "classical_tensor mu": lambda w: classical_tensor(A2, (1, 0), w),
+    "fusion_coefficients lam": lambda w: fusion_coefficients(A2, 5, w, (1, 0)),
     "fusion_coefficients": lambda w: fusion_coefficients(A2, 5, (1, 0), w),
     "twist": lambda w: twist(A2, 5, w),
     "s_entry_extended lam": lambda w: s_entry_extended(A2, 5, w, (0, 0)),
