@@ -8,31 +8,37 @@ coefficients of m_lam; since the P_mu are orthogonal, these equal the
 overlaps with the partly reduced polynomial and <P_lam, P_lam>.  The
 pairing is a constant-term sum over matching weights: each term of f meets
 each term of bar(g) whose weight sum is minus a weight of the density.
-Its sums run over the integer numerators (QRatFn.low, QRatFn.num) of the
-coefficients, one running sum per pair of denominators QRatFn.den, each
-made a QRatFn once.  The density is multiplied out in integers and kept
-so; the closed-form norm is one q-number quotient, built reduced.  All is
-exact: rational functions of v = q^(1/2) at generic q, cyclotomic numbers
-at the root of unity.  The modular matrices on the intertwiner basis come
-from d_lam, one binomial product of chardata, and the special values
-P_lam(x_mu) (SUData.values): each coefficient of P_lam, evaluated once,
-times chardata._weight_sum over the weights that carry it.  They are
-checked against every symmetry, conjugation and modular-group identity.
+When f and g are both W-invariant, one term of f per Weyl orbit stands for
+its orbit, weighted by the orbit size; each WPoly decides its invariance
+once.  The sums run over the integer numerators (QRatFn.low, QRatFn.num)
+of the coefficients, one running sum per pair of denominators QRatFn.den,
+each made a QRatFn once.  The density is multiplied out in integers and
+cached read-only per (rs, k); the closed-form norm is one q-number
+quotient, built reduced and cached per weight.  The generic suite pairs
+each ordered pair of polynomials once.  All is exact: rational functions
+of v = q^(1/2) at generic q, cyclotomic numbers at the root of unity.  The
+modular matrices on the intertwiner basis come from d_lam, one binomial
+product of chardata, and the special values P_lam(x_mu) (SUData.values):
+each coefficient of P_lam, evaluated once, times chardata._weight_sum over
+the weights that carry it.  They are checked against every symmetry,
+conjugation and modular-group identity.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain
+from types import MappingProxyType
 
 from .chardata import (_binomial_product, _rho_denominator_inverse,
                        _weight_sum, dominant_weights_below, is_dominant,
                        quantum_dim, weight_multiplicities)
-from .lie import (RootSystemData, Weight, _check_rank, _dot,
-                  build_root_system, form, lattice_index, pairing,
-                  root_alpha_coords, wadd, wneg, wscale)
+from .lie import (RootSystemData, Weight, _check_rank, _dot, _gram_vector,
+                  build_root_system, form, lattice_index, pairing, wadd,
+                  wneg, wscale, wsub)
 from .numeric import (DEFAULT_TOLERANCE, CycNum, InternalConsistencyError,
                       PoleAtEpsilonError, QRatFn, _dense, _pmul, approx_eq,
                       cyclotomic_polynomial, epsilon_power, matrix_product,
@@ -50,18 +56,21 @@ def dominance_leq(rs: RootSystemData, lam: Weight, mu: Weight) -> bool:
     Weights in different root-lattice classes are incomparable (False).
     """
     _check_rank(rs, lam, mu)
-    coords = root_alpha_coords(rs, wadd(mu, wneg(lam)))
-    return all(c.denominator == 1 and c >= 0 for c in coords)
+    # the simple-root coordinates of mu - lam are (gram (mu - lam))_i / (D d_i)
+    return all(x >= 0 and x % (rs.denominator * d) == 0 for x, d in
+               zip(_gram_vector(rs, wsub(mu, lam)), rs.symmetrizers))
 
 
 class WPoly:
     """Finitely supported group-ring element: weight -> QRatFn coefficient
-    at generic q."""
+    at generic q.  The terms are never changed after construction, so
+    _orbits keeps what orbit_terms decided for them: (rs, its result)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_orbits")
 
     def __init__(self, terms: dict[Weight, QRatFn]):
         self.terms = {w: c for w, c in terms.items() if c}
+        self._orbits = None
 
     @staticmethod
     def one(rank: int) -> "WPoly":
@@ -105,10 +114,6 @@ class WPoly:
         """Coefficient bar combined with the exponent flip w -> -w0(w)."""
         return WPoly({star(rs, w): c.bar() for w, c in self.terms.items()})
 
-    def constant_term(self):
-        zero = (0,) * (len(next(iter(self.terms))) if self.terms else 0)
-        return self.terms.get(zero)
-
     def coefficient(self, w: Weight):
         return self.terms.get(w)
 
@@ -119,6 +124,20 @@ class WPoly:
                 if ci is None or not (ci == c):
                     return False
         return True
+
+    def orbit_terms(self, rs: RootSystemData):
+        """(a, |W a|, coefficient at a) over the dominant weights a of the
+        support when the polynomial is W-invariant, else None; each orbit
+        size is counted off the support itself.  Decided once per rs."""
+        cached = self._orbits
+        if cached is None or cached[0] is not rs:
+            orbits = None
+            if self.is_w_invariant(rs):
+                sizes = Counter(make_dominant(rs, w)[0] for w in self.terms)
+                orbits = tuple((a, size, self.terms[a])
+                               for a, size in sizes.items())
+            cached = self._orbits = (rs, orbits)
+        return cached[1]
 
     def sorted_terms(self):
         return sorted(self.terms.items())
@@ -159,10 +178,13 @@ def delta_k_product(rs: RootSystemData, k: int) -> WPoly:
     return WPoly({w: _ratio(c) for w, c in _density(rs, k).items()})
 
 
-def _density(rs: RootSystemData, k: int) -> dict[Weight, list]:
+@lru_cache(maxsize=None)
+def _density(rs: RootSystemData,
+             k: int) -> Mapping[Weight, tuple[tuple[int, int], ...]]:
     """delta_k_product as weight -> the nonzero terms (exponent of v,
     integer coefficient) of its Laurent polynomial coefficient: the factors
-    are multiplied out in integers and never normalised."""
+    are multiplied out in integers and never normalised.  Read-only, since
+    every context of (rs, k) shares the cached mapping."""
     if k < 1:
         raise ValueError("the density needs k >= 1")
     zero = rs.zero
@@ -178,8 +200,9 @@ def _density(rs: RootSystemData, k: int) -> dict[Weight, list]:
                     _add_product(nxt.setdefault(wadd(w, shift), {}),
                                  c.items(), x)
             out = nxt
-    terms = {w: [(e, x) for e, x in c.items() if x] for w, c in out.items()}
-    return {w: t for w, t in terms.items() if t}
+    terms = {w: tuple((e, x) for e, x in c.items() if x)
+             for w, c in out.items()}
+    return MappingProxyType({w: t for w, t in terms.items() if t})
 
 
 def norm_formula(rs: RootSystemData, k: int, lam: Weight) -> QRatFn:
@@ -191,6 +214,13 @@ def norm_formula(rs: RootSystemData, k: int, lam: Weight) -> QRatFn:
     each cyclotomic factor Phi_e leaves two coprime sides, which are
     multiplied out in integers into an already reduced ratio."""
     _check_rank(rs, lam)
+    return _norm_formula(rs, k, tuple(lam))
+
+
+@lru_cache(maxsize=None)
+def _norm_formula(rs: RootSystemData, k: int, lam: Weight) -> QRatFn:
+    """norm_formula on a rank-checked tuple weight, cached: a QRatFn is
+    never changed, so every caller may share it."""
     count: Counter[int] = Counter()
     shifted = wadd(lam, wscale(k, rs.rho))
     for alpha in rs.positive_roots:
@@ -229,13 +259,14 @@ class MacdonaldContext:
     sigma is the calibrated sign of the inner product and group_order the
     order of W.  delta is the paired density of delta_k_product as the
     pairing reads it: weight -> the nonzero integer terms (exponent of v,
-    coefficient) of its Laurent polynomial coefficient.  _polys caches
+    coefficient) of its Laurent polynomial coefficient, the read-only
+    mapping that _density caches for every context of (n, k).  _polys caches
     P_lam and _norms caches <m_lam, P_lam> = <P_lam, P_lam> at generic q.
     """
 
     def __init__(self, n: int, k: int, level: int, kappa: int,
                  rs: RootSystemData, alcove: tuple[Weight, ...], sigma: int,
-                 delta: dict[Weight, list], group_order: int) -> None:
+                 delta: Mapping[Weight, tuple], group_order: int) -> None:
         self.n, self.k, self.level, self.kappa = n, k, level, kappa
         self.rs, self.alcove, self.sigma = rs, alcove, sigma
         self.delta, self.group_order = delta, group_order
@@ -275,21 +306,29 @@ def inner_product_k(ctx: MacdonaldContext, f: WPoly, g: WPoly) -> QRatFn:
     """Hermitian constant-term pairing with the calibrated sign.
 
     The constant term of f bar(g) delta is a sum over the terms a of f and
-    b* of bar(g) whose weights match a delta term at -(a + b*).  The
-    integer numerators of the coefficients are multiplied and summed per
-    pair of their integer denominators, and each pair's sum becomes a
-    QRatFn once, over its denominator times sigma |W|."""
-    delta = ctx.delta
+    b* of bar(g) whose weights match a delta term at -(a + b*).  When f and
+    g are both W-invariant, so is h = bar(g) delta, and CT(f h) is the sum
+    over the dominant a of f's support of |W a| f_a h_(-a): one term of f
+    per orbit, its numerator times the orbit size.  The integer numerators
+    of the coefficients are multiplied and summed per pair of their integer
+    denominators, and each pair's sum becomes a QRatFn once, over its
+    denominator times sigma |W|."""
+    rs, delta = ctx.rs, ctx.delta
     scale = ctx.sigma * ctx.group_order
-    g_bar = [(w, _terms(c), c.den) for w, c in g.bar(ctx.rs).terms.items()]
+    orbits = f.orbit_terms(rs)
+    if orbits is not None and g.orbit_terms(rs) is not None:
+        f_terms = [(a, [(e, size * x) for e, x in _terms(c)], c.den)
+                   for a, size, c in orbits]
+    else:
+        f_terms = [(w, _terms(c), c.den) for w, c in f.terms.items()]
+    g_bar = [(w, _terms(c), c.den) for w, c in g.bar(rs).terms.items()]
     # (denominator of f's term, of g's term) -> weight -w -> numerator sum
     groups: dict[tuple, dict[Weight, dict[int, int]]] = {}
-    for wa, a in f.terms.items():
-        num_a = _terms(a)
+    for wa, num_a, den_a in f_terms:
         for wb, num_b, den_b in g_bar:
             w = tuple(-x - y for x, y in zip(wa, wb))
             if w in delta:
-                by_weight = groups.setdefault((a.den, den_b), {})
+                by_weight = groups.setdefault((den_a, den_b), {})
                 _add_product(by_weight.setdefault(w, {}), num_a, num_b)
     total = QRatFn.zero()
     for (den_a, den_b), by_weight in groups.items():
@@ -606,10 +645,20 @@ def verify_generic_macdonald(n: int, k: int, bound: int) -> VerificationReport:
     rep.check("unit leading coefficient and triangular support",
               triangularity_failures())
 
+    # <P_lam, P_mu> by ordered pair: the hermitian check rereads the pairs
+    # of the orthogonality check and each of its own pairs
+    pairs: dict[tuple[Weight, Weight], QRatFn] = {}
+
+    def pair(lam, mu):
+        val = pairs.get((lam, mu))
+        if val is None:
+            val = pairs[lam, mu] = inner_product_k(ctx, poly(lam), poly(mu))
+        return val
+
     def orthogonality_failures():
         for a, lam in enumerate(grid):
             for mu in grid[a + 1:]:
-                val = inner_product_k(ctx, poly(lam), poly(mu))
+                val = pair(lam, mu)
                 if not val.is_zero():
                     yield f"({lam}, {mu}): {val!r} vs 0"
 
@@ -634,8 +683,7 @@ def verify_generic_macdonald(n: int, k: int, bound: int) -> VerificationReport:
     def hermitian_failures():
         for lam in grid[:3]:
             for mu in grid[:3]:
-                got = inner_product_k(ctx, poly(mu), poly(lam))
-                want = inner_product_k(ctx, poly(lam), poly(mu)).bar()
+                got, want = pair(mu, lam), pair(lam, mu).bar()
                 if got != want:
                     yield f"({mu}, {lam}): {got!r} vs {want!r}"
 

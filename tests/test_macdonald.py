@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from modcat.chardata import dominant_weights_below, weight_multiplicities
-from modcat.lie import build_root_system, form, wadd, wneg, wscale
+from modcat.lie import (build_root_system, form, root_alpha_coords, wadd,
+                        wneg, wscale, wsub)
 from modcat.macdonald import (WPoly, build_context, build_su_data,
                               d_coefficient, delta_k_product, dominance_leq,
                               inner_product_k, macdonald_norm,
@@ -33,6 +34,25 @@ def test_dominance_basics():
     assert dominance_leq(A2, (1, 1), (3, 0))
 
 
+@pytest.mark.parametrize("series", ["A", "B", "G"])
+def test_dominance_leq_matches_root_coordinates(series):
+    # mu - lam in Q+ exactly when its simple-root coordinates are
+    # non-negative integers; A2 and B2 also have fractional coordinates
+    rs = build_root_system(series, 2)
+    weights = list(itertools.product(range(-2, 3), repeat=2))
+    seen = set()
+    for lam in weights:
+        for mu in weights:
+            coords = root_alpha_coords(rs, wsub(mu, lam))
+            want = all(c.denominator == 1 and c >= 0 for c in coords)
+            assert dominance_leq(rs, lam, mu) == want, (lam, mu)
+            seen.add("leq" if want else
+                     "fractional" if any(c.denominator > 1 for c in coords)
+                     else "negative")
+    assert seen == ({"leq", "negative"} if series == "G"
+                    else {"leq", "negative", "fractional"})
+
+
 def test_dominance_is_partial_order_sample():
     rng = random.Random(19)
     weights = [tuple(rng.randrange(0, 4) for _ in range(2)) for _ in range(12)]
@@ -49,7 +69,7 @@ def test_delta_products():
     minus_two = QRatFn.from_rational(-2)
     assert d1.terms == {alpha: QRatFn.one(), (0,): minus_two,
                         (-2,): QRatFn.one()}
-    assert d1.constant_term() == minus_two
+    assert d1.coefficient((0,)) == minus_two
     s = QRatFn.monomial(4) + QRatFn.monomial(-4)   # q^2 + q^-2
     d2 = delta_k_product(A1, 2)
     assert d2.coefficient((4,)) == QRatFn.one()
@@ -57,6 +77,15 @@ def test_delta_products():
     assert d2.coefficient((0,)) == 2 + s * 2
     assert d2.coefficient((-2,)) == -(s + 2)
     assert d2.bar(A1) == d2
+
+
+def test_cached_density_is_shared_and_read_only():
+    # every context of (n, k) shares the cached density, so no caller may
+    # write to it
+    delta = build_context(3, 2, 1).delta
+    assert delta is build_context(3, 2, 2).delta
+    with pytest.raises(TypeError):
+        delta[(0, 0)] = ((0, 1),)
 
 
 def test_delta_bar_invariant_a2():
@@ -123,6 +152,15 @@ def test_norm_formula_values():
     for l in range(5):
         assert (norm_formula(A1, 2, (l,))
                 == q_number(l + 3) / q_number(l + 1))
+
+
+def test_cached_norm_formula_takes_any_weight_sequence():
+    want = norm_formula(A2, 2, (1, 1))
+    assert norm_formula(A2, 2, [1, 1]) == want
+    assert norm_formula(A2, 2, [1, 1]) is want
+    for bad in [(1,), [1, 1, 0]]:
+        with pytest.raises(ValueError, match="rank mismatch: expected 2"):
+            norm_formula(A2, 2, bad)
 
 
 def test_norms_match_closed_form():
@@ -335,6 +373,15 @@ def test_wpoly_invariance_checker():
     assert sym.is_w_invariant(A2)
     broken = WPoly({(1, 1): QRatFn.one()})
     assert not broken.is_w_invariant(A2)
+    # the orbit sizes are counted off the support, and decided once
+    assert sym.orbit_terms(A2) == (((1, 1), 6, QRatFn.one()),)
+    assert sym.orbit_terms(A2) is sym.orbit_terms(A2)
+    two = QRatFn.from_rational(2)
+    both = monomial_sum(A2, (1, 0)) + monomial_sum(A2, (0, 0)).scale(two)
+    assert sorted(both.orbit_terms(A2)) == [((0, 0), 1, two),
+                                           ((1, 0), 3, QRatFn.one())]
+    assert broken.orbit_terms(A2) is None
+    assert WPoly({}).orbit_terms(A2) == ()
 
 
 # -- the generic suite's witnesses ----------------------------------------------
@@ -398,6 +445,25 @@ def test_perturbed_polynomial_witnesses(monkeypatch, extra, witnesses):
     monkeypatch.setattr(macdonald, "build_context", lambda n, k, bound: ctx)
     rep = macdonald.verify_generic_macdonald(3, 2, 2)
     assert _failed_checks(rep) == witnesses
+
+
+@pytest.mark.parametrize("n,k,bound,calls", [
+    (3, 2, 2, 30), (2, 3, 4, 25), (3, 3, 2, 30)])
+def test_generic_suite_pairs_each_ordered_pair_once(monkeypatch, n, k, bound,
+                                                    calls):
+    # Gram-Schmidt and the norms pair m_lam with P_mu; the orthogonality
+    # and hermitian checks share one <P_lam, P_mu> per ordered pair
+    import modcat.macdonald as macdonald
+
+    pairing, seen = macdonald.inner_product_k, []
+
+    def counted(ctx, f, g):
+        seen.append(1)
+        return pairing(ctx, f, g)
+
+    monkeypatch.setattr(macdonald, "inner_product_k", counted)
+    assert macdonald.verify_generic_macdonald(n, k, bound).passed
+    assert len(seen) == calls
 
 
 def test_non_hermitian_pairing_witnesses(monkeypatch):
@@ -553,8 +619,14 @@ def test_pairing_matches_full_product_on_polynomials(n, k, bound):
              and _denominators(p) != _denominators(q)][:1]
     if k > 1 and n < 4:
         assert mixed
-    for f in polys + mixed:
-        for g in polys + mixed:
+    # one term more at a weight whose orbit has more than one point: the
+    # pairing must take the full loop whenever f or g is such a polynomial
+    top = max(ctx.alcove)
+    broken = [polys[0] + WPoly({top: q_number(2)})]
+    assert all(p.orbit_terms(ctx.rs) is not None for p in polys + mixed)
+    assert broken[0].orbit_terms(ctx.rs) is None
+    for f in polys + mixed + broken:
+        for g in polys + mixed + broken:
             assert (inner_product_k(ctx, f, g)
                     == full_product_pairing(ctx, f, g))
 
